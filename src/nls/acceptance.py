@@ -48,7 +48,7 @@ from .field import (
     make_initial,
 )
 from .oracle import SelfSimilarParams, classify, pointwise_nonlinear_flow, reduced_rhs
-from .solver import RunStatus, SolverConfig, run, run_with_checkpoints
+from .solver import RunStatus, SolverConfig, run
 
 DELTA_SUBSTITUTION_NOTE = (
     "The existential constants delta in the growth bound and in the "
@@ -80,6 +80,11 @@ def _check(cond: bool, msg: str, failures: list) -> None:
 # ---------------------------------------------------------------------------
 # shared heavy runs (memoized so criteria 8 and 9 reuse them)
 
+# the long 1D runs land on and checkpoint t = 5, 10, 20, 40
+_LONG_RUN_PROBES = ProbeSet(
+    median_radius=False, weighted_l2=False, store_at_times=(5.0, 10.0, 20.0, 40.0)
+)
+
 
 @lru_cache(maxsize=None)
 def _growth_run_alpha1():
@@ -88,10 +93,7 @@ def _growth_run_alpha1():
     model = ModelParams(1, 1.0, -1j)
     state0 = make_initial(grid, Gaussian(0.1, 1.0))
     cfg = SolverConfig(dt=1e-3, t_end=50.0, diagnostics_cadence=25)
-    return run_with_checkpoints(
-        state0, model, cfg, times=(5.0, 10.0, 20.0, 40.0),
-        probes=ProbeSet(median_radius=False, weighted_l2=False),
-    )
+    return run(state0, model, cfg, probes=_LONG_RUN_PROBES)
 
 
 @lru_cache(maxsize=None)
@@ -101,10 +103,7 @@ def _scatter_run_alpha3():
     model = ModelParams(1, 3.0, -1j)
     state0 = make_initial(grid, Gaussian(0.1, 1.0))
     cfg = SolverConfig(dt=1e-3, t_end=40.0, diagnostics_cadence=100)
-    return run_with_checkpoints(
-        state0, model, cfg, times=(5.0, 10.0, 20.0, 40.0),
-        probes=ProbeSet(median_radius=False, weighted_l2=False),
-    )
+    return run(state0, model, cfg, probes=_LONG_RUN_PROBES)
 
 
 @lru_cache(maxsize=None)
@@ -114,10 +113,7 @@ def _noise_floor_run():
     model = ModelParams(1, 1.0, 0.0 + 0.0j)
     state0 = make_initial(grid, Gaussian(0.1, 1.0))
     cfg = SolverConfig(dt=1e-3, t_end=40.0, diagnostics_cadence=100)
-    return run_with_checkpoints(
-        state0, model, cfg, times=(5.0, 10.0, 20.0, 40.0),
-        probes=ProbeSet(median_radius=False, weighted_l2=False),
-    )
+    return run(state0, model, cfg, probes=_LONG_RUN_PROBES)
 
 
 @lru_cache(maxsize=None)

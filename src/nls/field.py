@@ -75,9 +75,17 @@ class GridSpec:
 
 
 @lru_cache(maxsize=32)
+def axis_wavenumbers(box_length: float, points: int) -> np.ndarray:
+    """Angular wavenumbers of one axis, in FFT order."""
+    k1 = 2 * np.pi * np.fft.fftfreq(points, d=box_length / points)
+    k1.flags.writeable = False
+    return k1
+
+
+@lru_cache(maxsize=32)
 def _wavenumbers(dim: int, box_length: float, points: int):
     """(|k|^2 multiplier, per-axis derivative wavenumbers with Nyquist zeroed)."""
-    k1 = 2 * np.pi * np.fft.fftfreq(points, d=box_length / points)
+    k1 = axis_wavenumbers(box_length, points)
     k2 = np.zeros((points,) * dim)
     kd = []
     for d in range(dim):
@@ -159,20 +167,18 @@ def spectral_tail_fraction(state: FieldState) -> float:
 
 
 @lru_cache(maxsize=32)
-def exponential_filter(dim: int, box_length: float, points: int) -> np.ndarray:
-    """Smooth high-order exponential filter exp(-36 (|k_d|/k_max)^36) per axis.
+def exponential_filter(points: int) -> np.ndarray:
+    """Smooth high-order exponential filter exp(-36 (|k_d|/k_max)^36) of one axis.
 
-    Optional stress-run smoothing; off by default since the split-step with
-    exact substeps needs no stabilization on resolved fields.
+    The N-D filter is the product of this profile over the axes.  Optional
+    stress-run smoothing; off by default since the split-step with exact
+    substeps needs no stabilization on resolved fields.
     """
     m = points
     eta = np.abs(np.fft.fftfreq(m, d=1.0 / m)) / (m / 2)
     f1d = np.exp(-36.0 * eta**36)
-    out = np.ones((m,) * dim)
-    for d in range(dim):
-        shape = (1,) * d + (-1,) + (1,) * (dim - 1 - d)
-        out = out * f1d.reshape(shape)
-    return out
+    f1d.flags.writeable = False
+    return f1d
 
 
 def gradient_norm(state: FieldState) -> float:

@@ -139,32 +139,46 @@ def classify(p: SelfSimilarParams) -> OracleVerdict:
     )
 
 
-def nonlinear_flow(values: np.ndarray, model: ModelParams, dt: float) -> np.ndarray:
+def nonlinear_flow(
+    values: np.ndarray, model: ModelParams, dt: float, kappa: Optional[complex] = None
+) -> np.ndarray:
     """Exact flow of u_t = i kappa |u|^alpha u over time dt, elementwise.
 
     Modulus: m(dt) = (m0^-alpha + alpha Im(kappa) dt)^(-1/alpha).
     Phase increment: Re(kappa)/(alpha Im(kappa)) * log(1 + alpha Im(kappa)
     m0^alpha dt), degenerating to Re(kappa) m0^alpha dt when Im(kappa) = 0.
     Zero entries are fixed points.  Raises SubstepBlowupError if the bracket
-    1 + alpha Im(kappa) m0^alpha dt is nonpositive anywhere.
+    1 + alpha Im(kappa) m0^alpha dt is nonpositive anywhere.  kappa, when
+    given, replaces model.kappa (a coefficient frozen for one step).  Always
+    returns a new array.
+
+    Re(kappa) = 0 (the phase increment vanishes) scales by the real modulus
+    factor with no log or complex exp, and alpha = 2 needs no pow.  Otherwise
+    modulus and phase come from one complex power of the bracket.
     """
     al = model.alpha
-    kr, ki = model.kappa.real, model.kappa.imag
+    kappa = model.kappa if kappa is None else kappa
+    kr, ki = kappa.real, kappa.imag
     values = np.asarray(values, dtype=np.complex128)
+    if kr == 0.0 and ki == 0.0:
+        return values.copy()
     m2 = values.real**2 + values.imag**2
-    ma = m2 ** (al / 2.0)  # |u|^alpha, exactly 0 at u = 0 since alpha > 0
-    if ki != 0.0:
-        bracket = 1.0 + al * ki * ma * dt
-        if np.min(bracket) <= 0.0:
-            raise SubstepBlowupError(
-                f"nonlinear substep blowup: min bracket {np.min(bracket):.3e} at dt={dt:.3e}"
-            )
-        factor = bracket ** (-1.0 / al)
-        dtheta = (kr / (al * ki)) * np.log(bracket)
+    ma = m2 if al == 2.0 else m2 ** (al / 2.0)  # |u|^alpha, exactly 0 at u = 0
+    if ki == 0.0:
+        return values * np.exp(1j * (kr * dt) * ma)
+    bracket = ma * (al * ki * dt)
+    bracket += 1.0
+    if np.min(bracket) <= 0.0:
+        raise SubstepBlowupError(
+            f"nonlinear substep blowup: min bracket {np.min(bracket):.3e} at dt={dt:.3e}"
+        )
+    if kr != 0.0:
+        return values * np.exp(np.log(bracket) * complex(-1.0 / al, kr / (al * ki)))
+    if al == 2.0:
+        factor = np.reciprocal(np.sqrt(bracket, out=bracket), out=bracket)
     else:
-        factor = 1.0
-        dtheta = kr * ma * dt
-    return values * (factor * np.exp(1j * dtheta))
+        factor = bracket ** (-1.0 / al)
+    return values * factor
 
 
 def pointwise_nonlinear_flow(u0: complex, model: ModelParams, dt: float) -> complex:

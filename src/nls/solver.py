@@ -6,15 +6,33 @@ error is the splitting commutator (second order).  For Im(kappa) < 0 the
 nonlinear substep carries its own blowup signal: the Bernoulli bracket
 turns nonpositive exactly when the pointwise amplitude leaves its domain.
 
+Steps are chained in Fourier space (the split-step Fourier method).  The
+chain carries p = F[w], the spectrum of the last nonlinear output, and
+leaves the trailing half-step of the last accepted step pending.  The next
+step multiplies p once by its own leading half-step times the pending one,
+then runs one inverse FFT, the nonlinear substep and one forward FFT: two
+FFTs per step instead of four.  The physical state ifftn(pending * p) is
+rebuilt only where it is read: trace rows, stored states, store_at_times
+targets, t_end, the blowup return, and step() (a chain of one step).  A
+rejected step leaves p and the pending half-step alone; only dt changes.
+The |k|^2 multipliers are separable (exp(-i|k|^2 t) = prod_d exp(-i k_d^2 t))
+and are never stored as dense N-D arrays.
+
 Blowup of the discrete system is declared by policy, not by a theorem:
 steps are rejected (and dt halved) while the substep bracket fails or the
 sup norm exceeds the configured threshold; when dt falls below the floor
 the run stops with the time of the last accepted state as the estimate.
+The sup-norm test is decided without a rebuild while an L2 bound allows:
+by Parseval and |multiplier| <= 1, max_j |u_j| <= (sum_j |u_j|^2)^(1/2)
+<= (sum_j |w_j|^2)^(1/2).  A step whose bound is below the threshold (less
+a 1e-9 relative margin for rounding) passes; otherwise the state is
+rebuilt and max|u| decides, so the decision is that of an exact per-step
+max|u| test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -24,8 +42,18 @@ import scipy.integrate
 
 from .diagnostics import DiagnosticTrace, ProbeSet, TraceRecorder
 from .exponents import ModelParams
-from .field import FieldState, _wavenumbers, exponential_filter, l2_norm
+from .field import (
+    FieldState,
+    _wavenumbers,
+    axis_wavenumbers,
+    exponential_filter,
+    l2_norm,
+)
 from .oracle import SubstepBlowupError, nonlinear_flow
+
+# relative margin between the L2 bound and the sup-norm threshold
+_BOUND_MARGIN = 1.0 - 1e-9
+_MAX_CACHED_FACTORS = 4
 
 
 class RunStatus(Enum):
@@ -66,17 +94,97 @@ class RunOutcome:
     steps_rejected: int = 0
 
 
+class _StrangChain:
+    """Strang steps chained in Fourier space (see the module docstring).
+
+    The pending trailing half-step is exp(-i |k|^2 tau), times the filter
+    when `filtered`; p and the pending half-step together stand for the
+    physical state at `time`.
+    """
+
+    def __init__(self, state0: FieldState, spectral_filter: bool = False):
+        g = state0.grid
+        self._grid = g
+        self._k2 = axis_wavenumbers(g.box_length, g.points) ** 2
+        self._filter = exponential_filter(g.points) if spectral_filter else None
+        self._factors: dict = {}
+        self.p = scipy.fft.fftn(state0.values)
+        self.time = state0.time
+        self._tau, self._filtered = 0.0, False
+        self._state: Optional[FieldState] = state0  # physical state, once built
+
+    def _times(self, spec: np.ndarray, tau: float, filtered: bool) -> np.ndarray:
+        """New array spec * exp(-i |k|^2 tau) (times the filter if filtered).
+
+        The multiplier is separable: a factor over the trailing N-1 axes
+        (M^(N-1) entries) times a 1D factor broadcast along the first axis.
+        """
+        key = (tau, filtered)
+        if key not in self._factors:
+            f = np.exp(-1j * self._k2 * tau)
+            if filtered:
+                f *= self._filter
+            trailing = f
+            for _ in range(self._grid.dim - 2):
+                trailing = np.multiply.outer(f, trailing)
+            if len(self._factors) >= _MAX_CACHED_FACTORS:
+                self._factors.clear()
+            self._factors[key] = (trailing, f.reshape((-1,) + (1,) * (self._grid.dim - 1)))
+        trailing, lead = self._factors[key]
+        out = spec * trailing
+        if self._grid.dim > 1:
+            out *= lead
+        return out
+
+    def advance(
+        self,
+        model: ModelParams,
+        dt: float,
+        kappa: Optional[complex] = None,
+        linf_max: Optional[float] = None,
+    ) -> bool:
+        """One Strang step of size dt with nonlinear coefficient kappa.
+
+        Returns False, leaving the chain as it was, when the new state's sup
+        norm exceeds linf_max; raises SubstepBlowupError (chain unchanged)
+        when the nonlinear bracket fails.
+        """
+        q = self._times(self.p, dt / 2 + self._tau, self._filtered)
+        w = nonlinear_flow(scipy.fft.ifftn(q, overwrite_x=True), model, dt, kappa)
+        # L2 bound on the new sup norm; needs w before the FFT overwrites it
+        bounded = linf_max is None or (
+            np.vdot(w, w).real <= (linf_max * _BOUND_MARGIN) ** 2
+        )
+        p = scipy.fft.fftn(w, overwrite_x=True)
+        tau, filtered = dt / 2, self._filter is not None
+        state = None
+        if not bounded:
+            u = scipy.fft.ifftn(self._times(p, tau, filtered), overwrite_x=True)
+            if not float(np.max(np.abs(u))) <= linf_max:
+                return False
+            state = FieldState(self._grid, u, self.time + dt)
+        self.p, self._tau, self._filtered = p, tau, filtered
+        self.time += dt
+        self._state = state
+        return True
+
+    def state(self) -> FieldState:
+        """The physical state at self.time, rebuilt at most once per step."""
+        if self._state is None:
+            u = scipy.fft.ifftn(
+                self._times(self.p, self._tau, self._filtered), overwrite_x=True
+            )
+            self._state = FieldState(self._grid, u, self.time)
+        return self._state
+
+
 def step(state: FieldState, model: ModelParams, dt: float) -> FieldState:
     """One Strang step; raises SubstepBlowupError if the bracket fails."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    g = state.grid
-    k2, _ = _wavenumbers(g.dim, g.box_length, g.points)
-    half = np.exp(-1j * k2 * (dt / 2))
-    u = scipy.fft.ifftn(half * scipy.fft.fftn(state.values))
-    u = nonlinear_flow(u, model, dt)
-    u = scipy.fft.ifftn(half * scipy.fft.fftn(u))
-    return state.with_values(u, time=state.time + dt)
+    chain = _StrangChain(state)
+    chain.advance(model, dt)
+    return chain.state()
 
 
 def run(
@@ -96,102 +204,60 @@ def run(
         raise ValueError("initial state contains non-finite values")
     probes = probes or ProbeSet()
     rec = TraceRecorder(model, probes)
-    g = state0.grid
-    k2, _ = _wavenumbers(g.dim, g.box_length, g.points)
-
-    state = state0
     t_end = state0.time + cfg.t_end
     dt = cfg.dt
     accepted = rejected = 0
     checkpoints = []
-    rec.record(state)
+    rec.record(state0)
     targets = sorted({t for t in probes.store_at_times if t > state0.time + 1e-15})
     if probes.store_states_every or probes.store_at_times:
-        checkpoints.append(state)
-
-    filt = (
-        exponential_filter(g.dim, g.box_length, g.points)
-        if cfg.spectral_filter
-        else None
-    )
-    cached_half = None
-    cached_half_out = None
-    cached_dt = None
-    eps = 1e-12 * max(1.0, abs(t_end))
+        checkpoints.append(state0)
     if dt < cfg.blowup_dt_floor:
         # configured step already below the floor: nothing sensible to do
         return RunOutcome(
-            RunStatus.STEP_FLOOR_HIT, state, state.time, rec.trace(),
+            RunStatus.STEP_FLOOR_HIT, state0, state0.time, rec.trace(),
             checkpoints, accepted, rejected,
         )
-    while state.time < t_end - eps:
-        dt_step = min(dt, t_end - state.time)
+
+    chain = _StrangChain(state0, cfg.spectral_filter)
+    status = RunStatus.REACHED_T_END
+    eps = 1e-12 * max(1.0, abs(t_end))
+    while chain.time < t_end - eps:
+        dt_step = min(dt, t_end - chain.time)
         if targets:
-            dt_step = min(dt_step, targets[0] - state.time)
-        if dt_step != cached_dt:
-            cached_half = np.exp(-1j * k2 * (dt_step / 2))
-            cached_half_out = cached_half if filt is None else cached_half * filt
-            cached_dt = dt_step
-        step_model = model
-        if kappa_of_time is not None:
-            step_model = ModelParams(
-                dim=model.dim,
-                alpha=model.alpha,
-                kappa=kappa_of_time(state.time + dt_step / 2),
-            )
+            dt_step = min(dt_step, targets[0] - chain.time)
+        kappa = None if kappa_of_time is None else kappa_of_time(chain.time + dt_step / 2)
         try:
-            u = scipy.fft.ifftn(cached_half * scipy.fft.fftn(state.values))
-            u = nonlinear_flow(u, step_model, dt_step)
-            u = scipy.fft.ifftn(cached_half_out * scipy.fft.fftn(u))
-            ok = float(np.max(np.abs(u))) <= cfg.blowup_linf_threshold
+            ok = chain.advance(model, dt_step, kappa, cfg.blowup_linf_threshold)
         except SubstepBlowupError:
             ok = False
-        if ok:
-            state = state.with_values(u, time=state.time + dt_step)
-            accepted += 1
-            if accepted % cfg.diagnostics_cadence == 0:
-                rec.record(state)
-            if probes.store_states_every and accepted % probes.store_states_every == 0:
-                checkpoints.append(state)
-            if targets and state.time >= targets[0] - eps:
-                while targets and state.time >= targets[0] - eps:
-                    targets.pop(0)
-                if not checkpoints or checkpoints[-1] is not state:
-                    checkpoints.append(state)
-        else:
+        if not ok:
             rejected += 1
             dt *= cfg.safety
             if dt < cfg.blowup_dt_floor:
-                if rec.rows[-1][0] != state.time:
-                    rec.record(state)
-                if probes.store_states_every and (
-                    not checkpoints or checkpoints[-1] is not state
-                ):
-                    checkpoints.append(state)
-                return RunOutcome(
-                    RunStatus.BLOWUP_DETECTED, state, state.time, rec.trace(),
-                    checkpoints, accepted, rejected,
-                )
+                status = RunStatus.BLOWUP_DETECTED
+                break
+            continue
+        accepted += 1
+        if accepted % cfg.diagnostics_cadence == 0:
+            rec.record(chain.state())
+        if probes.store_states_every and accepted % probes.store_states_every == 0:
+            checkpoints.append(chain.state())
+        if targets and chain.time >= targets[0] - eps:
+            while targets and chain.time >= targets[0] - eps:
+                targets.pop(0)
+            if checkpoints[-1] is not chain.state():
+                checkpoints.append(chain.state())
+
+    state = chain.state()
     if rec.rows[-1][0] != state.time:
         rec.record(state)
-    if probes.store_states_every and (not checkpoints or checkpoints[-1] is not state):
+    if probes.store_states_every and checkpoints[-1] is not state:
         checkpoints.append(state)
+    estimate = state.time if status is RunStatus.BLOWUP_DETECTED else None
     return RunOutcome(
-        RunStatus.REACHED_T_END, state, None, rec.trace(), checkpoints,
-        accepted, rejected,
+        status, state, estimate, rec.trace(), checkpoints, accepted, rejected
     )
-
-
-def run_with_checkpoints(
-    state0: FieldState,
-    model: ModelParams,
-    cfg: SolverConfig,
-    times: Sequence[float],
-    probes: Optional[ProbeSet] = None,
-) -> RunOutcome:
-    """run() landing exactly on the requested times and checkpointing there."""
-    base = probes or ProbeSet()
-    return run(state0, model, cfg, probes=replace(base, store_at_times=tuple(times)))
 
 
 def duhamel_residual(states: Sequence[FieldState], model: ModelParams) -> float:

@@ -20,7 +20,6 @@ from nls.solver import (
     SolverConfig,
     duhamel_residual,
     run,
-    run_with_checkpoints,
     step,
 )
 
@@ -178,7 +177,7 @@ def test_run_with_checkpoints_lands_on_times():
     model = ModelParams(1, 1.0, 0.5 - 0.5j)
     st = make_initial(g, Gaussian(0.5, 1.0))
     cfg = SolverConfig(dt=7e-3, t_end=1.0, diagnostics_cadence=QUIET)
-    out = run_with_checkpoints(st, model, cfg, times=(0.25, 0.5, 0.9))
+    out = run(st, model, cfg, probes=ProbeSet(store_at_times=(0.25, 0.5, 0.9)))
     times = [s.time for s in out.checkpoints]
     assert times[0] == 0.0
     for want, got in zip((0.25, 0.5, 0.9), times[1:]):
