@@ -139,31 +139,25 @@ def classify(p: SelfSimilarParams) -> OracleVerdict:
     )
 
 
-def nonlinear_flow(
-    values: np.ndarray, model: ModelParams, dt: float, kappa: Optional[complex] = None
-) -> np.ndarray:
+def nonlinear_flow(values: np.ndarray, model: ModelParams, dt: float) -> np.ndarray:
     """Exact flow of u_t = i kappa |u|^alpha u over time dt, elementwise.
 
     Modulus: m(dt) = (m0^-alpha + alpha Im(kappa) dt)^(-1/alpha).
     Phase increment: Re(kappa)/(alpha Im(kappa)) * log(1 + alpha Im(kappa)
     m0^alpha dt), degenerating to Re(kappa) m0^alpha dt when Im(kappa) = 0.
     Zero entries are fixed points.  Raises SubstepBlowupError if the bracket
-    1 + alpha Im(kappa) m0^alpha dt is nonpositive anywhere.  kappa, when
-    given, replaces model.kappa (a coefficient frozen for one step).  Always
-    returns a new array.
+    1 + alpha Im(kappa) m0^alpha dt is nonpositive anywhere.  Always returns
+    a new array.
 
     Re(kappa) = 0 (the phase increment vanishes) scales by the real modulus
-    factor with no log or complex exp, and alpha = 2 needs no pow.  Otherwise
-    modulus and phase come from one complex power of the bracket.
+    factor with no log or complex exp.  Otherwise modulus and phase come
+    from one complex power of the bracket.
     """
     al = model.alpha
-    kappa = model.kappa if kappa is None else kappa
-    kr, ki = kappa.real, kappa.imag
+    kr, ki = model.kappa.real, model.kappa.imag
     values = np.asarray(values, dtype=np.complex128)
-    if kr == 0.0 and ki == 0.0:
-        return values.copy()
     m2 = values.real**2 + values.imag**2
-    ma = m2 if al == 2.0 else m2 ** (al / 2.0)  # |u|^alpha, exactly 0 at u = 0
+    ma = m2 ** (al / 2.0)  # |u|^alpha, exactly 0 at u = 0 since alpha > 0
     if ki == 0.0:
         return values * np.exp(1j * (kr * dt) * ma)
     bracket = ma * (al * ki * dt)
@@ -174,11 +168,7 @@ def nonlinear_flow(
         )
     if kr != 0.0:
         return values * np.exp(np.log(bracket) * complex(-1.0 / al, kr / (al * ki)))
-    if al == 2.0:
-        factor = np.reciprocal(np.sqrt(bracket, out=bracket), out=bracket)
-    else:
-        factor = bracket ** (-1.0 / al)
-    return values * factor
+    return values * bracket ** (-1.0 / al)
 
 
 def pointwise_nonlinear_flow(u0: complex, model: ModelParams, dt: float) -> complex:

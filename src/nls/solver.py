@@ -32,7 +32,7 @@ max|u| test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -137,20 +137,16 @@ class _StrangChain:
         return out
 
     def advance(
-        self,
-        model: ModelParams,
-        dt: float,
-        kappa: Optional[complex] = None,
-        linf_max: Optional[float] = None,
+        self, model: ModelParams, dt: float, linf_max: Optional[float] = None
     ) -> bool:
-        """One Strang step of size dt with nonlinear coefficient kappa.
+        """One Strang step of size dt.
 
         Returns False, leaving the chain as it was, when the new state's sup
         norm exceeds linf_max; raises SubstepBlowupError (chain unchanged)
         when the nonlinear bracket fails.
         """
         q = self._times(self.p, dt / 2 + self._tau, self._filtered)
-        w = nonlinear_flow(scipy.fft.ifftn(q, overwrite_x=True), model, dt, kappa)
+        w = nonlinear_flow(scipy.fft.ifftn(q, overwrite_x=True), model, dt)
         # L2 bound on the new sup norm; needs w before the FFT overwrites it
         bounded = linf_max is None or (
             np.vdot(w, w).real <= (linf_max * _BOUND_MARGIN) ** 2
@@ -226,9 +222,11 @@ def run(
         dt_step = min(dt, t_end - chain.time)
         if targets:
             dt_step = min(dt_step, targets[0] - chain.time)
-        kappa = None if kappa_of_time is None else kappa_of_time(chain.time + dt_step / 2)
+        step_model = model
+        if kappa_of_time is not None:
+            step_model = replace(model, kappa=kappa_of_time(chain.time + dt_step / 2))
         try:
-            ok = chain.advance(model, dt_step, kappa, cfg.blowup_linf_threshold)
+            ok = chain.advance(step_model, dt_step, cfg.blowup_linf_threshold)
         except SubstepBlowupError:
             ok = False
         if not ok:

@@ -289,7 +289,7 @@ def test_vectorized_flow_matches_scalar():
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 1.3])
 @pytest.mark.parametrize("kappa", [-1j, 0.7 - 0.9j, 1.3 + 0.0j, 0.0j])
 def test_flow_branches_match_closed_form(alpha, kappa):
-    # each specialized branch against the modulus law and phase of the docstring
+    # each branch against the modulus law and phase of the docstring
     rng = np.random.default_rng(3)
     vals = 0.8 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
     vals[0] = 0.0
@@ -303,13 +303,9 @@ def test_flow_branches_match_closed_form(alpha, kappa):
         modulus = np.abs(vals)
         dtheta = kappa.real * m0a * dt
     want = modulus * np.exp(1j * (np.angle(vals) + dtheta))
-    # kappa passed per call (the frozen-coefficient path) or through the model
-    for got in (
-        nonlinear_flow(vals, ModelParams(1, alpha, 5.0 - 5.0j), dt, kappa),
-        nonlinear_flow(vals, ModelParams(1, alpha, kappa), dt),
-    ):
-        assert got is not vals
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+    got = nonlinear_flow(vals, ModelParams(1, alpha, kappa), dt)
+    assert got is not vals
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
 
 
 def test_verdict_amplitude_callable():

@@ -103,19 +103,19 @@ def reference_run(state0, model, cfg, probes=None, kappa_of_time=None):
     )
 
 
-def assert_same_run(got, want):
+def assert_same_run(got, want, rtol=1e-12):
     assert got.status is want.status
     assert got.steps_accepted == want.steps_accepted
     assert got.steps_rejected == want.steps_rejected
     assert got.blowup_time_estimate == want.blowup_time_estimate
     assert np.array_equal(got.trace.times, want.trace.times)
-    np.testing.assert_allclose(got.trace.mass, want.trace.mass, rtol=1e-12)
+    np.testing.assert_allclose(got.trace.mass, want.trace.mass, rtol=rtol)
     assert [s.time for s in got.checkpoints] == [s.time for s in want.checkpoints]
     pairs = list(zip(got.checkpoints, want.checkpoints))
     pairs.append((got.final_state, want.final_state))
     for a, b in pairs:
         scale = np.max(np.abs(b.values))
-        assert np.max(np.abs(a.values - b.values)) <= 1e-12 * scale
+        assert np.max(np.abs(a.values - b.values)) <= rtol * scale
 
 
 def v_kappa(t):
@@ -188,7 +188,14 @@ def test_rejection_rollback_matches_reference():
     assert got.status is RunStatus.BLOWUP_DETECTED
     assert got.steps_accepted > 5 and got.steps_rejected > 5
     assert got.blowup_time_estimate < cfg.dt  # the first attempt was rejected
-    assert_same_run(got, want)
+    # max|u| grows from 2 to about 1.6e3 on the way to the floor, and rounding
+    # grows with it: the reference itself moves by about 1.6e-10 relative when
+    # the initial data move by one ulp.  "Equal to rounding" here means
+    # within that sensitivity, and never looser than 1e-12.
+    nudged = reference_run(st.with_values(st.values * (1 + 2**-52)), model, cfg)
+    scale = np.max(np.abs(want.final_state.values))
+    sensitivity = np.max(np.abs(nudged.final_state.values - want.final_state.values))
+    assert_same_run(got, want, rtol=max(1e-12, sensitivity / scale))
 
 
 @pytest.mark.parametrize("threshold", [1.5, 0.5])
