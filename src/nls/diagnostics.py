@@ -16,17 +16,23 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.fft
 import scipy.integrate
 
 from .exponents import ModelParams
 from .field import (
     FieldState,
     GridSpec,
+    apply_multiplier,
+    free_multiplier,
     gradient_norm,
     l2_norm,
     linear_propagate,
     lp_norm,
-    weighted_l2_norm,
+    radial_shells,
+    shell_mass,
+    spectral_sq,
+    weighted_sq,
 )
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
@@ -63,10 +69,6 @@ class CutoffFamily:
             raise ValueError("lambdas must be positive")
         return cls(dim=dim, lambdas=lam, nu=cutoff_normalization(dim))
 
-    def phi_values(self, grid: GridSpec, lam: float) -> np.ndarray:
-        r = np.sqrt(grid.radius_squared())
-        return self.nu * tent_profile(lam * r)
-
     def phi_l2_norm_quadrature(self, lam: float) -> float:
         """||phi_lambda||_L2 by adaptive radial quadrature (exact: lam^(-N/2))."""
         area = _SPHERE_AREA[self.dim]
@@ -102,15 +104,16 @@ def default_lambdas(box_length: float, data_width: float, count: int = 5) -> tup
 
 def localized_mass(state: FieldState, cutoffs: CutoffFamily) -> np.ndarray:
     """f_lambda = ||u phi_lambda||_L2 for every lambda in the family."""
-    cutoffs.check_support(state.grid)
-    g = state.grid
-    m2 = state.values.real**2 + state.values.imag**2
-    hN = g.spacing**g.dim
-    out = np.empty(len(cutoffs.lambdas))
-    for i, lam in enumerate(cutoffs.lambdas):
-        w = cutoffs.phi_values(g, lam)
-        out[i] = math.sqrt(float(np.sum(m2 * w**2)) * hN)
-    return out
+    return _localized_mass(shell_mass(state.values, state.grid), state.grid, cutoffs)
+
+
+def _localized_mass(shells: np.ndarray, grid: GridSpec, cutoffs: CutoffFamily) -> np.ndarray:
+    """f_lambda from the shell masses; the tent is evaluated on shell radii only."""
+    cutoffs.check_support(grid)
+    r = np.sqrt(radial_shells(grid)[0])
+    lam = np.asarray(cutoffs.lambdas)[:, None]
+    phi2 = (cutoffs.nu * tent_profile(lam * r)) ** 2
+    return np.sqrt(phi2 @ shells * grid.spacing**grid.dim)
 
 
 def median_radius(state: FieldState) -> float:
@@ -122,25 +125,23 @@ def median_radius(state: FieldState) -> float:
     trapezoid-consistent convention; on axis-aligned grids every node radius
     is a boundary, and whole-bin assignment would bias R by +h/2).
     """
-    g = state.grid
-    m2 = (state.values.real**2 + state.values.imag**2).reshape(-1)
-    total = float(np.sum(m2))
+    return _median_radius(shell_mass(state.values, state.grid), state.grid)
+
+
+def _median_radius(shells: np.ndarray, grid: GridSpec) -> float:
+    """median_radius from the shell masses (all nodes of a shell share a bin)."""
+    total = float(np.sum(shells))
     if total <= 0:
         raise ValueError("zero field has no median radius")
-    r = np.sqrt(g.radius_squared()).reshape(-1)
-    h = g.spacing
-    scaled = r / h
+    h = grid.spacing
+    scaled = np.sqrt(radial_shells(grid)[0]) / h
     near = np.rint(scaled)
     on_boundary = (np.abs(scaled - near) < 1e-9) & (near >= 1)
-    idx = np.floor(scaled).astype(np.int64)
-    idx[on_boundary] = near[on_boundary].astype(np.int64)
+    idx = np.where(on_boundary, near, np.floor(scaled)).astype(np.int64)
     nb = int(np.max(idx)) + 2
-    binned = np.bincount(idx, weights=m2, minlength=nb)
-    if np.any(on_boundary):
-        kb = near[on_boundary].astype(np.int64)
-        halfmass = 0.5 * m2[on_boundary]
-        binned -= np.bincount(kb, weights=halfmass, minlength=nb)
-        binned += np.bincount(kb - 1, weights=halfmass, minlength=nb)
+    halfmass = np.where(on_boundary, 0.5 * shells, 0.0)
+    binned = np.bincount(idx, weights=shells - halfmass, minlength=nb)
+    binned += np.bincount(idx - on_boundary, weights=halfmass, minlength=nb)
     cum = np.concatenate([[0.0], np.cumsum(binned)])  # cum[k] = mass below k h
     half = total / 2.0
     k = int(np.searchsorted(cum, half))
@@ -151,8 +152,39 @@ def median_radius(state: FieldState) -> float:
     return (k - 1 + frac) * h
 
 
+def _free_frame(uk: np.ndarray, state: FieldState) -> np.ndarray:
+    """F[w] for w = e^{-it Lap} u(t), from uk = F[u(t)], in place."""
+    return apply_multiplier(uk, free_multiplier(state.grid, -state.time), out=uk)
+
+
+def _x_norm(dk: np.ndarray, grid: GridSpec) -> float:
+    """||d||_X = (||d||^2 + ||grad d||^2 + ||x d||^2)^(1/2) from dk = F[d].
+
+    The L2 and gradient parts come from dk by Parseval; only the |x| part
+    needs d itself (one inverse FFT, overwriting dk).
+    """
+    l2_sq, grad_sq = spectral_sq(dk, grid)
+    d = scipy.fft.ifftn(dk, overwrite_x=True)
+    return math.sqrt(l2_sq + grad_sq + weighted_sq(shell_mass(d, grid), grid))
+
+
 # ---------------------------------------------------------------------------
 # trace
+
+
+# trace CSV column -> DiagnosticTrace field, in file order; loc_mass_λ=...
+# columns follow, one per lambda
+_CSV_COLUMNS = (
+    ("t", "times"),
+    ("mass", "mass"),
+    ("lp", "lp"),
+    ("grad_l2", "grad_l2"),
+    ("K_t", "K_t"),
+    ("linf", "linf"),
+    ("R_t", "R_t"),
+    ("weighted_l2", "weighted_l2"),
+    ("scatter_residual", "scatter_residual"),
+)
 
 
 @dataclass
@@ -176,7 +208,7 @@ class DiagnosticTrace:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        cols = "t,mass,lp,grad_l2,K_t,linf,R_t,weighted_l2,scatter_residual"
+        cols = ",".join(name for name, _ in _CSV_COLUMNS)
         for lam in self.lambdas:
             cols += f",loc_mass_λ={lam:.6g}"
         buf.write(cols + "\n")
@@ -205,11 +237,14 @@ class DiagnosticTrace:
 
     @classmethod
     def from_csv(cls, text: str) -> "DiagnosticTrace":
+        """Parse to_csv output; columns are found by header name, in any order."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         header = lines[0].split(",")
-        lambdas = tuple(
-            float(c.split("=", 1)[1]) for c in header if c.startswith("loc_mass_")
-        )
+        where = {name: j for j, name in enumerate(header)}
+        missing = [name for name, _ in _CSV_COLUMNS if name not in where]
+        if missing:
+            raise ValueError(f"trace CSV lacks columns {missing}")
+        loc_cols = [j for j, name in enumerate(header) if name.startswith("loc_mass_")]
         rows = [ln.split(",") for ln in lines[1:]]
 
         def col(j):
@@ -217,23 +252,12 @@ class DiagnosticTrace:
                 [float(r[j]) if r[j] != "" else math.nan for r in rows]
             )
 
-        nfix = 9
-        loc = (
-            np.array([[float(v) for v in r[nfix:]] for r in rows])
-            if lambdas
-            else np.empty((len(rows), 0))
-        )
+        loc = np.array(
+            [[float(r[j]) for j in loc_cols] for r in rows], dtype=float
+        ).reshape(len(rows), len(loc_cols))
         return cls(
-            times=col(0),
-            mass=col(1),
-            lp=col(2),
-            grad_l2=col(3),
-            K_t=col(4),
-            linf=col(5),
-            R_t=col(6),
-            weighted_l2=col(7),
-            scatter_residual=col(8),
-            lambdas=lambdas,
+            **{fld: col(where[name]) for name, fld in _CSV_COLUMNS},
+            lambdas=tuple(float(header[j].split("=", 1)[1]) for j in loc_cols),
             loc_mass=loc,
         )
 
@@ -258,36 +282,43 @@ class TraceRecorder:
         self.probes = probes
         self.rows: list = []
         self.K_t = 0.0
-        self._w_prev: Optional[FieldState] = None
+        self._wk_prev: Optional[np.ndarray] = None  # F[w] at the last row
         if probes.cutoffs is not None:
             self.lambdas = probes.cutoffs.lambdas
         else:
             self.lambdas = ()
 
     def record(self, state: FieldState) -> None:
+        """One trace row from one forward FFT and one radial-shell histogram.
+
+        With the scatter probe the row adds one inverse FFT (for the |x|
+        part of the increment of w), and none on the first row.
+        """
         p = self.probes
-        grad = gradient_norm(state)
+        g = state.grid
+        uk = scipy.fft.fftn(state.values)
+        grad = math.sqrt(spectral_sq(uk, g)[1])
         self.K_t = max(self.K_t, grad)
         scatter = math.nan
         if p.scatter:
-            w = linear_propagate(state, -state.time)
-            if self._w_prev is not None:
-                d = w.with_values(w.values - self._w_prev.values)
-                scatter = math.sqrt(
-                    l2_norm(d) ** 2 + gradient_norm(d) ** 2 + weighted_l2_norm(d) ** 2
-                )
-            self._w_prev = w
+            wk = _free_frame(uk, state)
+            if self._wk_prev is not None:
+                # the increment overwrites the previous F[w], replaced below
+                scatter = _x_norm(np.subtract(wk, self._wk_prev, out=self._wk_prev), g)
+            self._wk_prev = wk
+        del uk
+        shells = shell_mass(state.values, g)
         row = (
             state.time,
-            l2_norm(state),
+            math.sqrt(float(np.sum(shells)) * g.spacing**g.dim),
             lp_norm(state, self.model.alpha + 2.0),
             grad,
             self.K_t,
             float(np.max(np.abs(state.values))),
-            median_radius(state) if p.median_radius else math.nan,
-            weighted_l2_norm(state) if p.weighted_l2 else math.nan,
+            _median_radius(shells, g) if p.median_radius else math.nan,
+            math.sqrt(weighted_sq(shells, g)) if p.weighted_l2 else math.nan,
             scatter,
-            localized_mass(state, p.cutoffs) if p.cutoffs is not None else None,
+            _localized_mass(shells, g, p.cutoffs) if p.cutoffs is not None else None,
         )
         self.rows.append(row)
 
@@ -510,13 +541,5 @@ def scattering_residual(states: Sequence[FieldState]) -> list:
     ts = [s.time for s in states]
     if any(b <= a for a, b in zip(ts[:-1], ts[1:])):
         raise ValueError("states must be strictly increasing in time")
-    ws = [linear_propagate(s, -s.time) for s in states]
-    out = []
-    for w0, w1 in zip(ws[:-1], ws[1:]):
-        d = w1.with_values(w1.values - w0.values)
-        out.append(
-            math.sqrt(
-                l2_norm(d) ** 2 + gradient_norm(d) ** 2 + weighted_l2_norm(d) ** 2
-            )
-        )
-    return out
+    wks = [_free_frame(scipy.fft.fftn(s.values), s) for s in states]
+    return [_x_norm(w1 - w0, states[0].grid) for w0, w1 in zip(wks[:-1], wks[1:])]

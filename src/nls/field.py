@@ -83,18 +83,86 @@ def axis_wavenumbers(box_length: float, points: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _wavenumbers(dim: int, box_length: float, points: int):
-    """(|k|^2 multiplier, per-axis derivative wavenumbers with Nyquist zeroed)."""
-    k1 = axis_wavenumbers(box_length, points)
-    k2 = np.zeros((points,) * dim)
-    kd = []
-    for d in range(dim):
-        shape = (1,) * d + (-1,) + (1,) * (dim - 1 - d)
-        k2 = k2 + k1.reshape(shape) ** 2
-        kder = k1.copy()
-        kder[points // 2] = 0.0  # Nyquist: odd derivative multiplier is zeroed
-        kd.append(kder.reshape(shape))
-    return k2, tuple(kd)
+def _wavenumbers(box_length: float, points: int) -> np.ndarray:
+    """Derivative wavenumbers of one axis, with the Nyquist mode zeroed.
+
+    The odd derivative multiplier has no real value at the Nyquist mode, so
+    the spectral gradient drops it there.
+    """
+    kd = axis_wavenumbers(box_length, points).copy()
+    kd[points // 2] = 0.0
+    kd.flags.writeable = False
+    return kd
+
+
+def free_multiplier(grid: GridSpec, t: float, filtered: bool = False) -> tuple:
+    """exp(-i |k|^2 t), times the exponential filter when `filtered`.
+
+    The multiplier is separable (exp(-i|k|^2 t) = prod_d exp(-i k_d^2 t)) and
+    is returned as two factors: one over the trailing N-1 axes (M^(N-1)
+    entries) and a 1D factor broadcast along the first axis.  No dense N-D
+    array is built.
+    """
+    f = np.exp(-1j * axis_wavenumbers(grid.box_length, grid.points) ** 2 * t)
+    if filtered:
+        f *= exponential_filter(grid.points)
+    trailing = f
+    for _ in range(grid.dim - 2):
+        trailing = np.multiply.outer(f, trailing)
+    return trailing, f.reshape((-1,) + (1,) * (grid.dim - 1))
+
+
+def apply_multiplier(spec: np.ndarray, multiplier: tuple, out=None) -> np.ndarray:
+    """spec times a free_multiplier; in place when out is spec."""
+    trailing, lead = multiplier
+    out = np.multiply(spec, trailing, out=out)
+    if spec.ndim > 1:
+        out *= lead
+    return out
+
+
+@lru_cache(maxsize=4)
+def radial_shells(grid: GridSpec) -> tuple:
+    """Nodes grouped by their exact |x|^2: (|x|^2 per shell, shell of each node).
+
+    Every node's |x|^2 takes one of few distinct values (about M^2/2 in 3D),
+    so any radial weight needs evaluating on the shells only.  The shell
+    index is flat, in row-major node order.
+    """
+    r2, index = np.unique(grid.radius_squared(), return_inverse=True)
+    index = index.reshape(-1)
+    r2.flags.writeable = index.flags.writeable = False
+    return r2, index
+
+
+def shell_mass(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """sum of |u|^2 over the nodes of each radial shell (one histogram pass)."""
+    r2, index = radial_shells(grid)
+    m2 = np.square(values.real)
+    m2 += np.square(values.imag)
+    return np.bincount(index, weights=m2.reshape(-1), minlength=len(r2))
+
+
+def weighted_sq(shells: np.ndarray, grid: GridSpec) -> float:
+    """||x u||^2 from the shell masses of u."""
+    return float(radial_shells(grid)[0] @ shells) * grid.spacing**grid.dim
+
+
+def spectral_sq(uk: np.ndarray, grid: GridSpec) -> tuple:
+    """(||u||^2, ||grad u||^2) from uk = F[u], by Parseval.
+
+    The gradient part sums k_d^2 against the per-axis marginals of |uk|^2,
+    so the power spectrum is formed once and no N-D k array is needed.
+    """
+    power = np.square(uk.real)
+    power += np.square(uk.imag)
+    kd2 = _wavenumbers(grid.box_length, grid.points) ** 2
+    grad = 0.0
+    for d in range(grid.dim):
+        marginal = power.sum(axis=tuple(a for a in range(grid.dim) if a != d))
+        grad += float(kd2 @ marginal)
+    scale = grid.spacing**grid.dim / grid.points**grid.dim
+    return float(np.sum(marginal)) * scale, grad * scale
 
 
 @dataclass(frozen=True)
@@ -138,11 +206,11 @@ def linear_propagate(state: FieldState, dt: float) -> FieldState:
 
     A group, not a semigroup: dt may be negative.  Unitary on the grid.
     """
-    g = state.grid
-    k2, _ = _wavenumbers(g.dim, g.box_length, g.points)
     uk = scipy.fft.fftn(state.values)
-    uk *= np.exp(-1j * k2 * dt)
-    return state.with_values(scipy.fft.ifftn(uk), time=state.time + dt)
+    apply_multiplier(uk, free_multiplier(state.grid, dt), out=uk)
+    return state.with_values(
+        scipy.fft.ifftn(uk, overwrite_x=True), time=state.time + dt
+    )
 
 
 def spectral_tail_fraction(state: FieldState) -> float:
@@ -183,14 +251,7 @@ def exponential_filter(points: int) -> np.ndarray:
 
 def gradient_norm(state: FieldState) -> float:
     """L2 norm of the gradient, evaluated spectrally (Parseval-consistent)."""
-    g = state.grid
-    _, kd = _wavenumbers(g.dim, g.box_length, g.points)
-    uk = scipy.fft.fftn(state.values)
-    s = 0.0
-    for kder in kd:
-        s += float(np.sum((kder**2) * (uk.real**2 + uk.imag**2)))
-    npts = g.points**g.dim
-    return math.sqrt(s * g.spacing**g.dim / npts)
+    return math.sqrt(spectral_sq(scipy.fft.fftn(state.values), state.grid)[1])
 
 
 def l2_norm(state: FieldState) -> float:
@@ -211,12 +272,7 @@ def lp_norm(state: FieldState, p: float) -> float:
 
 def weighted_l2_norm(state: FieldState) -> float:
     """L2 norm with weight |x|, x measured from the box center."""
-    g = state.grid
-    r2 = g.radius_squared()
-    return math.sqrt(
-        float(np.sum(r2 * (state.values.real**2 + state.values.imag**2)))
-        * g.spacing**g.dim
-    )
+    return math.sqrt(weighted_sq(shell_mass(state.values, state.grid), state.grid))
 
 
 def norms(state: FieldState, p: float = 2.0) -> Norms:

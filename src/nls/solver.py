@@ -42,13 +42,7 @@ import scipy.integrate
 
 from .diagnostics import DiagnosticTrace, ProbeSet, TraceRecorder
 from .exponents import ModelParams
-from .field import (
-    FieldState,
-    _wavenumbers,
-    axis_wavenumbers,
-    exponential_filter,
-    l2_norm,
-)
+from .field import FieldState, apply_multiplier, free_multiplier, l2_norm
 from .oracle import SubstepBlowupError, nonlinear_flow
 
 # relative margin between the L2 bound and the sup-norm threshold
@@ -103,10 +97,8 @@ class _StrangChain:
     """
 
     def __init__(self, state0: FieldState, spectral_filter: bool = False):
-        g = state0.grid
-        self._grid = g
-        self._k2 = axis_wavenumbers(g.box_length, g.points) ** 2
-        self._filter = exponential_filter(g.points) if spectral_filter else None
+        self._grid = state0.grid
+        self._spectral_filter = spectral_filter
         self._factors: dict = {}
         self.p = scipy.fft.fftn(state0.values)
         self.time = state0.time
@@ -114,27 +106,13 @@ class _StrangChain:
         self._state: Optional[FieldState] = state0  # physical state, once built
 
     def _times(self, spec: np.ndarray, tau: float, filtered: bool) -> np.ndarray:
-        """New array spec * exp(-i |k|^2 tau) (times the filter if filtered).
-
-        The multiplier is separable: a factor over the trailing N-1 axes
-        (M^(N-1) entries) times a 1D factor broadcast along the first axis.
-        """
+        """New array spec * exp(-i |k|^2 tau) (times the filter if filtered)."""
         key = (tau, filtered)
         if key not in self._factors:
-            f = np.exp(-1j * self._k2 * tau)
-            if filtered:
-                f *= self._filter
-            trailing = f
-            for _ in range(self._grid.dim - 2):
-                trailing = np.multiply.outer(f, trailing)
             if len(self._factors) >= _MAX_CACHED_FACTORS:
                 self._factors.clear()
-            self._factors[key] = (trailing, f.reshape((-1,) + (1,) * (self._grid.dim - 1)))
-        trailing, lead = self._factors[key]
-        out = spec * trailing
-        if self._grid.dim > 1:
-            out *= lead
-        return out
+            self._factors[key] = free_multiplier(self._grid, tau, filtered)
+        return apply_multiplier(spec, self._factors[key])
 
     def advance(
         self, model: ModelParams, dt: float, linf_max: Optional[float] = None
@@ -152,7 +130,7 @@ class _StrangChain:
             np.vdot(w, w).real <= (linf_max * _BOUND_MARGIN) ** 2
         )
         p = scipy.fft.fftn(w, overwrite_x=True)
-        tau, filtered = dt / 2, self._filter is not None
+        tau, filtered = dt / 2, self._spectral_filter
         state = None
         if not bounded:
             u = scipy.fft.ifftn(self._times(p, tau, filtered), overwrite_x=True)
@@ -275,14 +253,13 @@ def duhamel_residual(states: Sequence[FieldState], model: ModelParams) -> float:
     if np.max(np.abs(gaps - gaps[0])) > 1e-9 * gaps[0]:
         raise ValueError("checkpoints must be uniformly spaced")
     g = states[0].grid
-    k2, _ = _wavenumbers(g.dim, g.box_length, g.points)
     t_n = times[-1]
     al = model.alpha
 
     def propagate_to_end(vals: np.ndarray, t_from: float) -> np.ndarray:
-        return scipy.fft.ifftn(
-            np.exp(-1j * k2 * (t_n - t_from)) * scipy.fft.fftn(vals)
-        )
+        uk = scipy.fft.fftn(vals)
+        apply_multiplier(uk, free_multiplier(g, t_n - t_from), out=uk)
+        return scipy.fft.ifftn(uk, overwrite_x=True)
 
     integrand = np.empty((len(states),) + g.shape, dtype=np.complex128)
     for i, s in enumerate(states):

@@ -398,6 +398,31 @@ def test_trace_csv_roundtrip():
     assert np.array_equal(back.loc_mass, out.trace.loc_mass)
 
 
+def test_trace_csv_columns_read_by_name():
+    g = GridSpec(1, 40.0, 256)
+    model = ModelParams(1, 1.0, -1j)
+    fam = CutoffFamily.build(1, (0.5, 1.0, 2.0))
+    out = run_simple(model, Gaussian(0.5, 1.0), g, 1e-2, 0.3, cadence=3,
+                     probes=ProbeSet(cutoffs=fam, scatter=True))
+    text = out.trace.to_csv()
+    table = [ln.split(",") for ln in text.splitlines()]
+    # reversed columns, plus one the reader does not know, in the middle
+    order = list(reversed(range(len(table[0]))))
+    permuted = "\n".join(
+        ",".join([r[j] for j in order[:4]] + [name] + [r[j] for j in order[4:]])
+        for r, name in zip(table, ["tail_frac"] + ["0.0"] * len(table))
+    )
+    back = DiagnosticTrace.from_csv(permuted)
+    for name in ("times", "mass", "lp", "grad_l2", "K_t", "linf", "R_t",
+                 "weighted_l2", "scatter_residual"):
+        assert np.array_equal(getattr(back, name), getattr(out.trace, name),
+                              equal_nan=True), name
+    assert back.lambdas == (2.0, 1.0, 0.5)
+    assert np.array_equal(back.loc_mass, out.trace.loc_mass[:, ::-1])
+    with pytest.raises(ValueError, match="lacks columns"):
+        DiagnosticTrace.from_csv(text.replace("grad_l2", "grad"))
+
+
 def test_trace_csv_absent_fields_empty():
     g = GridSpec(1, 40.0, 256)
     model = ModelParams(1, 1.0, -1j)
