@@ -2,9 +2,12 @@
 
 Every run writes a trace CSV, optional field checkpoints, and a
 summary.json echoing the fully resolved config; reruns with the same
-config and seed are byte-for-byte reproducible on one machine (documented
-caveat: floating-point determinism is not guaranteed across machines or
-library builds).
+config and seed are byte-for-byte reproducible on one machine, whatever
+the number of sweep worker processes (documented caveat: floating-point
+determinism is not guaranteed across machines or library builds).
+
+A sweep runs each cell in a worker process of its own pool; a cell that
+raises becomes a ``Failed`` row and the other cells still finish.
 """
 
 from __future__ import annotations
@@ -34,15 +37,19 @@ from .solver import RunOutcome, RunStatus, run
 
 
 def worker_count() -> int:
+    """Sweep worker processes: NLS_THREADS clamped to [1, usable CPUs]."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     env = os.environ.get("NLS_THREADS")
     if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
-def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator so property suites replay exactly."""
-    return np.random.Generator(np.random.Philox(key=seed, counter=[stream, 0, 0, 0]))
+        try:
+            n = int(env)
+        except ValueError:
+            raise ValueError(f"NLS_THREADS must be an integer, got {env!r}") from None
+        return min(max(1, n), cpus)
+    return min(8, cpus)
 
 
 def _probe_set(cfg: ExperimentConfig) -> ProbeSet:
@@ -114,17 +121,19 @@ def _summarize(cfg: ExperimentConfig, outcome: RunOutcome, wall: float) -> dict:
     }
 
 
+_VERDICT_KEYS = (
+    "status", "fitted_slope", "theoretical_exponent",
+    "scatter_first", "scatter_last", "h1_final",
+)
+
+
 def _classify_run(cfg: ExperimentConfig, outcome: RunOutcome) -> dict:
     """Scalar verdicts for one sweep cell of the blowup/scattering dichotomy."""
     row: dict = {
         "alpha": cfg.model.alpha,
         "kappa_im": cfg.model.kappa.imag,
+        **dict.fromkeys(_VERDICT_KEYS),
         "status": outcome.status.value,
-        "fitted_slope": None,
-        "theoretical_exponent": None,
-        "scatter_first": None,
-        "scatter_last": None,
-        "h1_final": None,
     }
     tr = outcome.trace
     row["h1_final"] = float(np.hypot(tr.mass[-1], tr.grad_l2[-1]))
@@ -156,7 +165,10 @@ def _classify_run(cfg: ExperimentConfig, outcome: RunOutcome) -> dict:
 
 
 def dichotomy_table(rows: list, dim: int) -> str:
-    """Text table of sweep verdicts; the Fujita column marks alpha vs 2/N."""
+    """Text table of sweep verdicts; the Fujita column marks alpha vs 2/N.
+
+    A Failed row prints with dashes and its error on a line below the table.
+    """
     fujita = 2.0 / dim
     lines = [
         f"{'alpha':>8}  {'vs 2/N':>6}  {'classification':<18}  "
@@ -173,6 +185,9 @@ def dichotomy_table(rows: list, dim: int) -> str:
         )
     if any(r["alpha"] == fujita for r in rows):
         lines.append("* alpha = 2/N exactly: threshold case, no theorem-backed verdict")
+    for r in rows:
+        if r["classification"] == "Failed":
+            lines.append(f"Failed cell {r['point']}: {r['error']}")
     return "\n".join(lines)
 
 
@@ -201,30 +216,57 @@ def _sweep_cell_config(cfg: ExperimentConfig, point: dict) -> ExperimentConfig:
     )
 
 
+def _sweep_cell(cfg: ExperimentConfig, point: dict, cell_dir: Path) -> dict:
+    """One sweep cell: run it, write its artifacts and summary.json, return its row."""
+    cell_cfg = _sweep_cell_config(cfg, point)
+    t0 = _time.perf_counter()
+    outcome = execute_single(cell_cfg, cell_dir)
+    wall = _time.perf_counter() - t0
+    summary = _summarize(cell_cfg, outcome, wall)
+    row = _classify_run(cell_cfg, outcome)
+    row["point"] = point
+    summary["verdict"] = row
+    (cell_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    return row
+
+
+def _cell_row(
+    cfg: ExperimentConfig, point: dict, fut: concurrent.futures.Future
+) -> dict:
+    """The cell's verdict row, or a Failed row carrying the exception it raised."""
+    try:
+        return fut.result()
+    except Exception as exc:  # includes BrokenProcessPool: a killed worker
+        return {
+            "alpha": float(point.get("alpha", cfg.model.alpha)),
+            "kappa_im": float(point.get("kappa_im", cfg.model.kappa.imag)),
+            **dict.fromkeys(_VERDICT_KEYS),
+            "classification": "Failed",
+            "error": f"{type(exc).__name__}: {exc}",
+            "point": point,
+        }
+
+
 def execute_sweep(cfg: ExperimentConfig, out_root: Path) -> list:
-    """Run every sweep cell on a worker pool; returns per-cell verdict rows."""
+    """Run every sweep cell in a process pool; returns verdict rows in points order.
+
+    The pool has min(worker_count(), cells) processes started by the
+    platform's default method; under fork (Linux) the workers inherit the
+    imported numpy, scipy and nls instead of importing them again, which
+    costs about as much as a small sweep.  Each cell writes only its own
+    run_NNNN/ directory.  A cell that raises, or whose worker dies, gives a
+    row with classification "Failed" and an "error" field; the other cells
+    finish.
+    """
     assert cfg.sweep is not None
     points = cfg.sweep.points()  # cap enforced at SweepSpec construction
-    results: list = [None] * len(points)
-
-    def one(i: int) -> dict:
-        cell_cfg = _sweep_cell_config(cfg, points[i])
-        cell_dir = out_root / f"run_{i:04d}"
-        t0 = _time.perf_counter()
-        outcome = execute_single(cell_cfg, cell_dir)
-        wall = _time.perf_counter() - t0
-        summary = _summarize(cell_cfg, outcome, wall)
-        row = _classify_run(cell_cfg, outcome)
-        row["point"] = points[i]
-        summary["verdict"] = row
-        (cell_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-        return row
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        futures = {pool.submit(one, i): i for i in range(len(points))}
-        for fut in concurrent.futures.as_completed(futures):
-            results[futures[fut]] = fut.result()
-    return results
+    workers = min(worker_count(), len(points))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(_sweep_cell, cfg, point, out_root / f"run_{i:04d}")
+            for i, point in enumerate(points)
+        ]
+        return [_cell_row(cfg, p, fut) for p, fut in zip(points, futures)]
 
 
 def run_experiment(cfg: ExperimentConfig, gnuplot: bool = False) -> int:
@@ -246,7 +288,7 @@ def run_experiment(cfg: ExperimentConfig, gnuplot: bool = False) -> int:
         (out_root / "dichotomy.txt").write_text(table + "\n")
         (out_root / "sweep_rows.json").write_text(json.dumps(rows, indent=2) + "\n")
         print(table)
-        return 0
+        return 2 if any(r["classification"] == "Failed" for r in rows) else 0
     if cfg.kind is ExperimentKind.PCT_CHECK:
         report = equivalence_experiment(
             cfg.initial, cfg.grid, cfg.model, cfg.solver, cfg.pct_t_star

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from nls.config import (
     resolved_config_dict,
 )
 from nls.field import Gaussian, PlaneWave
-from nls.harness import dichotomy_table, execute_sweep, rng_for, run_experiment
+from nls.harness import dichotomy_table, execute_sweep, run_experiment
 
 BASE_CONFIG = """
 # minimal single-run experiment
@@ -158,12 +159,70 @@ def test_sweep_runs_and_dichotomy_table(tmp_path):
     assert "*" in dichotomy_table(rows2, dim=1)
 
 
-def test_rng_for_is_reproducible():
-    a = rng_for(123, stream=4).standard_normal(5)
-    b = rng_for(123, stream=4).standard_normal(5)
-    c = rng_for(123, stream=5).standard_normal(5)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+def test_sweep_failed_cell_keeps_the_others(tmp_path, capsys):
+    out = tmp_path / "sweep_fail"
+    text = (
+        BASE_CONFIG.format(out=out).replace("kind = single", "kind = sweep")
+        + "sweep.points = [64, 100]\n"
+    )
+    assert run_experiment(load_config(write_config(tmp_path, text))) == 2
+    rows = json.loads((out / "sweep_rows.json").read_text())
+    assert [r["point"] for r in rows] == [{"points": 64}, {"points": 100}]
+    good, bad = rows
+    assert good["classification"] != "Failed" and good["status"] == "ReachedTEnd"
+    assert (out / "run_0000" / "trace.csv").exists()
+    assert (out / "run_0000" / "summary.json").exists()
+    assert bad["classification"] == "Failed"
+    assert bad["error"] == "ValueError: points must be a power of two >= 8, got 100"
+    assert all(bad[k] is None for k in ("status", "fitted_slope", "h1_final"))
+    table = (out / "dichotomy.txt").read_text()
+    assert "Failed" in table and "got 100" in table
+    capsys.readouterr()
+
+
+def test_broken_pool_gives_a_failed_row(tmp_path):
+    import concurrent.futures
+    from concurrent.futures.process import BrokenProcessPool
+
+    from nls.harness import _cell_row
+
+    text = BASE_CONFIG.format(out=tmp_path).replace("kind = single", "kind = sweep")
+    cfg = load_config(write_config(tmp_path, text + "sweep.alpha = [3.0]\n"))
+    fut = concurrent.futures.Future()
+    fut.set_exception(BrokenProcessPool("worker died"))
+    row = _cell_row(cfg, {"alpha": 3.0}, fut)
+    assert row["classification"] == "Failed"
+    assert row["error"] == "BrokenProcessPool: worker died"
+    assert row["alpha"] == 3.0 and row["kappa_im"] == -1.0
+    assert row["point"] == {"alpha": 3.0} and row["status"] is None
+
+
+def test_sweep_pool_size_leaves_artifacts_unchanged(tmp_path, monkeypatch):
+    # cells of 40, 20 and 10 steps: with two workers they finish out of order
+    text = (
+        BASE_CONFIG.format(out=tmp_path).replace("kind = single", "kind = sweep")
+        + "probes.checkpoint_every = 5\nsweep.dt = [0.005, 0.01, 0.02]\n"
+    )
+    cfg = load_config(write_config(tmp_path, text))
+    rows = {}
+    for n in ("1", "2"):
+        monkeypatch.setenv("NLS_THREADS", n)
+        rows[n] = execute_sweep(cfg, tmp_path / f"pool{n}")
+    assert rows["1"] == rows["2"]
+    assert [r["point"] for r in rows["1"]] == cfg.sweep.points()
+    for i in range(3):
+        one = tmp_path / "pool1" / f"run_{i:04d}"
+        two = tmp_path / "pool2" / f"run_{i:04d}"
+        names = sorted(f.name for f in one.iterdir())
+        assert names == sorted(f.name for f in two.iterdir())
+        assert len([n for n in names if n.endswith(".nlsf")]) >= 2
+        for name in names:
+            if name.startswith("checkpoint_") or name == "trace.csv":
+                assert (one / name).read_bytes() == (two / name).read_bytes(), name
+        summaries = [json.loads((d / "summary.json").read_text()) for d in (one, two)]
+        for s in summaries:
+            del s["wall_seconds"]
+        assert summaries[0] == summaries[1]
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +318,22 @@ def test_cli_linear_confinement_kind(tmp_path, capsys):
 def test_worker_count_env(monkeypatch):
     from nls.harness import worker_count
 
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count()
     monkeypatch.setenv("NLS_THREADS", "3")
-    assert worker_count() == 3
+    assert worker_count() == min(3, cpus)
+    monkeypatch.setenv("NLS_THREADS", "1000000")
+    assert worker_count() == cpus
+    for low in ("0", "-3"):
+        monkeypatch.setenv("NLS_THREADS", low)
+        assert worker_count() == 1
+    monkeypatch.setenv("NLS_THREADS", "abc")
+    with pytest.raises(ValueError, match="NLS_THREADS"):
+        worker_count()
     monkeypatch.delenv("NLS_THREADS")
-    assert worker_count() >= 1
+    assert 1 <= worker_count() <= cpus
 
 
 def test_cli_accept_no_match_is_config_error(capsys):
