@@ -20,14 +20,12 @@ from .field import (
     QuadraticPhaseGaussian,
     linear_propagate,
     make_initial,
-    norms,
 )
 from .oracle import (
     Classification,
     OracleVerdict,
     SelfSimilarParams,
     classify,
-    pointwise_nonlinear_flow,
     reduced_amplitude,
     weight_integral,
 )
@@ -48,14 +46,12 @@ __all__ = [
     "QuadraticPhaseGaussian",
     "make_initial",
     "linear_propagate",
-    "norms",
     "SelfSimilarParams",
     "OracleVerdict",
     "Classification",
     "classify",
     "reduced_amplitude",
     "weight_integral",
-    "pointwise_nonlinear_flow",
     "SolverConfig",
     "RunOutcome",
     "RunStatus",

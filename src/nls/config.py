@@ -2,18 +2,24 @@
 
 Lines are `dotted.key = value`; blank lines and # comments are ignored.
 Values are parsed as booleans, integers, floats, bracketed lists of
-numbers, or bare strings.  Unknown keys are hard errors so typos cannot
-silently change an experiment.
+numbers, or bare strings.  ``TABLE`` declares every key once, with its type
+and default, and drives the unknown-key check (typos are hard errors, so
+they cannot silently change an experiment), the defaults and the coercion:
+a bool key takes only true/false, an int key only an integer, a float key
+an integer or a float, and a list key a list or a bare scalar.  A value
+the program cannot use is a ConfigError naming its key or section.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Union, get_type_hints
 
+from .diagnostics import CutoffFamily, ProbeSet, default_lambdas
 from .exponents import ModelParams
 from .field import (
     FromFile,
@@ -36,16 +42,6 @@ class ExperimentKind(Enum):
     ACCEPTANCE_SUITE = "accept"
     PCT_CHECK = "pct-check"
     LINEAR_CONFINEMENT = "linear-confinement"
-
-
-@dataclass(frozen=True)
-class ProbeConfig:
-    median_radius: bool = True
-    weighted_l2: bool = True
-    localized_mass: bool = False
-    scatter: bool = False
-    checkpoint_every: int = 0
-    lambdas: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -79,16 +75,15 @@ class SweepSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: ExperimentKind
+    output_dir: str
     model: ModelParams
     grid: GridSpec
     solver: SolverConfig
     initial: InitialDataSpec
-    probes: ProbeConfig = dc_field(default_factory=ProbeConfig)
-    output_dir: str = "runs/out"
-    seed: int = 0
-    sweep: Optional[SweepSpec] = None
-    pct_t_star: float = 0.5
-    confinement_times: tuple = (1.0, 2.0, 4.0, 8.0)
+    probes: ProbeSet
+    sweep: Optional[SweepSpec]
+    pct_t_star: float
+    confinement_times: tuple
 
 
 def _parse_value(text: str):
@@ -101,14 +96,11 @@ def _parse_value(text: str):
     low = text.lower()
     if low in ("true", "false"):
         return low == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    for number in (int, float):
+        try:
+            return number(text)
+        except ValueError:
+            pass
     return text
 
 
@@ -131,208 +123,166 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-_KNOWN_KEYS = {
-    "kind", "output_dir", "seed",
-    "model.dim", "model.alpha", "model.kappa_re", "model.kappa_im",
-    "grid.box_length", "grid.points",
-    "solver.dt", "solver.t_end", "solver.safety",
-    "solver.blowup_linf_threshold", "solver.blowup_dt_floor",
-    "solver.diagnostics_cadence", "solver.spectral_filter",
-    "initial.kind", "initial.amplitude_re", "initial.amplitude_im",
-    "initial.width", "initial.center", "initial.mode_index",
-    "initial.chirp_sign", "initial.path",
-    "probes.median_radius", "probes.weighted_l2", "probes.localized_mass",
-    "probes.scatter", "probes.checkpoint_every", "probes.lambdas",
-    "sweep.alpha", "sweep.kappa_im", "sweep.amplitude", "sweep.points",
-    "sweep.dt", "sweep.cap",
-    "pct.t_star",
-    "confinement.times",
+REQUIRED = dataclasses.MISSING  # the default of a key that must be given
+
+
+def _fields(section: str, cls) -> dict:
+    """Rows of a section whose keys are the fields of cls, with its defaults."""
+    hints = get_type_hints(cls)
+    return {
+        f"{section}.{f.name}": (hints[f.name], f.default) for f in dataclasses.fields(cls)
+    }
+
+
+# key -> (type, default); [t] is a list of t; None: read by some runs only
+TABLE = {
+    "kind": (ExperimentKind, "single"),
+    "output_dir": (str, "runs/out"),
+    "model.dim": (int, REQUIRED),
+    "model.alpha": (float, REQUIRED),
+    "model.kappa_re": (float, 0.0),
+    "model.kappa_im": (float, 0.0),
+    "grid.box_length": (float, REQUIRED),
+    "grid.points": (int, REQUIRED),
+    **_fields("solver", SolverConfig),
+    "initial.kind": (str, REQUIRED),
+    "initial.amplitude_re": (float, 1.0),
+    "initial.amplitude_im": (float, 0.0),
+    "initial.width": (float, 1.0),
+    "initial.center": (float, 0.0),
+    "initial.mode_index": ([int], None),
+    "initial.chirp_sign": (int, 1),
+    "initial.path": (str, None),
+    "probes.median_radius": (bool, True),
+    "probes.weighted_l2": (bool, True),
+    "probes.localized_mass": (bool, False),
+    "probes.scatter": (bool, False),
+    "probes.checkpoint_every": (int, 0),
+    "probes.lambdas": ([float], ()),  # empty: default_lambdas(box, width)
+    # sweep.<axis> for each SweepSpec axis; the grid axis takes integers
+    **{f"sweep.{a}": ([int if a == "points" else float], None) for a in SweepSpec._AXES},
+    "sweep.cap": (int, 512),
+    "pct.t_star": (float, 0.5),
+    "confinement.times": ([float], (1.0, 2.0, 4.0, 8.0)),
 }
 
-_DEFAULTS = {
-    "kind": "single",
-    "output_dir": "runs/out",
-    "seed": 0,
-    "model.kappa_re": 0.0,
-    "model.kappa_im": 0.0,
-    "solver.safety": 0.5,
-    "solver.blowup_linf_threshold": 1e6,
-    "solver.blowup_dt_floor": 1e-12,
-    "solver.diagnostics_cadence": 1,
-    "solver.spectral_filter": False,
-    "initial.amplitude_re": 1.0,
-    "initial.amplitude_im": 0.0,
-    "initial.width": 1.0,
-    "initial.center": 0.0,
-    "initial.chirp_sign": 1,
-    "probes.median_radius": True,
-    "probes.weighted_l2": True,
-    "probes.localized_mass": False,
-    "probes.scatter": False,
-    "probes.checkpoint_every": 0,
-    "probes.lambdas": [],
-    "sweep.cap": 512,
-    "pct.t_star": 0.5,
-    "confinement.times": [1.0, 2.0, 4.0, 8.0],
-}
+# parsed types each table type takes; a str key also takes a word parsed as a number
+_ACCEPTS = {bool: (bool,), int: (int,), float: (int, float), str: (str, int, float)}
 
 
-def _initial_from_keys(kv: dict) -> InitialDataSpec:
-    kind = kv.get("initial.kind")
-    if kind is None:
-        raise ConfigError("missing required key 'initial.kind'")
-    amp = complex(float(kv["initial.amplitude_re"]), float(kv["initial.amplitude_im"]))
-    if kind == "gaussian":
-        return Gaussian(amp, float(kv["initial.width"]), float(kv["initial.center"]))
-    if kind == "plane_wave":
-        m = kv.get("initial.mode_index")
-        if m is None:
+def _coerce(typ, value):
+    """The one coercion rule of each table type; [t] gives a tuple of t."""
+    if isinstance(typ, list):  # a bare scalar is a one-element list
+        items = value if isinstance(value, (list, tuple)) else [value]
+        return tuple(_coerce(typ[0], v) for v in items)
+    if type(value) not in _ACCEPTS.get(typ, (str,)):  # an Enum takes its values
+        raise TypeError(f"expected {typ.__name__}, got {value!r}")
+    return typ(value)
+
+
+def _initial(i: dict) -> InitialDataSpec:
+    amp = complex(i["amplitude_re"], i["amplitude_im"])
+    if i["kind"] == "gaussian":
+        return Gaussian(amp, i["width"], i["center"])
+    if i["kind"] == "plane_wave":
+        if i["mode_index"] is None:
             raise ConfigError("plane_wave requires 'initial.mode_index'")
-        if not isinstance(m, list):
-            m = [m]
-        return PlaneWave(amp, tuple(int(v) for v in m))
-    if kind == "quadratic_phase_gaussian":
-        return QuadraticPhaseGaussian(
-            amp, float(kv["initial.width"]), int(kv["initial.chirp_sign"])
-        )
-    if kind == "file":
-        path = kv.get("initial.path")
-        if path is None:
+        return PlaneWave(amp, i["mode_index"])
+    if i["kind"] == "quadratic_phase_gaussian":
+        return QuadraticPhaseGaussian(amp, i["width"], i["chirp_sign"])
+    if i["kind"] == "file":
+        if i["path"] is None:
             raise ConfigError("file initial data requires 'initial.path'")
-        return FromFile(str(path))
-    raise ConfigError(f"unknown initial.kind {kind!r}")
+        return FromFile(i["path"])
+    raise ConfigError(f"unknown initial.kind {i['kind']!r}")
+
+
+def _checked(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs), a ValueError or TypeError becoming a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_config(source: Union[str, Path]) -> ExperimentConfig:
     """Parse and validate a config file (or literal text containing newlines)."""
     if isinstance(source, Path) or "\n" not in str(source):
-        text = Path(source).read_text()
-    else:
-        text = str(source)
-    kv = parse_config_text(text)
-    unknown = sorted(set(kv) - _KNOWN_KEYS)
+        source = Path(source).read_text()
+    kv = parse_config_text(str(source))
+    unknown = sorted(set(kv) - TABLE.keys())
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    merged = {**_DEFAULTS, **kv}
-
-    def need(key):
-        if key not in merged:
+    sec: dict = {}  # section -> name -> value; "" holds the top-level keys
+    for key, (typ, default) in TABLE.items():
+        value = kv.get(key, default)
+        if value is REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
-        return merged[key]
-
-    try:
-        kind = ExperimentKind(str(need("kind")))
-    except ValueError:
-        raise ConfigError(
-            f"unknown kind {merged['kind']!r}; allowed: "
-            f"{[k.value for k in ExperimentKind]}"
-        ) from None
-    try:
-        model = ModelParams(
-            dim=int(need("model.dim")),
-            alpha=float(need("model.alpha")),
-            kappa=complex(float(merged["model.kappa_re"]),
-                          float(merged["model.kappa_im"])),
-        )
-        grid = GridSpec(
-            dim=int(need("model.dim")),
-            box_length=float(need("grid.box_length")),
-            points=int(need("grid.points")),
-        )
-        solver = SolverConfig(
-            dt=float(need("solver.dt")),
-            t_end=float(need("solver.t_end")),
-            safety=float(merged["solver.safety"]),
-            blowup_linf_threshold=float(merged["solver.blowup_linf_threshold"]),
-            blowup_dt_floor=float(merged["solver.blowup_dt_floor"]),
-            diagnostics_cadence=int(merged["solver.diagnostics_cadence"]),
-            spectral_filter=bool(merged["solver.spectral_filter"]),
-        )
-        initial = _initial_from_keys(merged)
-        probes = ProbeConfig(
-            median_radius=bool(merged["probes.median_radius"]),
-            weighted_l2=bool(merged["probes.weighted_l2"]),
-            localized_mass=bool(merged["probes.localized_mass"]),
-            scatter=bool(merged["probes.scatter"]),
-            checkpoint_every=int(merged["probes.checkpoint_every"]),
-            lambdas=tuple(float(v) for v in merged["probes.lambdas"]),
-        )
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
-
-    sweep = None
-    axes = {}
-    for name in SweepSpec._AXES:
-        key = f"sweep.{name}"
-        if key in kv:
-            vals = kv[key]
-            axes[name] = vals if isinstance(vals, list) else [vals]
-    if axes or kind is ExperimentKind.SWEEP:
-        if not axes:
-            raise ConfigError("kind = sweep requires at least one sweep.<axis>")
-        sweep = SweepSpec(axes=axes, cap=int(merged["sweep.cap"]))
-
-    times = merged["confinement.times"]
+        section, _, name = key.rpartition(".")
+        if value is not None:
+            value = _checked(key, _coerce, typ, value)
+        sec.setdefault(section, {})[name] = value
+    m, p, sw = sec["model"], sec["probes"], sec["sweep"]
+    kappa = complex(m["kappa_re"], m["kappa_im"])
+    model = _checked("model", ModelParams, m["dim"], m["alpha"], kappa)
+    grid = _checked("grid", GridSpec, m["dim"], **sec["grid"])
+    initial = _checked("initial", _initial, sec["initial"])
+    cutoffs = None
+    if p["localized_mass"]:
+        width = getattr(initial, "width", 1.0)
+        lams = p["lambdas"] or default_lambdas(grid.box_length, width)
+        cutoffs = _checked("probes.lambdas", CutoffFamily.build, grid.dim, lams)
+    axes = {name: v for name, v in sw.items() if name != "cap" and v is not None}
+    if sec[""]["kind"] is ExperimentKind.SWEEP and not axes:
+        raise ConfigError("kind = sweep requires at least one sweep.<axis>")
     return ExperimentConfig(
-        kind=kind,
+        **sec[""],
         model=model,
         grid=grid,
-        solver=solver,
+        solver=_checked("solver", SolverConfig, **sec["solver"]),
         initial=initial,
-        probes=probes,
-        output_dir=str(merged["output_dir"]),
-        seed=int(merged["seed"]),
-        sweep=sweep,
-        pct_t_star=float(merged["pct.t_star"]),
-        confinement_times=tuple(float(v) for v in times),
+        probes=ProbeSet(
+            cutoffs=cutoffs,
+            median_radius=p["median_radius"],
+            weighted_l2=p["weighted_l2"],
+            scatter=p["scatter"],
+            store_states_every=p["checkpoint_every"],
+        ),
+        sweep=SweepSpec(axes=axes, cap=sw["cap"]) if axes else None,
+        pct_t_star=sec["pct"]["t_star"],
+        confinement_times=sec["confinement"]["times"],
     )
 
 
 def resolved_config_dict(cfg: ExperimentConfig) -> dict:
-    """Full config, defaults included, for echoing into summary.json."""
-    init: dict = {"kind": type(cfg.initial).__name__}
-    for k, v in vars(cfg.initial).items():
-        init[k] = [v.real, v.imag] if isinstance(v, complex) else (
-            list(v) if isinstance(v, tuple) else v
-        )
+    """Full config, defaults included, for echoing into summary.json.
+
+    Read from cfg's dataclasses, so a sweep cell echoes its own values and
+    probes.lambdas is the ladder the run records.
+    """
+    m, p = cfg.model, cfg.probes
+    initial = {k: [v.real, v.imag] if isinstance(v, complex) else v
+               for k, v in vars(cfg.initial).items()}
     return {
         "kind": cfg.kind.value,
         "output_dir": cfg.output_dir,
-        "seed": cfg.seed,
         "model": {
-            "dim": cfg.model.dim,
-            "alpha": cfg.model.alpha,
-            "kappa_re": cfg.model.kappa.real,
-            "kappa_im": cfg.model.kappa.imag,
+            "dim": m.dim, "alpha": m.alpha, "kappa_re": m.kappa.real, "kappa_im": m.kappa.imag
         },
-        "grid": {
-            "dim": cfg.grid.dim,
-            "box_length": cfg.grid.box_length,
-            "points": cfg.grid.points,
-        },
-        "solver": {
-            "dt": cfg.solver.dt,
-            "t_end": cfg.solver.t_end,
-            "safety": cfg.solver.safety,
-            "blowup_linf_threshold": cfg.solver.blowup_linf_threshold,
-            "blowup_dt_floor": cfg.solver.blowup_dt_floor,
-            "diagnostics_cadence": cfg.solver.diagnostics_cadence,
-            "spectral_filter": cfg.solver.spectral_filter,
-        },
-        "initial": init,
+        "grid": dataclasses.asdict(cfg.grid),
+        "solver": dataclasses.asdict(cfg.solver),
+        "initial": {"kind": type(cfg.initial).__name__, **initial},
         "probes": {
-            "median_radius": cfg.probes.median_radius,
-            "weighted_l2": cfg.probes.weighted_l2,
-            "localized_mass": cfg.probes.localized_mass,
-            "scatter": cfg.probes.scatter,
-            "checkpoint_every": cfg.probes.checkpoint_every,
-            "lambdas": list(cfg.probes.lambdas),
+            "median_radius": p.median_radius,
+            "weighted_l2": p.weighted_l2,
+            "localized_mass": p.cutoffs is not None,
+            "scatter": p.scatter,
+            "checkpoint_every": p.store_states_every,
+            "lambdas": p.cutoffs.lambdas if p.cutoffs else (),
         },
-        "sweep": None if cfg.sweep is None else {
-            "axes": cfg.sweep.axes, "cap": cfg.sweep.cap
-        },
+        "sweep": None if cfg.sweep is None else dataclasses.asdict(cfg.sweep),
         "pct": {"t_star": cfg.pct_t_star},
-        "confinement": {"times": list(cfg.confinement_times)},
+        "confinement": {"times": cfg.confinement_times},
     }

@@ -191,16 +191,6 @@ class FieldState:
         return bool(np.all(np.isfinite(self.values.view(np.float64))))
 
 
-@dataclass(frozen=True)
-class Norms:
-    l2: float
-    lp: float
-    linf: float
-    weighted_l2: float
-    h1: float
-    p: float
-
-
 def linear_propagate(state: FieldState, dt: float) -> FieldState:
     """Exact free propagator: each Fourier mode times e^{-i|k|^2 dt}.
 
@@ -273,20 +263,6 @@ def lp_norm(state: FieldState, p: float) -> float:
 def weighted_l2_norm(state: FieldState) -> float:
     """L2 norm with weight |x|, x measured from the box center."""
     return math.sqrt(weighted_sq(shell_mass(state.values, state.grid), state.grid))
-
-
-def norms(state: FieldState, p: float = 2.0) -> Norms:
-    """All standard norms in one record; lp evaluated at the given p."""
-    l2 = l2_norm(state)
-    grad = gradient_norm(state)
-    return Norms(
-        l2=l2,
-        lp=lp_norm(state, p),
-        linf=float(np.max(np.abs(state.values))),
-        weighted_l2=weighted_l2_norm(state),
-        h1=math.sqrt(l2**2 + grad**2),
-        p=p,
-    )
 
 
 # ---------------------------------------------------------------------------

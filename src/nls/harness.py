@@ -2,7 +2,7 @@
 
 Every run writes a trace CSV, optional field checkpoints, and a
 summary.json echoing the fully resolved config; reruns with the same
-config and seed are byte-for-byte reproducible on one machine, whatever
+config are byte-for-byte reproducible on one machine, whatever
 the number of sweep worker processes (documented caveat: floating-point
 determinism is not guaranteed across machines or library builds).
 
@@ -23,15 +23,9 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, ExperimentKind
+from .config import ExperimentConfig, ExperimentKind, resolved_config_dict
 from .conformal import equivalence_experiment
-from .diagnostics import (
-    CutoffFamily,
-    ProbeSet,
-    default_lambdas,
-    linear_confinement_check,
-    rate_fit,
-)
+from .diagnostics import linear_confinement_check, rate_fit
 from .field import Gaussian, make_initial, save_checkpoint
 from .solver import RunOutcome, RunStatus, run
 
@@ -52,24 +46,6 @@ def worker_count() -> int:
     return min(8, cpus)
 
 
-def _probe_set(cfg: ExperimentConfig) -> ProbeSet:
-    p = cfg.probes
-    cutoffs = None
-    if p.localized_mass:
-        lams = p.lambdas
-        if not lams:
-            width = getattr(cfg.initial, "width", 1.0)
-            lams = default_lambdas(cfg.grid.box_length, width)
-        cutoffs = CutoffFamily.build(cfg.grid.dim, lams)
-    return ProbeSet(
-        cutoffs=cutoffs,
-        median_radius=p.median_radius,
-        weighted_l2=p.weighted_l2,
-        scatter=p.scatter,
-        store_states_every=p.checkpoint_every,
-    )
-
-
 GNUPLOT_TEMPLATE = """\
 # gnuplot script for {csv}; run: gnuplot -persist {name}
 set datafile separator ','
@@ -88,7 +64,7 @@ def execute_single(
 ) -> RunOutcome:
     """One solver run with the configured probes; writes artifacts if out_dir."""
     state0 = make_initial(cfg.grid, cfg.initial)
-    outcome = run(state0, cfg.model, cfg.solver, probes=_probe_set(cfg))
+    outcome = run(state0, cfg.model, cfg.solver, probes=cfg.probes)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         outcome.trace.write_csv(out_dir / "trace.csv")
@@ -102,8 +78,6 @@ def execute_single(
 
 
 def _summarize(cfg: ExperimentConfig, outcome: RunOutcome, wall: float) -> dict:
-    from .config import resolved_config_dict
-
     tr = outcome.trace
     return {
         "code_version": __version__,

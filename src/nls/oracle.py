@@ -171,13 +171,6 @@ def nonlinear_flow(values: np.ndarray, model: ModelParams, dt: float) -> np.ndar
     return values * bracket ** (-1.0 / al)
 
 
-def pointwise_nonlinear_flow(u0: complex, model: ModelParams, dt: float) -> complex:
-    """Scalar form of nonlinear_flow for a single amplitude."""
-    if u0 == 0:
-        return 0.0 + 0.0j
-    return complex(nonlinear_flow(np.array([u0]), model, dt)[0])
-
-
 def reduced_rhs(t: float, z: np.ndarray, p: SelfSimilarParams) -> np.ndarray:
     """Right-hand side of z' = i kappa (t+t0)^(-N alpha/2) |z|^alpha z.
 

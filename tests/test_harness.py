@@ -1,11 +1,14 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nls.cli import main
 from nls.config import (
+    TABLE,
     ConfigError,
     ExperimentKind,
     SweepSpec,
@@ -13,6 +16,7 @@ from nls.config import (
     parse_config_text,
     resolved_config_dict,
 )
+from nls.diagnostics import default_lambdas
 from nls.field import Gaussian, PlaneWave
 from nls.harness import dichotomy_table, execute_sweep, run_experiment
 
@@ -20,7 +24,6 @@ BASE_CONFIG = """
 # minimal single-run experiment
 kind = single
 output_dir = {out}
-seed = 7
 
 model.dim = 1
 model.alpha = 1.0
@@ -67,9 +70,10 @@ def test_parse_errors_carry_line_numbers():
 
 
 def test_unknown_keys_are_hard_errors(tmp_path):
-    p = write_config(tmp_path, BASE_CONFIG.format(out=tmp_path / "o") + "\ntypo.key = 3\n")
-    with pytest.raises(ConfigError, match="typo.key"):
-        load_config(p)
+    for key in ("typo.key", "seed"):
+        p = write_config(tmp_path, BASE_CONFIG.format(out=tmp_path / "o") + f"\n{key} = 7\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(p)
 
 
 def test_missing_required_key(tmp_path):
@@ -87,10 +91,47 @@ def test_load_config_defaults_and_types(tmp_path):
     assert cfg.solver.blowup_linf_threshold == 1e6
     assert isinstance(cfg.initial, Gaussian)
     assert cfg.initial.amplitude == 0.5 + 0.0j
-    assert cfg.seed == 7
     echoed = resolved_config_dict(cfg)
     assert echoed["solver"]["safety"] == 0.5
     assert echoed["initial"]["kind"] == "Gaussian"
+    assert echoed["probes"]["lambdas"] == ()
+    # a list key takes a bare scalar; the echo holds the ladder the run records
+    text = "confinement.times = 3\nprobes.localized_mass = true\n"
+    cfg = load_config(write_config(tmp_path, BASE_CONFIG.format(out=tmp_path / "o") + text))
+    assert cfg.confinement_times == (3.0,)
+    assert cfg.probes.cutoffs.lambdas == default_lambdas(40.0, 1.0)
+    assert resolved_config_dict(cfg)["probes"]["lambdas"] == cfg.probes.cutoffs.lambdas
+
+
+@pytest.mark.parametrize("line", [
+    "probes.scatter = no",
+    "solver.spectral_filter = off",
+    "solver.spectral_filter = 1",
+    "solver.diagnostics_cadence = 2.5",
+    "probes.checkpoint_every = 1.9",
+    "model.alpha = true",
+    "grid.points = [64, 128]",
+    "pct.t_star = abc",
+    "sweep.cap = x",
+    "confinement.times = [1.0, x]",
+])
+def test_values_are_coerced_by_type(tmp_path, line):
+    key = line.split(" = ")[0]
+    text = re.sub(rf"^{re.escape(key)} = .*$", "", BASE_CONFIG, flags=re.M)
+    p = write_config(tmp_path, text.format(out=tmp_path / "o") + line + "\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: expected"):
+        load_config(p)
+
+
+def test_readme_config_block_matches_the_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Config file format.*?```ini\n(.*?)```", readme, re.S).group(1)
+    assert load_config(block).kind is ExperimentKind.SINGLE
+    axes = next(line for line in block.splitlines() if "# axes:" in line)
+    for key in TABLE:
+        section, _, name = key.rpartition(".")
+        if not re.search(rf"^(# )?{re.escape(key)} +=", block, re.M):
+            assert section == "sweep" and re.search(rf"\b{name}\b", axes), key
 
 
 def test_plane_wave_and_chirp_initial(tmp_path):
@@ -139,19 +180,47 @@ def test_checkpoints_written(tmp_path):
     assert all(f.with_suffix(f.suffix + ".meta.json").exists() for f in files)
 
 
+# summary.json["config"]: section -> keys, in order
+ECHO_KEYS = {
+    "kind": None,
+    "output_dir": None,
+    "model": ["dim", "alpha", "kappa_re", "kappa_im"],
+    "grid": ["dim", "box_length", "points"],
+    "solver": [
+        "dt", "t_end", "safety", "blowup_linf_threshold", "blowup_dt_floor",
+        "diagnostics_cadence", "spectral_filter",
+    ],
+    "initial": ["kind", "amplitude", "width", "center"],
+    "probes": [
+        "median_radius", "weighted_l2", "localized_mass", "scatter",
+        "checkpoint_every", "lambdas",
+    ],
+    "sweep": ["axes", "cap"],
+    "pct": ["t_star"],
+    "confinement": ["times"],
+}
+
+
 def test_sweep_runs_and_dichotomy_table(tmp_path):
     out = tmp_path / "sweep"
     text = (
         BASE_CONFIG.format(out=out)
         .replace("kind = single", "kind = sweep")
-        + "sweep.alpha = [1.0, 3.0]\n"
+        + "sweep.alpha = [1.0, 3.0]\nsweep.amplitude = [0.25]\n"
+        + "sweep.points = [128]\nsweep.dt = [0.02]\n"
     )
     cfg = load_config(write_config(tmp_path, text))
     assert cfg.kind is ExperimentKind.SWEEP
     rows = execute_sweep(cfg, out)
     assert len(rows) == 2
     assert {r["alpha"] for r in rows} == {1.0, 3.0}
-    assert (out / "run_0000" / "summary.json").exists()
+    for i, row in enumerate(rows):  # each cell echoes its own values
+        echo = json.loads((out / f"run_{i:04d}" / "summary.json").read_text())["config"]
+        shape = [(k, list(v) if isinstance(v, dict) else None) for k, v in echo.items()]
+        assert shape == list(ECHO_KEYS.items())
+        assert echo["model"]["alpha"] == row["point"]["alpha"]
+        assert echo["initial"]["amplitude"] == [0.25, 0.0]
+        assert echo["grid"]["points"] == 128 and echo["solver"]["dt"] == 0.02
     table = dichotomy_table(rows, dim=1)
     assert "alpha" in table and "classification" in table
     # alpha = 2 = 2/N marker line
@@ -271,6 +340,11 @@ def test_cli_simulate_and_exit_codes(tmp_path, capsys):
     bad = write_config(tmp_path, "kind = nonsense\n", name="bad.cfg")
     assert main(["simulate", "--config", str(bad)]) == 1
     capsys.readouterr()
+    # a bad value is a configuration error naming its key, not a traceback
+    bad = write_config(tmp_path, BASE_CONFIG.format(out=out) + "probes.scatter = no\n")
+    assert main(["simulate", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: probes.scatter") and "Traceback" not in err
 
 
 def test_cli_pct_check(tmp_path, capsys):

@@ -14,7 +14,6 @@ from nls.oracle import (
     blowup_time,
     classify,
     nonlinear_flow,
-    pointwise_nonlinear_flow,
     reduced_amplitude,
     reduced_rhs,
     reduced_trajectory,
@@ -216,26 +215,27 @@ def test_pointwise_flow_phase_rotation():
     # kappa real: standard NLS phase rotation, modulus conserved
     m = ModelParams(1, 2.0, 1.0 + 0.0j)
     for t in (0.1, 0.375, 2.0):
-        assert pointwise_nonlinear_flow(1.0 + 0.0j, m, t) == pytest.approx(
+        assert nonlinear_flow(np.array([1.0 + 0.0j]), m, t)[0] == pytest.approx(
             cmath.exp(1j * t), rel=1e-14
         )
 
 
 def test_pointwise_flow_blowup_modulus():
     m = ModelParams(1, 2.0, -1j)
-    out = pointwise_nonlinear_flow(1.0 + 0.0j, m, 0.375)
+    out = nonlinear_flow(np.array([1.0 + 0.0j]), m, 0.375)[0]
     assert abs(out) == pytest.approx(2.0, rel=1e-14)  # (1 - 2t)^(-1/2)
     assert out.imag == pytest.approx(0.0, abs=1e-15)  # Re kappa = 0: no rotation
 
 
 def test_pointwise_flow_fixed_point_at_zero():
-    assert pointwise_nonlinear_flow(0.0 + 0.0j, ModelParams(1, 1.5, -1j), 0.5) == 0.0
+    out = nonlinear_flow(np.array([0.0 + 0.0j]), ModelParams(1, 1.5, -1j), 0.5)
+    assert out[0] == 0.0
 
 
 def test_pointwise_flow_substep_blowup_signal():
     m = ModelParams(1, 2.0, -1j)
     with pytest.raises(SubstepBlowupError):
-        pointwise_nonlinear_flow(1.0 + 0.0j, m, 0.5)  # bracket hits zero
+        nonlinear_flow(np.array([1.0 + 0.0j]), m, 0.5)  # bracket hits zero
 
 
 def test_flow_semigroup_property():
@@ -249,10 +249,8 @@ def test_flow_semigroup_property():
         u0 = cmath.rect(float(rng.uniform(0.1, 1.5)), float(rng.uniform(-3, 3)))
         dt1, dt2 = float(rng.uniform(0.01, 0.2)), float(rng.uniform(0.01, 0.2))
         try:
-            two = pointwise_nonlinear_flow(
-                pointwise_nonlinear_flow(u0, m, dt1), m, dt2
-            )
-            one = pointwise_nonlinear_flow(u0, m, dt1 + dt2)
+            two = nonlinear_flow(nonlinear_flow(np.array([u0]), m, dt1), m, dt2)[0]
+            one = nonlinear_flow(np.array([u0]), m, dt1 + dt2)[0]
         except SubstepBlowupError:
             continue
         assert two == pytest.approx(one, rel=1e-13)
@@ -272,18 +270,8 @@ def test_flow_against_integrator():
         rhs, (0, 0.8), [u0.real, u0.imag], method="DOP853", rtol=1e-12, atol=1e-13
     )
     expected = complex(sol.y[0][-1], sol.y[1][-1])
-    got = pointwise_nonlinear_flow(u0, m, 0.8)
+    got = nonlinear_flow(np.array([u0]), m, 0.8)[0]
     assert got == pytest.approx(expected, rel=1e-10)
-
-
-def test_vectorized_flow_matches_scalar():
-    m = ModelParams(2, 1.3, 0.4 - 0.7j)
-    vals = np.array([0.0, 0.5 + 0.1j, -0.3j, 1.0 + 1.0j])
-    out = nonlinear_flow(vals, m, 0.2)
-    for v, o in zip(vals, out):
-        assert pointwise_nonlinear_flow(complex(v), m, 0.2) == pytest.approx(
-            complex(o), rel=1e-14, abs=1e-15
-        )
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 1.3])
