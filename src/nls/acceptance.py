@@ -85,35 +85,18 @@ _LONG_RUN_PROBES = ProbeSet(
     median_radius=False, weighted_l2=False, store_at_times=(5.0, 10.0, 20.0, 40.0)
 )
 
-
-@lru_cache(maxsize=None)
-def _growth_run_alpha1():
-    """N=1, alpha=1, kappa=-i, Gaussian A=0.1: the sub-Fujita growth run."""
-    grid = GridSpec(1, 80.0, 4096)
-    model = ModelParams(1, 1.0, -1j)
-    state0 = make_initial(grid, Gaussian(0.1, 1.0))
-    cfg = SolverConfig(dt=1e-3, t_end=50.0, diagnostics_cadence=25)
-    return run(state0, model, cfg, probes=_LONG_RUN_PROBES)
+# (box_length, alpha, kappa, t_end, diagnostics_cadence) of the shared long runs
+_GROWTH_ALPHA1 = (80.0, 1.0, -1j, 50.0, 25)  # sub-Fujita growth
+_SCATTER_ALPHA3 = (160.0, 3.0, -1j, 40.0, 100)  # small-data scattering
+_NOISE_FLOOR = (80.0, 1.0, 0j, 40.0, 100)  # kappa = 0 twin: the w-residual rounding floor
 
 
 @lru_cache(maxsize=None)
-def _scatter_run_alpha3():
-    """N=1, alpha=3, kappa=-i, Gaussian A=0.1: the small-data scattering run."""
-    grid = GridSpec(1, 160.0, 4096)
-    model = ModelParams(1, 3.0, -1j)
-    state0 = make_initial(grid, Gaussian(0.1, 1.0))
-    cfg = SolverConfig(dt=1e-3, t_end=40.0, diagnostics_cadence=100)
-    return run(state0, model, cfg, probes=_LONG_RUN_PROBES)
-
-
-@lru_cache(maxsize=None)
-def _noise_floor_run():
-    """kappa=0 twin of the growth run: measures the w-residual rounding floor."""
-    grid = GridSpec(1, 80.0, 4096)
-    model = ModelParams(1, 1.0, 0.0 + 0.0j)
-    state0 = make_initial(grid, Gaussian(0.1, 1.0))
-    cfg = SolverConfig(dt=1e-3, t_end=40.0, diagnostics_cadence=100)
-    return run(state0, model, cfg, probes=_LONG_RUN_PROBES)
+def _long_run(box_length, alpha, kappa, t_end, cadence):
+    """N=1, M=4096, Gaussian A=0.1 at dt=1e-3, from t=0 to t_end."""
+    state0 = make_initial(GridSpec(1, box_length, 4096), Gaussian(0.1, 1.0))
+    cfg = SolverConfig(dt=1e-3, t_end=t_end, diagnostics_cadence=cadence)
+    return run(state0, ModelParams(1, alpha, kappa), cfg, probes=_LONG_RUN_PROBES)
 
 
 @lru_cache(maxsize=None)
@@ -366,7 +349,7 @@ def criterion_07_localized_mass_machinery() -> tuple:
 def criterion_08_fujita_dichotomy() -> tuple:
     failures: list = []
     # alpha = 1 < 2/N: blowup or confirmed growth at the theoretical rate
-    growth = _growth_run_alpha1()
+    growth = _long_run(*_GROWTH_ALPHA1)
     blown = growth.status is RunStatus.BLOWUP_DETECTED
     slope_txt = "n/a"
     if blown:
@@ -378,7 +361,7 @@ def criterion_08_fujita_dichotomy() -> tuple:
     _check(verdict, f"alpha=1 run: status {growth.status}, slope {slope_txt}", failures)
 
     # alpha = 3 > 2/N: scattering residuals through t in {5,10,20,40}
-    scat = _scatter_run_alpha3()
+    scat = _long_run(*_SCATTER_ALPHA3)
     res = scattering_residual(scat.checkpoints)  # w-path from t=0 through samples
     decreasing = all(b < a for a, b in zip(res[:-1], res[1:]))
     _check(decreasing, f"residuals not strictly decreasing: {res}", failures)
@@ -397,11 +380,11 @@ def criterion_08_fujita_dichotomy() -> tuple:
 
 def criterion_09_non_scattering_floor() -> tuple:
     failures: list = []
-    growth = _growth_run_alpha1()
+    growth = _long_run(*_GROWTH_ALPHA1)
     # residuals only over samples actually reached (the run may blow up after 40)
     states = [s for s in growth.checkpoints if s.time <= 40.0 + 1e-9]
     res_alpha1 = scattering_residual(states)
-    floor_run = _noise_floor_run()
+    floor_run = _long_run(*_NOISE_FLOOR)
     res_floor = scattering_residual(floor_run.checkpoints)
     floor = max(res_floor)
     _check(

@@ -12,7 +12,7 @@ import math
 import sys
 
 from . import __version__
-from .config import ConfigError, load_config
+from .config import ConfigError, ExperimentKind, load_config
 from .exponents import (
     InfeasibleExponentError,
     ModelParams,
@@ -139,24 +139,19 @@ def main(argv=None) -> int:
                 print(f"no criteria match filter {args.filter!r}", file=sys.stderr)
                 return EXIT_CONFIG
             return EXIT_OK if all(r.passed for r in results) else EXIT_ACCEPT
-        # config-file commands
-        try:
-            cfg = load_config(args.config)
-        except OSError as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        from .config import ExperimentKind
-        from .harness import run_experiment
-
-        forced = {
-            "simulate": None,  # single or any run-style kind from the file
+        # config-file commands; simulate runs the kind the file names
+        kind = {
+            "simulate": None,
             "sweep": ExperimentKind.SWEEP,
             "pct-check": ExperimentKind.PCT_CHECK,
         }[args.command]
-        if forced is not None and cfg.kind is not forced:
-            import dataclasses
+        try:
+            cfg = load_config(args.config, kind=kind)
+        except OSError as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        from .harness import run_experiment
 
-            cfg = dataclasses.replace(cfg, kind=forced)
         return run_experiment(cfg, gnuplot=args.gnuplot)
     except (ConfigError, InfeasibleExponentError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

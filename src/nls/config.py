@@ -39,7 +39,6 @@ class ConfigError(ValueError):
 class ExperimentKind(Enum):
     SINGLE = "single"
     SWEEP = "sweep"
-    ACCEPTANCE_SUITE = "accept"
     PCT_CHECK = "pct-check"
     LINEAR_CONFINEMENT = "linear-confinement"
 
@@ -207,8 +206,13 @@ def _checked(where: str, make, *args, **kwargs):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def load_config(source: Union[str, Path]) -> ExperimentConfig:
-    """Parse and validate a config file (or literal text containing newlines)."""
+def load_config(
+    source: Union[str, Path], kind: Optional[ExperimentKind] = None
+) -> ExperimentConfig:
+    """Parse and validate a config file (or literal text containing newlines).
+
+    kind, when given, replaces the file's kind before validation.
+    """
     if isinstance(source, Path) or "\n" not in str(source):
         source = Path(source).read_text()
     kv = parse_config_text(str(source))
@@ -224,6 +228,8 @@ def load_config(source: Union[str, Path]) -> ExperimentConfig:
         if value is not None:
             value = _checked(key, _coerce, typ, value)
         sec.setdefault(section, {})[name] = value
+    if kind is not None:
+        sec[""]["kind"] = kind
     m, p, sw = sec["model"], sec["probes"], sec["sweep"]
     kappa = complex(m["kappa_re"], m["kappa_im"])
     model = _checked("model", ModelParams, m["dim"], m["alpha"], kappa)

@@ -46,23 +46,12 @@ class ConformalPair:
     def scale(self) -> float:
         return 1.0 - self.t
 
-    @classmethod
-    def from_s(cls, s: float) -> "ConformalPair":
-        if s < 0:
-            raise ValueError("s must be nonnegative")
-        return cls(t=s / (1.0 + s))
-
-
-def h_coefficient(model: ModelParams, t: float) -> complex:
-    """Duhamel kernel h(t) = i kappa (1-t)^{-(4 - N alpha)/2}."""
-    if not 0 <= t < 1:
-        raise ValueError(f"t must be in [0, 1), got {t}")
-    expo = (4.0 - model.dim * model.alpha) / 2.0
-    return 1j * model.kappa * (1.0 - t) ** (-expo)
-
 
 def effective_kappa(model: ModelParams, t: float) -> complex:
-    """Nonlinear coefficient of the differential v-equation at time t."""
+    """Nonlinear coefficient of the differential v-equation at time t.
+
+    i times it is the Duhamel kernel h(t) = i kappa (1-t)^{-(4 - N alpha)/2}.
+    """
     expo = (4.0 - model.dim * model.alpha) / 2.0
     return model.kappa * (1.0 - t) ** (-expo)
 
@@ -104,18 +93,6 @@ def to_u_frame(v: FieldState, model: ModelParams, t: float) -> FieldState:
         dim=v.grid.dim, box_length=v.grid.box_length / scale, points=v.grid.points
     )
     return FieldState(grid=grid_u, values=vals, time=pair.s)
-
-
-def from_u_frame(u: FieldState, model: ModelParams, s: float) -> FieldState:
-    """Inverse frame map: u-side state at time s back to the v side at t."""
-    pair = ConformalPair.from_s(s)
-    scale = pair.scale
-    grid_v = GridSpec(
-        dim=u.grid.dim, box_length=u.grid.box_length * scale, points=u.grid.points
-    )
-    r2 = grid_v.radius_squared()
-    vals = scale ** (-u.grid.dim / 2.0) * np.exp(-1j * r2 / (4.0 * scale)) * u.values
-    return FieldState(grid=grid_v, values=vals, time=pair.t)
 
 
 def solve_v_problem(

@@ -9,7 +9,6 @@ lambda^(-N/2) exactly.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
@@ -25,9 +24,6 @@ from .field import (
     GridSpec,
     apply_multiplier,
     free_multiplier,
-    gradient_norm,
-    l2_norm,
-    linear_propagate,
     lp_norm,
     radial_shells,
     shell_mass,
@@ -79,10 +75,6 @@ class CutoffFamily:
             points=[1.0 / lam],
         )
         return math.sqrt(area * integral)
-
-    def grad_phi_linf(self, lam: float) -> float:
-        """sup |grad phi_lambda| = nu lambda (attained on the tent slope)."""
-        return self.nu * lam
 
     def check_support(self, grid: GridSpec) -> None:
         worst = 2.0 / min(self.lambdas)
@@ -172,8 +164,9 @@ def _x_norm(dk: np.ndarray, grid: GridSpec) -> float:
 # trace
 
 
-# trace CSV column -> DiagnosticTrace field, in file order; loc_mass_λ=...
-# columns follow, one per lambda
+# The trace row, in row and file order: CSV column -> DiagnosticTrace field.
+# A row of TraceRecorder holds these values, then the f_lambda array;
+# loc_mass_λ=... columns follow in the file, one per lambda.
 _CSV_COLUMNS = (
     ("t", "times"),
     ("mass", "mass"),
@@ -207,29 +200,15 @@ class DiagnosticTrace:
         return len(self.times)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        cols = ",".join(name for name, _ in _CSV_COLUMNS)
-        for lam in self.lambdas:
-            cols += f",loc_mass_λ={lam:.6g}"
-        buf.write(cols + "\n")
-        for i in range(len(self.times)):
-            row = [
-                repr(float(v))
-                for v in (
-                    self.times[i],
-                    self.mass[i],
-                    self.lp[i],
-                    self.grad_l2[i],
-                    self.K_t[i],
-                    self.linf[i],
-                )
-            ]
-            for v in (self.R_t[i], self.weighted_l2[i], self.scatter_residual[i]):
-                row.append("" if math.isnan(v) else repr(float(v)))
-            for j in range(len(self.lambdas)):
-                row.append(repr(float(self.loc_mass[i, j])))
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
+        """The trace as CSV text; every NaN is written as an empty field."""
+        header = [name for name, _ in _CSV_COLUMNS]
+        header += [f"loc_mass_λ={lam:.6g}" for lam in self.lambdas]
+        columns = [np.asarray(getattr(self, fld)).tolist() for _, fld in _CSV_COLUMNS]
+        columns += np.asarray(self.loc_mass).T.tolist()
+        lines = [",".join(header)]
+        for row in zip(*columns):
+            lines.append(",".join("" if math.isnan(v) else repr(float(v)) for v in row))
+        return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
         with open(path, "w") as f:
@@ -252,9 +231,7 @@ class DiagnosticTrace:
                 [float(r[j]) if r[j] != "" else math.nan for r in rows]
             )
 
-        loc = np.array(
-            [[float(r[j]) for j in loc_cols] for r in rows], dtype=float
-        ).reshape(len(rows), len(loc_cols))
+        loc = np.array([col(j) for j in loc_cols]).T.reshape(len(rows), len(loc_cols))
         return cls(
             **{fld: col(where[name]) for name, fld in _CSV_COLUMNS},
             lambdas=tuple(float(header[j].split("=", 1)[1]) for j in loc_cols),
@@ -283,10 +260,6 @@ class TraceRecorder:
         self.rows: list = []
         self.K_t = 0.0
         self._wk_prev: Optional[np.ndarray] = None  # F[w] at the last row
-        if probes.cutoffs is not None:
-            self.lambdas = probes.cutoffs.lambdas
-        else:
-            self.lambdas = ()
 
     def record(self, state: FieldState) -> None:
         """One trace row from one forward FFT and one radial-shell histogram.
@@ -323,25 +296,15 @@ class TraceRecorder:
         self.rows.append(row)
 
     def trace(self) -> DiagnosticTrace:
-        n = len(self.rows)
-        arr = lambda j: np.array([r[j] for r in self.rows])
-        loc = (
-            np.array([r[9] for r in self.rows])
-            if self.lambdas
-            else np.empty((n, 0))
-        )
+        """The rows so far, transposed through _CSV_COLUMNS; f_lambda comes last."""
+        rows, cutoffs = self.rows, self.probes.cutoffs
+        columns = {
+            fld: np.array([r[j] for r in rows]) for j, (_, fld) in enumerate(_CSV_COLUMNS)
+        }
+        if cutoffs is None:
+            return DiagnosticTrace(**columns, loc_mass=np.empty((len(rows), 0)))
         return DiagnosticTrace(
-            times=arr(0),
-            mass=arr(1),
-            lp=arr(2),
-            grad_l2=arr(3),
-            K_t=arr(4),
-            linf=arr(5),
-            R_t=arr(6),
-            weighted_l2=arr(7),
-            scatter_residual=arr(8),
-            lambdas=self.lambdas,
-            loc_mass=loc,
+            **columns, lambdas=cutoffs.lambdas, loc_mass=np.array([r[-1] for r in rows])
         )
 
 
@@ -499,19 +462,21 @@ def linear_confinement_check(
     one-dimensional signed variant is not implemented.
     """
     g = u0.grid
-    l2 = l2_norm(u0)
-    gr = gradient_norm(u0)
+    hN = g.spacing**g.dim
+    uk = scipy.fft.fftn(u0.values)
+    l2, gr = (math.sqrt(v) for v in spectral_sq(uk, g))
     if a is None:
         a = 16.0 * gr / l2
-    r = np.sqrt(g.radius_squared())
-    hN = g.spacing**g.dim
-    m2_0 = u0.values.real**2 + u0.values.imag**2
+    r = np.sqrt(radial_shells(g)[0])  # psi_M and the exterior set, per shell
+    shells_0 = shell_mass(u0.values, g)
     lhs = np.empty(len(times))
     rhs = np.empty(len(times))
     ext = np.empty(len(times))
     for i, t in enumerate(times):
-        ut = linear_propagate(u0, t - u0.time) if t != u0.time else u0
-        m2_t = ut.values.real**2 + ut.values.imag**2
+        shells_t = shells_0
+        if t != u0.time:
+            ut = scipy.fft.ifftn(apply_multiplier(uk, free_multiplier(g, t - u0.time)))
+            shells_t = shell_mass(ut, g)
         M = a * t
         if M > 0:
             if M > g.box_length / 2:
@@ -521,9 +486,9 @@ def linear_confinement_check(
             psi = np.minimum(r / M, 1.0)
         else:
             psi = np.ones_like(r)  # t = 0: limits agree, both sides equal
-        lhs[i] = float(np.sum(psi * m2_t)) * hN
-        rhs[i] = float(np.sum(psi * m2_0)) * hN + (2.0 * t / M if M > 0 else 0.0) * l2 * gr
-        ext[i] = float(np.sum(m2_t[r > M])) * hN / l2**2 if M > 0 else 1.0
+        lhs[i] = float(psi @ shells_t) * hN
+        rhs[i] = float(psi @ shells_0) * hN + (2.0 * t / M if M > 0 else 0.0) * l2 * gr
+        ext[i] = float(np.sum(shells_t[r > M])) * hN / l2**2 if M > 0 else 1.0
     return ConfinementReport(
         tuple(times), a, lhs, rhs, float(np.max(lhs - rhs)), ext
     )

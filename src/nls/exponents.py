@@ -10,7 +10,7 @@ mu, s) used by the weighted small-data theory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -84,34 +84,10 @@ class ExponentReport:
     flags: ExponentFlags = field(default_factory=ExponentFlags)
 
     def as_dict(self) -> dict:
-        d = {
-            "dim": self.dim,
-            "alpha": self.alpha,
-            "fujita": self.fujita,
-            "mass_critical": self.mass_critical,
-            "energy_critical": self.energy_critical,
-            "alpha1": self.alpha1,
-            "alpha2": self.alpha2,
-            "rho": _num(self.rho),
-            "gamma": _num(self.gamma),
-            "a": _num(self.a),
-            "a_tilde": _num(self.a_tilde),
-            "mu": _num(self.mu),
-            "s": _num(self.s),
-            "flags": {
-                "alpha_in_scattering_window": self.flags.alpha_in_scattering_window,
-                "condition_fDfa_holds": self.flags.condition_fDfa_holds,
-                "h_in_Lmu": self.flags.h_in_Lmu,
-                "gradient_monotone_condition": self.flags.gradient_monotone_condition,
-            },
+        """The report as plain data; exact (Fraction) indices become floats."""
+        return {
+            k: float(v) if isinstance(v, Fraction) else v for k, v in asdict(self).items()
         }
-        return d
-
-
-def _num(v):
-    if isinstance(v, Fraction):
-        return float(v)
-    return v
 
 
 def alpha1_threshold(dim: int) -> float:
@@ -199,26 +175,9 @@ def strichartz_indices(
 
     fdfa = inv_mu > (4 - N * al) / 2
     h_lmu = mu * (4 - N * al) / 2 < 1  # integrability of (1-t)^{-mu(4-N alpha)/2}
-    return ExponentReport(
-        dim=n,
-        alpha=params.alpha,
-        fujita=base.fujita,
-        mass_critical=base.mass_critical,
-        energy_critical=base.energy_critical,
-        alpha1=base.alpha1,
-        alpha2=base.alpha2,
-        rho=rho,
-        gamma=gamma,
-        a=av,
-        a_tilde=a_tilde,
-        mu=mu,
-        s=s,
-        flags=ExponentFlags(
-            alpha_in_scattering_window=base.flags.alpha_in_scattering_window,
-            condition_fDfa_holds=bool(fdfa),
-            h_in_Lmu=bool(h_lmu),
-            gradient_monotone_condition=base.flags.gradient_monotone_condition,
-        ),
+    return replace(
+        base, rho=rho, gamma=gamma, a=av, a_tilde=a_tilde, mu=mu, s=s,
+        flags=replace(base.flags, condition_fDfa_holds=bool(fdfa), h_in_Lmu=bool(h_lmu)),
     )
 
 
@@ -247,8 +206,3 @@ def smallest_valid_a(params: ModelParams, margin: float = 0.05) -> float:
     if gamma > a_star:
         return gamma
     return a_star * (1.0 + margin)
-
-
-def conjugate_exponent(p: Real) -> Real:
-    """Holder conjugate p' = p/(p-1)."""
-    return p / (p - 1)

@@ -183,7 +183,8 @@ def _sweep_cell_config(cfg: ExperimentConfig, point: dict) -> ExperimentConfig:
     if "amplitude" in point:
         if not isinstance(initial, Gaussian):
             raise ValueError("amplitude axis requires gaussian initial data")
-        initial = dataclasses.replace(initial, amplitude=complex(point["amplitude"]))
+        amplitude = complex(float(point["amplitude"]), complex(initial.amplitude).imag)
+        initial = dataclasses.replace(initial, amplitude=amplitude)
     return dataclasses.replace(
         cfg, kind=ExperimentKind.SINGLE, model=model, grid=grid,
         solver=solver, initial=initial,
@@ -279,12 +280,7 @@ def run_experiment(cfg: ExperimentConfig, gnuplot: bool = False) -> int:
         state0 = make_initial(cfg.grid, cfg.initial)
         rep = linear_confinement_check(state0, cfg.confinement_times)
         payload = {
-            "times": list(rep.times),
-            "a": rep.a,
-            "lhs": rep.lhs.tolist(),
-            "rhs": rep.rhs.tolist(),
-            "max_violation": rep.max_violation,
-            "exterior_fraction": rep.exterior_fraction.tolist(),
+            k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(rep).items()
         }
         (out_root / "confinement.json").write_text(json.dumps(payload, indent=2) + "\n")
         print(
@@ -292,10 +288,4 @@ def run_experiment(cfg: ExperimentConfig, gnuplot: bool = False) -> int:
             f"exterior fraction at t={rep.times[-1]:g}: {rep.exterior_fraction[-1]:.4f}"
         )
         return 0
-    if cfg.kind is ExperimentKind.ACCEPTANCE_SUITE:
-        from .acceptance import run_acceptance_suite
-
-        results = run_acceptance_suite()
-        ok = all(r.passed for r in results)
-        return 0 if ok else 3
     raise ValueError(f"unhandled experiment kind {cfg.kind}")

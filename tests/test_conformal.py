@@ -7,8 +7,6 @@ from nls.conformal import (
     check_chirp_resolution,
     effective_kappa,
     equivalence_experiment,
-    from_u_frame,
-    h_coefficient,
     initial_v_data,
     solve_v_problem,
     to_u_frame,
@@ -29,8 +27,7 @@ from nls.solver import SolverConfig
 def test_conformal_pair_roundtrip():
     for t in (0.0, 0.25, 0.5, 0.9, 0.999):
         pair = ConformalPair(t)
-        back = ConformalPair.from_s(pair.s)
-        assert back.t == pytest.approx(t, abs=1e-14)
+        assert pair.s / (1.0 + pair.s) == pytest.approx(t, abs=1e-14)
         assert pair.scale == 1.0 - t
     with pytest.raises(ValueError):
         ConformalPair(1.0)
@@ -38,25 +35,26 @@ def test_conformal_pair_roundtrip():
         ConformalPair(-0.1)
 
 
+# the Duhamel kernel h(t) = i kappa (1-t)^{-(4 - N alpha)/2} is i effective_kappa
+
+
 def test_h_coefficient_values():
     m = ModelParams(1, 1.0, -1j)
-    assert h_coefficient(m, 0.0) == 1j * m.kappa
+    assert 1j * effective_kappa(m, 0.0) == 1j * m.kappa
     # (4 - N alpha)/2 = 3/2; 0.25^{-3/2} = 8, and i(-i) = 1
-    assert h_coefficient(m, 0.75) == pytest.approx(8.0 + 0.0j, rel=1e-14)
-    with pytest.raises(ValueError):
-        h_coefficient(m, 1.0)
+    assert 1j * effective_kappa(m, 0.75) == pytest.approx(8.0 + 0.0j, rel=1e-14)
 
 
 def test_h_constant_at_mass_critical_power():
     m = ModelParams(2, 2.0, 0.3 - 0.4j)  # alpha = 4/N
     for t in (0.0, 0.5, 0.99):
-        assert h_coefficient(m, t) == pytest.approx(1j * m.kappa, rel=1e-14)
+        assert 1j * effective_kappa(m, t) == pytest.approx(1j * m.kappa, rel=1e-14)
 
 
 def test_h_modulus_monotone_below_mass_critical():
     m = ModelParams(1, 1.0, 0.5 - 0.5j)
     ts = np.linspace(0, 0.95, 40)
-    mods = [abs(h_coefficient(m, t)) for t in ts]
+    mods = [abs(1j * effective_kappa(m, t)) for t in ts]
     assert all(b > a for a, b in zip(mods, mods[1:]))
     assert mods[0] == pytest.approx(abs(m.kappa))
 
@@ -68,7 +66,7 @@ def test_h_integrability_threshold_by_quadrature():
 
     def tail_partial(mu, eps):
         val, _ = scipy.integrate.quad(
-            lambda t: abs(h_coefficient(m, t)) ** mu, 0.0, 1.0 - eps, limit=200
+            lambda t: abs(1j * effective_kappa(m, t)) ** mu, 0.0, 1.0 - eps, limit=200
         )
         return val
 
@@ -81,12 +79,6 @@ def test_h_integrability_threshold_by_quadrature():
     mu_div = 1.0  # 1.0 * 1.5 > 1: divergent
     vals = [tail_partial(mu_div, eps) for eps in (1e-2, 1e-4, 1e-6)]
     assert vals[1] > 2 * vals[0] and vals[2] > 2 * vals[1]
-
-
-def test_effective_kappa_matches_h():
-    m = ModelParams(1, 3.0, 0.7 - 0.2j)
-    for t in (0.0, 0.3, 0.8):
-        assert 1j * effective_kappa(m, t) == pytest.approx(h_coefficient(m, t))
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +115,14 @@ def test_frame_map_invertible():
     vals = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     v = FieldState(grid=g, values=vals, time=0.4)
     u = to_u_frame(v, m, 0.4)
-    back = from_u_frame(u, m, u.time)
-    assert back.grid == g
-    assert np.max(np.abs(back.values - v.values)) < 1e-12 * np.max(np.abs(vals))
-    assert back.time == pytest.approx(0.4, abs=1e-14)
+    # the inverse map: t = s/(1+s), box L (1-t), multiplier (1-t)^{-N/2} e^{-i|x|^2/(4(1-t))}
+    t = u.time / (1.0 + u.time)
+    assert t == pytest.approx(0.4, abs=1e-14)
+    grid_v = GridSpec(1, u.grid.box_length * (1.0 - t), g.points)
+    assert grid_v == g
+    chirp = np.exp(-1j * grid_v.radius_squared() / (4.0 * (1.0 - t)))
+    back = (1.0 - t) ** -0.5 * chirp * u.values
+    assert np.max(np.abs(back - v.values)) < 1e-12 * np.max(np.abs(vals))
 
 
 def test_frame_map_matches_direct_formula_on_rescaled_grid():

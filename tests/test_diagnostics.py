@@ -1,9 +1,12 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nls.diagnostics import (
+    _CSV_COLUMNS,
     CutoffFamily,
     DiagnosticTrace,
     ProbeSet,
@@ -24,6 +27,7 @@ from nls.field import (
     Gaussian,
     GridSpec,
     PlaneWave,
+    gradient_norm,
     l2_norm,
     linear_propagate,
     make_initial,
@@ -60,12 +64,6 @@ def test_phi_norm_quadrature_identity():
             assert fam.phi_l2_norm_quadrature(lam) == pytest.approx(
                 lam ** (-n / 2.0), abs=1e-8
             )
-
-
-def test_grad_phi_bound():
-    fam = CutoffFamily.build(1, (0.5, 2.0))
-    assert fam.grad_phi_linf(0.5) == pytest.approx(fam.nu * 0.5)
-    assert fam.grad_phi_linf(2.0) == pytest.approx(fam.nu * 2.0)
 
 
 def test_support_check():
@@ -345,6 +343,27 @@ def test_confinement_free_gaussian():
     assert rep.exterior_fraction[-1] <= 0.25
 
 
+def test_confinement_matches_dense_reference():
+    # the dense formula: |x| and psi_M on every node, one free propagation per time
+    g = GridSpec(2, 60.0, 128)
+    u0 = make_initial(g, Gaussian(1.0 + 0.5j, 1.5))
+    times = (0.0, 0.5, 1.0, 1.5)
+    l2, gr = l2_norm(u0), gradient_norm(u0)
+    assert linear_confinement_check(u0, times).a == pytest.approx(16.0 * gr / l2, rel=1e-13)
+    rep = linear_confinement_check(u0, times, a=2.0)  # M = a t small: mass outside
+    r, hN = np.sqrt(g.radius_squared()), g.spacing**g.dim
+    m2_0 = np.abs(u0.values) ** 2
+    for i, t in enumerate(times[1:], start=1):
+        M = rep.a * t
+        psi = np.minimum(r / M, 1.0)
+        m2_t = np.abs(linear_propagate(u0, t).values) ** 2
+        rhs = float(np.sum(psi * m2_0)) * hN + 2.0 * t / M * l2 * gr
+        ext = float(np.sum(m2_t[r > M])) * hN / l2**2
+        assert rep.lhs[i] == pytest.approx(float(np.sum(psi * m2_t)) * hN, rel=1e-12)
+        assert rep.rhs[i] == pytest.approx(rhs, rel=1e-12)
+        assert ext > 0.1 and rep.exterior_fraction[i] == pytest.approx(ext, rel=1e-12)
+
+
 def test_confinement_box_too_small():
     g = GridSpec(1, 40.0, 256)
     u0 = make_initial(g, Gaussian(1.0, math.sqrt(2.0)))
@@ -421,6 +440,16 @@ def test_trace_csv_columns_read_by_name():
     assert np.array_equal(back.loc_mass, out.trace.loc_mass[:, ::-1])
     with pytest.raises(ValueError, match="lacks columns"):
         DiagnosticTrace.from_csv(text.replace("grad_l2", "grad"))
+
+
+def test_readme_trace_header_matches_to_csv():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    fixed, per_lambda = re.search(
+        r"\*\*Trace CSV\*\* — header\n`([^`\[]*)\[(,loc_mass_λ=)<v>\.\.\.\]`", readme
+    ).groups()
+    columns = {fld: np.zeros(1) for _, fld in _CSV_COLUMNS}
+    trace = DiagnosticTrace(**columns, lambdas=(0.5,), loc_mass=np.zeros((1, 1)))
+    assert trace.to_csv().splitlines()[0] == fixed + per_lambda + "0.5"
 
 
 def test_trace_csv_absent_fields_empty():

@@ -10,7 +10,6 @@ from nls.exponents import (
     ModelParams,
     alpha1_threshold,
     alpha2_threshold,
-    conjugate_exponent,
     critical_exponents,
     gradient_monotone_condition,
     smallest_valid_a,
@@ -112,7 +111,7 @@ def test_index_identities_random_draws():
         a = gamma * rng.uniform(1.0, 20.0)
         r = strichartz_indices(ModelParams(n, alpha), a=a)
         # conjugate-exponent identity 1/a_tilde' = 1/mu + (alpha+1)/a
-        lhs = 1 / conjugate_exponent(r.a_tilde)
+        lhs = 1 / (r.a_tilde / (r.a_tilde - 1))
         rhs = 1 / r.mu + (alpha + 1) / a
         assert lhs == pytest.approx(rhs, abs=1e-12)
         # s from the definition equals 2/gamma - 2/a

@@ -228,6 +228,18 @@ def test_sweep_runs_and_dichotomy_table(tmp_path):
     assert "*" in dichotomy_table(rows2, dim=1)
 
 
+def test_sweep_amplitude_axis_keeps_the_imaginary_part(tmp_path):
+    out = tmp_path / "sweep_im"
+    text = (
+        BASE_CONFIG.format(out=out).replace("kind = single", "kind = sweep")
+        .replace("initial.amplitude_re = 0.5", "initial.amplitude_re = 0.3")
+        + "initial.amplitude_im = 0.4\nsweep.amplitude = [0.5]\n"
+    )
+    execute_sweep(load_config(write_config(tmp_path, text)), out)
+    summary = json.loads((out / "run_0000" / "summary.json").read_text())
+    assert summary["config"]["initial"]["amplitude"] == [0.5, 0.4]
+
+
 def test_sweep_failed_cell_keeps_the_others(tmp_path, capsys):
     out = tmp_path / "sweep_fail"
     text = (
@@ -448,6 +460,15 @@ def test_initial_from_file_through_config(tmp_path):
     assert run_experiment(load_config(write_config(tmp_path, text))) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] in ("ReachedTEnd", "BlowupDetected")
+
+
+def test_cli_sweep_without_axis_is_config_error(tmp_path, capsys):
+    # the file's kind is single; the sweep subcommand's kind is checked
+    p = write_config(tmp_path, BASE_CONFIG.format(out=tmp_path / "o"))
+    assert main(["sweep", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err == "configuration error: kind = sweep requires at least one sweep.<axis>\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_missing_config_file_is_config_error(tmp_path, capsys):
