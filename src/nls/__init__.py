@@ -23,7 +23,6 @@ from .field import (
 )
 from .oracle import (
     Classification,
-    OracleVerdict,
     SelfSimilarParams,
     classify,
     reduced_amplitude,
@@ -47,7 +46,6 @@ __all__ = [
     "make_initial",
     "linear_propagate",
     "SelfSimilarParams",
-    "OracleVerdict",
     "Classification",
     "classify",
     "reduced_amplitude",

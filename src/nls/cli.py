@@ -7,20 +7,20 @@ Exit codes: 0 success, 1 configuration error, 2 run failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 
 from . import __version__
-from .config import ConfigError, ExperimentKind, load_config
+from .config import ExperimentKind, load_config
 from .exponents import (
-    InfeasibleExponentError,
     ModelParams,
     critical_exponents,
     smallest_valid_a,
     strichartz_indices,
 )
-from .oracle import SelfSimilarParams, classify, reduced_trajectory
+from .oracle import SelfSimilarParams, blowup_time, classify, reduced_trajectory
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -39,10 +39,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("simulate", "sweep", "pct-check"):
         sp = sub.add_parser(name, help=f"run a {name} experiment from a config file")
         sp.add_argument("--config", required=True, help="experiment config file")
-        sp.add_argument(
-            "--gnuplot", action="store_true",
-            help="also emit a ready-to-run gnuplot script next to the CSV",
-        )
+        if name == "simulate":
+            sp.add_argument(
+                "--gnuplot", action="store_true",
+                help="also emit a ready-to-run gnuplot script next to the CSV",
+            )
 
     se = sub.add_parser("exponents", help="print the derived-exponent table")
     se.add_argument("--dim", type=int, required=True)
@@ -72,11 +73,10 @@ def _cmd_exponents(args) -> int:
         dim=args.dim, alpha=alpha, kappa=complex(args.kappa_re, args.kappa_im)
     )
     report = critical_exponents(model)
-    if args.alpha is not None and args.dim >= 3:
-        if report.alpha2 < alpha < report.mass_critical:
-            a = args.a_index if args.a_index is not None else smallest_valid_a(model)
-            report = strichartz_indices(model, a)
-    d = report.as_dict()
+    if args.alpha is not None and report.flags.alpha_in_scattering_window:
+        a = args.a_index if args.a_index is not None else smallest_valid_a(model)
+        report = strichartz_indices(model, a)
+    d = dataclasses.asdict(report)
     if args.alpha is None:  # thresholds only: alpha-dependent entries are moot
         d["alpha"] = None
         d["flags"]["alpha_in_scattering_window"] = None
@@ -107,12 +107,11 @@ def _cmd_oracle(args) -> int:
         dim=args.dim, alpha=args.alpha, kappa=complex(args.kappa_re, args.kappa_im)
     )
     p = SelfSimilarParams(t0=args.t0, z0=complex(args.z0, 0.0), model=model)
-    verdict = classify(p)
-    print(f"classification: {verdict.classification.value}")
-    if verdict.blowup_time is not None:
-        print(f"blowup_time: {verdict.blowup_time!r}")
+    print(f"classification: {classify(p).value}")
+    T = blowup_time(p)
+    if T is not None:
+        print(f"blowup_time: {T!r}")
     if args.trace:
-        T = verdict.blowup_time
         t_max = 0.999 * T if T is not None else 10.0 * args.t0
         ts = [i * t_max / 200 for i in range(201)]
         with open(args.trace, "w") as f:
@@ -152,14 +151,11 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
         from .harness import run_experiment
 
-        return run_experiment(cfg, gnuplot=args.gnuplot)
-    except (ConfigError, InfeasibleExponentError, ValueError) as exc:
+        return run_experiment(cfg, gnuplot=getattr(args, "gnuplot", False))
+    except ValueError as exc:  # ConfigError and InfeasibleExponentError included
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
-        print(f"run failure: {exc}", file=sys.stderr)
-        return EXIT_RUN
-    except ArithmeticError as exc:
+    except (OSError, ArithmeticError) as exc:
         print(f"run failure: {exc}", file=sys.stderr)
         return EXIT_RUN
 

@@ -85,13 +85,13 @@ class CutoffFamily:
             )
 
 
-def default_lambdas(box_length: float, data_width: float, count: int = 5) -> tuple:
-    """Geometric ladder spanning [4/L (just inside the box), 4/w0]."""
+def default_lambdas(box_length: float, data_width: float) -> tuple:
+    """Five-point geometric ladder spanning [4/L (just inside the box), 4/w0]."""
     lo = 4.0 / box_length * (1.0 + 1e-3)
     hi = 4.0 / data_width
     if hi <= lo:
         hi = 2.0 * lo
-    return tuple(np.geomspace(lo, hi, count))
+    return tuple(np.geomspace(lo, hi, 5))
 
 
 def localized_mass(state: FieldState, cutoffs: CutoffFamily) -> np.ndarray:
@@ -409,25 +409,19 @@ class RateFit:
     rows_used: int
 
 
-def rate_fit(
-    trace: DiagnosticTrace,
-    model: ModelParams,
-    window: float = 0.5,
-    blowup_detected: bool = False,
-) -> RateFit:
-    """Least-squares slope of ln K_t vs ln t over the trailing log-t window.
+def rate_fit(trace: DiagnosticTrace, model: ModelParams) -> RateFit:
+    """Least-squares slope of ln K_t vs ln t over the trailing half of the log-t span.
 
     The theoretical growth exponent below the Fujita power is
-    (2 - N alpha)/(N alpha).  The verdict confirms the blowup dichotomy:
-    fitted slope within 0.1 of the exponent from below, or the run already
-    ended in detected blowup.
+    (2 - N alpha)/(N alpha).  The verdict confirms growth at that rate:
+    fitted slope within 0.1 of the exponent from below.
     """
     mask = (trace.times > 0) & (trace.K_t > 0)
     lt = np.log(trace.times[mask])
     lK = np.log(trace.K_t[mask])
     if len(lt) < 10:
         raise ValueError("trace too short for a rate fit")
-    cut = lt[0] + (1.0 - window) * (lt[-1] - lt[0])
+    cut = lt[0] + 0.5 * (lt[-1] - lt[0])
     sel = lt >= cut
     if int(np.sum(sel)) < 10:
         raise ValueError(f"window holds {int(np.sum(sel))} rows, need >= 10")
@@ -437,7 +431,7 @@ def rate_fit(
     ss_tot = float(np.sum((lK[sel] - np.mean(lK[sel])) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     theo = (2.0 - model.dim * model.alpha) / (model.dim * model.alpha)
-    verdict = blowup_detected or (slope >= theo - 0.1)
+    verdict = slope >= theo - 0.1
     return RateFit(float(slope), float(intercept), r2, theo, verdict, int(np.sum(sel)))
 
 

@@ -10,11 +10,8 @@ mu, s) used by the weighted small-data theory.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
-from fractions import Fraction
-from typing import Optional, Union
-
-Real = Union[float, Fraction]
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 TOL = 1e-12  # absolute tolerance for exponent-identity checks
 
@@ -36,14 +33,6 @@ class ModelParams:
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-
-    def validate_h1_subcritical(self) -> None:
-        """Reject alpha >= 4/(N-2) when N >= 3 (no constraint for N <= 2)."""
-        if self.dim >= 3 and self.alpha >= 4.0 / (self.dim - 2):
-            raise ValueError(
-                f"alpha={self.alpha} not H1-subcritical for dim={self.dim} "
-                f"(need alpha < {4.0 / (self.dim - 2)})"
-            )
 
 
 @dataclass(frozen=True)
@@ -75,19 +64,13 @@ class ExponentReport:
     energy_critical: float
     alpha1: float
     alpha2: float
-    rho: Optional[Real] = None
-    gamma: Optional[Real] = None
-    a: Optional[Real] = None
-    a_tilde: Optional[Real] = None
-    mu: Optional[Real] = None
-    s: Optional[Real] = None
+    rho: Optional[float] = None
+    gamma: Optional[float] = None
+    a: Optional[float] = None
+    a_tilde: Optional[float] = None
+    mu: Optional[float] = None
+    s: Optional[float] = None
     flags: ExponentFlags = field(default_factory=ExponentFlags)
-
-    def as_dict(self) -> dict:
-        """The report as plain data; exact (Fraction) indices become floats."""
-        return {
-            k: float(v) if isinstance(v, Fraction) else v for k, v in asdict(self).items()
-        }
 
 
 def alpha1_threshold(dim: int) -> float:
@@ -133,45 +116,40 @@ def critical_exponents(params: ModelParams) -> ExponentReport:
     )
 
 
-def _fdfa_lhs(dim: Real, alpha: Real, a: Real) -> Real:
+def scattering_window(params: ModelParams) -> ExponentReport:
+    """critical_exponents(params), or InfeasibleExponentError outside the window.
+
+    The window is alpha2 < alpha < 4/N with N >= 3, the range in which the
+    index chain and a valid a exist.
+    """
+    base = critical_exponents(params)
+    if not base.flags.alpha_in_scattering_window:
+        raise InfeasibleExponentError(
+            f"alpha={params.alpha}, dim={params.dim} is outside the scattering "
+            f"window: dim >= 3 and alpha2 = {base.alpha2:.6g} < alpha < 4/N = "
+            f"{base.mass_critical:.6g}"
+        )
+    return base
+
+
+def _fdfa_lhs(dim: float, alpha: float, a: float) -> float:
     # (4 - (N-4) alpha) / (2 (alpha+2)) - alpha/a
     return (4 - (dim - 4) * alpha) / (2 * (alpha + 2)) - alpha / a
 
 
-def strichartz_indices(
-    params: ModelParams, a: float, exact: bool = False
-) -> ExponentReport:
-    """Full index chain rho, gamma, a_tilde, mu, s for a given a >= gamma.
-
-    With exact=True the chain is computed in exact rational arithmetic
-    (alpha and a must then be Fraction-convertible); the threshold fields
-    stay floating point since they involve square roots.
-    """
-    n = params.dim
-    if n < 3:
-        raise InfeasibleExponentError(f"index chain requires dim >= 3, got {n}")
-    base = critical_exponents(params)
-    if not (base.alpha2 < params.alpha < base.mass_critical):
-        raise InfeasibleExponentError(
-            f"alpha={params.alpha} outside (alpha2, 4/N) = "
-            f"({base.alpha2:.6g}, {base.mass_critical:.6g}) for dim={n}"
-        )
-
-    if exact:
-        N: Real = Fraction(n)
-        al: Real = Fraction(params.alpha).limit_denominator(10**12)
-        av: Real = Fraction(a).limit_denominator(10**12)
-    else:
-        N, al, av = float(n), float(params.alpha), float(a)
+def strichartz_indices(params: ModelParams, a: float) -> ExponentReport:
+    """Full index chain rho, gamma, a_tilde, mu, s for a given a >= gamma."""
+    base = scattering_window(params)
+    N, al, av = float(params.dim), float(params.alpha), float(a)
 
     rho = N * (al + 2) / (N + al)
     gamma = 4 * (al + 2) / (al * (N - 2))
     if av < gamma * (1 - 1e-12):
-        raise InfeasibleExponentError(f"a={a} below gamma={float(gamma)}")
+        raise InfeasibleExponentError(f"a={a} below gamma={gamma}")
     a_tilde = 1 / (2 / gamma - 1 / av) if av != gamma else gamma
     inv_mu = _fdfa_lhs(N, al, av)
     mu = 1 / inv_mu
-    s = N * (Fraction(1, 2) if exact else 0.5) - N / rho - 2 / av
+    s = N * 0.5 - N / rho - 2 / av
 
     fdfa = inv_mu > (4 - N * al) / 2
     h_lmu = mu * (4 - N * al) / 2 < 1  # integrability of (1-t)^{-mu(4-N alpha)/2}
@@ -181,21 +159,14 @@ def strichartz_indices(
     )
 
 
-def smallest_valid_a(params: ModelParams, margin: float = 0.05) -> float:
+def smallest_valid_a(params: ModelParams) -> float:
     """Smallest usable a: max(gamma, a*) with a 5% margin on the a* branch.
 
     a* is the infimum making the strict index condition hold; it is finite
     exactly when N alpha^2 + N alpha > 4, i.e. alpha > alpha2.
     """
-    n = params.dim
-    if n < 3:
-        raise InfeasibleExponentError(f"requires dim >= 3, got {n}")
-    al = params.alpha
-    a2 = alpha2_threshold(n)
-    if not (a2 < al < 4.0 / n):
-        raise InfeasibleExponentError(
-            f"alpha={al} outside (alpha2, 4/N) for dim={n}; no valid a exists"
-        )
+    scattering_window(params)
+    n, al = params.dim, params.alpha
     gap = (4.0 - (n - 4.0) * al) / (2.0 * (al + 2.0)) - (4.0 - n * al) / 2.0
     if gap <= 0:  # equivalent to N alpha^2 + N alpha <= 4
         raise InfeasibleExponentError(
@@ -205,4 +176,4 @@ def smallest_valid_a(params: ModelParams, margin: float = 0.05) -> float:
     gamma = 4.0 * (al + 2.0) / (al * (n - 2.0))
     if gamma > a_star:
         return gamma
-    return a_star * (1.0 + margin)
+    return a_star * 1.05

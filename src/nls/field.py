@@ -260,11 +260,6 @@ def lp_norm(state: FieldState, p: float) -> float:
     return float(np.sum(absu**p) * g.spacing**g.dim) ** (1.0 / p)
 
 
-def weighted_l2_norm(state: FieldState) -> float:
-    """L2 norm with weight |x|, x measured from the box center."""
-    return math.sqrt(weighted_sq(shell_mass(state.values, state.grid), state.grid))
-
-
 # ---------------------------------------------------------------------------
 # initial data
 
@@ -374,7 +369,7 @@ def free_gaussian(grid: GridSpec, spec: Gaussian, t: float) -> FieldState:
 def save_checkpoint(
     path: Union[str, Path],
     state: FieldState,
-    model: Optional[ModelParams] = None,
+    model: ModelParams,
 ) -> None:
     """Write the binary field file plus its .meta.json sidecar."""
     path = Path(path)
@@ -382,24 +377,20 @@ def save_checkpoint(
     header = _HEADER.pack(
         CHECKPOINT_MAGIC, CHECKPOINT_VERSION, g.dim, g.points, g.box_length
     )
-    inter = np.empty(state.values.size * 2, dtype="<f8")
-    flat = state.values.reshape(-1)  # row-major
-    inter[0::2] = flat.real
-    inter[1::2] = flat.imag
     with open(path, "wb") as f:
         f.write(header)
-        f.write(inter.tobytes())
+        # little-endian complex128 is the interleaved (re, im) f64 layout, row-major
+        np.ascontiguousarray(state.values, dtype="<c16").tofile(f)
     meta = {
         "time": state.time,
         "grid": {"dim": g.dim, "box_length": g.box_length, "points": g.points},
-    }
-    if model is not None:
-        meta["model"] = {
+        "model": {
             "dim": model.dim,
             "alpha": model.alpha,
             "kappa_re": model.kappa.real,
             "kappa_im": model.kappa.imag,
-        }
+        },
+    }
     path.with_suffix(path.suffix + ".meta.json").write_text(
         json.dumps(meta, indent=2) + "\n"
     )
@@ -424,8 +415,8 @@ def load_checkpoint(path: Union[str, Path]):
             f"{path}: expected {n} complex samples ({expected} bytes), "
             f"got {len(raw)} bytes"
         )
-    body = np.frombuffer(raw, dtype="<f8", count=2 * n, offset=_HEADER.size)
-    vals = (body[0::2] + 1j * body[1::2]).reshape(grid.shape)
+    body = np.frombuffer(raw, dtype="<c16", count=n, offset=_HEADER.size)
+    vals = body.reshape(grid.shape).copy()
 
     time = 0.0
     model = None

@@ -18,7 +18,6 @@ import json
 import os
 import time as _time
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -60,20 +59,19 @@ plot '{csv}' using 1:2 with lines, \\
 
 
 def execute_single(
-    cfg: ExperimentConfig, out_dir: Optional[Path] = None, gnuplot: bool = False
+    cfg: ExperimentConfig, out_dir: Path, gnuplot: bool = False
 ) -> RunOutcome:
-    """One solver run with the configured probes; writes artifacts if out_dir."""
+    """One solver run with the configured probes; writes its artifacts to out_dir."""
     state0 = make_initial(cfg.grid, cfg.initial)
     outcome = run(state0, cfg.model, cfg.solver, probes=cfg.probes)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        outcome.trace.write_csv(out_dir / "trace.csv")
-        for i, st in enumerate(outcome.checkpoints):
-            save_checkpoint(out_dir / f"checkpoint_{i:04d}.nlsf", st, cfg.model)
-        if gnuplot:
-            (out_dir / "plot_trace.gp").write_text(
-                GNUPLOT_TEMPLATE.format(csv="trace.csv", name="plot_trace.gp")
-            )
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outcome.trace.write_csv(out_dir / "trace.csv")
+    for i, st in enumerate(outcome.checkpoints):
+        save_checkpoint(out_dir / f"checkpoint_{i:04d}.nlsf", st, cfg.model)
+    if gnuplot:
+        (out_dir / "plot_trace.gp").write_text(
+            GNUPLOT_TEMPLATE.format(csv="trace.csv", name="plot_trace.gp")
+        )
     return outcome
 
 
@@ -111,15 +109,14 @@ def _classify_run(cfg: ExperimentConfig, outcome: RunOutcome) -> dict:
     }
     tr = outcome.trace
     row["h1_final"] = float(np.hypot(tr.mass[-1], tr.grad_l2[-1]))
-    blown = outcome.status is RunStatus.BLOWUP_DETECTED
-    if blown:
+    if outcome.status is RunStatus.BLOWUP_DETECTED:
         row["classification"] = "BlowupDetected"
     else:
         classification = "Undetermined"
         fujita = 2.0 / cfg.model.dim
         if cfg.model.alpha < fujita:
             try:
-                fit = rate_fit(tr, cfg.model, blowup_detected=blown)
+                fit = rate_fit(tr, cfg.model)
                 row["fitted_slope"] = fit.slope
                 row["theoretical_exponent"] = fit.theoretical_exponent
                 if fit.verdict:

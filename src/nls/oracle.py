@@ -18,7 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -49,18 +49,6 @@ class SelfSimilarParams:
     def __post_init__(self):
         if not self.t0 > 0:
             raise ValueError(f"t0 must be positive, got {self.t0}")
-
-
-@dataclass(frozen=True)
-class OracleVerdict:
-    classification: Classification
-    blowup_time: Optional[float]
-    amplitude_at: Callable[[float], float]
-
-    def __post_init__(self):
-        has_t = self.blowup_time is not None
-        if has_t != (self.classification is Classification.FINITE_TIME_BLOWUP):
-            raise ValueError("blowup_time present iff classification is blowup")
 
 
 def weight_integral(model: ModelParams, t0: float, t: float) -> float:
@@ -116,27 +104,16 @@ def blowup_time(p: SelfSimilarParams) -> Optional[float]:
 
 def reduced_amplitude(p: SelfSimilarParams, t: float) -> float:
     """|z(t)| from the closed-form modulus law; exact to rounding."""
-    al = p.model.alpha
-    bracket = abs(p.z0) ** (-al) + al * p.model.kappa.imag * weight_integral(
-        p.model, p.t0, t
-    )
-    if bracket <= 0:
-        raise PastBlowupError(f"t={t} is at or past the blowup time")
-    return bracket ** (-1.0 / al)
+    return abs(reduced_trajectory(p, t))
 
 
-def classify(p: SelfSimilarParams) -> OracleVerdict:
+def classify(p: SelfSimilarParams) -> Classification:
     """Global vs finite-time blowup for the self-similar reduced flow."""
     if p.z0 == 0:
         raise ValueError("z0 = 0 is the trivial solution")
-    T = blowup_time(p)
-    if T is None:
-        return OracleVerdict(
-            Classification.GLOBAL, None, lambda t: reduced_amplitude(p, t)
-        )
-    return OracleVerdict(
-        Classification.FINITE_TIME_BLOWUP, T, lambda t: reduced_amplitude(p, t)
-    )
+    if blowup_time(p) is None:
+        return Classification.GLOBAL
+    return Classification.FINITE_TIME_BLOWUP
 
 
 def nonlinear_flow(values: np.ndarray, model: ModelParams, dt: float) -> np.ndarray:

@@ -32,7 +32,7 @@ max|u| test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -53,7 +53,6 @@ _MAX_CACHED_FACTORS = 4
 class RunStatus(Enum):
     REACHED_T_END = "ReachedTEnd"
     BLOWUP_DETECTED = "BlowupDetected"
-    STEP_FLOOR_HIT = "StepFloorHit"
 
 
 @dataclass(frozen=True)
@@ -73,6 +72,10 @@ class SolverConfig:
             raise ValueError("safety must be in (0, 1]")
         if self.blowup_linf_threshold <= 0 or self.blowup_dt_floor <= 0:
             raise ValueError("thresholds must be positive")
+        if self.dt < self.blowup_dt_floor:
+            raise ValueError(
+                f"dt={self.dt} is below blowup_dt_floor={self.blowup_dt_floor}"
+            )
         if self.diagnostics_cadence < 1:
             raise ValueError("diagnostics_cadence must be >= 1")
 
@@ -83,9 +86,9 @@ class RunOutcome:
     final_state: FieldState
     blowup_time_estimate: Optional[float]
     trace: DiagnosticTrace
-    checkpoints: list = dc_field(default_factory=list)
-    steps_accepted: int = 0
-    steps_rejected: int = 0
+    checkpoints: list
+    steps_accepted: int
+    steps_rejected: int
 
 
 class _StrangChain:
@@ -186,13 +189,6 @@ def run(
     targets = sorted({t for t in probes.store_at_times if t > state0.time + 1e-15})
     if probes.store_states_every or probes.store_at_times:
         checkpoints.append(state0)
-    if dt < cfg.blowup_dt_floor:
-        # configured step already below the floor: nothing sensible to do
-        return RunOutcome(
-            RunStatus.STEP_FLOOR_HIT, state0, state0.time, rec.trace(),
-            checkpoints, accepted, rejected,
-        )
-
     chain = _StrangChain(state0, cfg.spectral_filter)
     status = RunStatus.REACHED_T_END
     eps = 1e-12 * max(1.0, abs(t_end))

@@ -89,7 +89,7 @@ def test_initial_frame_map_inverts_initial_multiplier():
     g = GridSpec(1, 40.0, 1024)
     u0 = make_initial(g, Gaussian(0.5, 1.0))
     v0 = initial_v_data(u0)
-    u_back = to_u_frame(v0, ModelParams(1, 1.0, -1j), t=0.0)
+    u_back = to_u_frame(v0, t=0.0)
     # at t = 0 the frame map is exp(+i|y|^2/4), the inverse of the v0 chirp
     assert u_back.grid == g
     assert np.max(np.abs(u_back.values - u0.values)) < 1e-14
@@ -98,23 +98,21 @@ def test_initial_frame_map_inverts_initial_multiplier():
 
 def test_frame_map_is_l2_isometry():
     rng = np.random.default_rng(21)
-    m = ModelParams(1, 1.0, -1j)
     g = GridSpec(1, 40.0, 1024)
     for _ in range(50):
         vals = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
         v = FieldState(grid=g, values=vals, time=0.3)
-        u = to_u_frame(v, m, 0.3)
+        u = to_u_frame(v, 0.3)
         assert u.grid.box_length == pytest.approx(g.box_length / 0.7)
         assert l2_norm(u) == pytest.approx(l2_norm(v), rel=1e-10)
 
 
 def test_frame_map_invertible():
     rng = np.random.default_rng(22)
-    m = ModelParams(1, 1.5, -0.5j)
     g = GridSpec(1, 20.0, 1024)
     vals = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     v = FieldState(grid=g, values=vals, time=0.4)
-    u = to_u_frame(v, m, 0.4)
+    u = to_u_frame(v, 0.4)
     # the inverse map: t = s/(1+s), box L (1-t), multiplier (1-t)^{-N/2} e^{-i|x|^2/(4(1-t))}
     t = u.time / (1.0 + u.time)
     assert t == pytest.approx(0.4, abs=1e-14)
@@ -130,9 +128,8 @@ def test_frame_map_matches_direct_formula_on_rescaled_grid():
     # directly at the u-grid nodes: identical samples, box doubled
     g = GridSpec(1, 40.0, 2048)
     t = 0.5
-    m = ModelParams(1, 1.0, -1j)
     v = make_initial(g, Gaussian(1.0, 1.0))
-    u = to_u_frame(v, m, t)
+    u = to_u_frame(v, t)
     y = u.grid.axis_coordinates()
     x = (1 - t) * y
     direct = (1 - t) ** 0.5 * np.exp(1j * x**2 / (4 * (1 - t))) * np.exp(
@@ -214,6 +211,6 @@ def test_equivalence_against_closed_form_free_gaussian():
     v0 = initial_v_data(make_initial(g, Gaussian(0.1, 1.0)))
     out = solve_v_problem(v0, m, SolverConfig(dt=1e-2, t_end=t_star,
                                               diagnostics_cadence=10**9))
-    uA = to_u_frame(out.final_state, m, t_star)
+    uA = to_u_frame(out.final_state, t_star)
     want = free_gaussian(uA.grid, Gaussian(0.1, 1.0), 1.0)  # s* = 1
     assert np.max(np.abs(uA.values - want.values)) < 1e-9

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -123,16 +122,6 @@ def test_index_identities_random_draws():
         assert 0 <= r.s < 1
 
 
-def test_exact_rational_mode():
-    r = strichartz_indices(ModelParams(3, Fraction(1, 1)), a=Fraction(12), exact=True)
-    assert r.rho == Fraction(9, 4)
-    assert r.gamma == Fraction(12)
-    assert r.mu == Fraction(4, 3)
-    assert r.s == 0
-    # identity holds exactly
-    assert 1 - 1 / r.a_tilde == 1 / r.mu + Fraction(2) / 12
-
-
 def test_strichartz_rejections():
     with pytest.raises(InfeasibleExponentError):
         strichartz_indices(ModelParams(3, 1.0), a=5.0)  # below gamma = 12
@@ -191,10 +180,6 @@ def test_model_params_validation():
         ModelParams(0, 1.0)
     with pytest.raises(ValueError):
         ModelParams(2, -1.0)
-    ModelParams(3, 1.0).validate_h1_subcritical()
-    with pytest.raises(ValueError):
-        ModelParams(3, 4.0).validate_h1_subcritical()
-    ModelParams(2, 17.0).validate_h1_subcritical()  # no constraint below N=3
 
 
 def test_gamma_two_expressions_agree():

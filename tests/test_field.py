@@ -19,7 +19,8 @@ from nls.field import (
     lp_norm,
     make_initial,
     save_checkpoint,
-    weighted_l2_norm,
+    shell_mass,
+    weighted_sq,
 )
 
 
@@ -186,7 +187,7 @@ def test_l4_and_weighted_norms_of_gaussian():
     g = GridSpec(1, 40.0, 1024)
     st = make_initial(g, Gaussian(1.0, 1 / math.sqrt(2)))  # exp(-x^2)
     assert lp_norm(st, 4.0) ** 4 == pytest.approx(math.sqrt(math.pi) / 2, abs=1e-10)
-    assert weighted_l2_norm(st) == pytest.approx(
+    assert math.sqrt(weighted_sq(shell_mass(st.values, g), g)) == pytest.approx(
         math.sqrt(math.sqrt(math.pi / 2) / 4), abs=1e-8
     )
     assert np.max(np.abs(st.values)) == pytest.approx(1.0, rel=1e-14)
@@ -240,6 +241,18 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded_model == model
 
 
+def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
+    # signed zeros and infinities must come back with their exact bits
+    g = GridSpec(1, 10.0, 8)
+    vals = np.array([complex(-0.0, 3.0), complex(5.0, -0.0), complex(2.0, math.inf),
+                     complex(-math.inf, -0.0), -0j, 0j, complex(-0.0, -0.0), 1.5 - 2.5j])
+    path = tmp_path / "edge.nlsf"
+    save_checkpoint(path, FieldState(grid=g, values=vals), ModelParams(1, 1.0))
+    loaded, _ = load_checkpoint(path)
+    assert loaded.values.tobytes() == vals.tobytes()
+    assert path.read_bytes()[32:] == vals.astype("<c16").tobytes()  # interleaved (re, im)
+
+
 def test_checkpoint_header_validation(tmp_path):
     path = tmp_path / "bad.nlsf"
     path.write_bytes(b"XXXX" + b"\0" * 60)
@@ -254,7 +267,7 @@ def test_checkpoint_as_initial_data(tmp_path):
     g = GridSpec(1, 10.0, 64)
     st = random_state(g, np.random.default_rng(6))
     path = tmp_path / "init.nlsf"
-    save_checkpoint(path, st)
+    save_checkpoint(path, st, ModelParams(1, 1.0))
     again = make_initial(g, FromFile(str(path)))
     assert np.array_equal(again.values, st.values)
     with pytest.raises(ValueError, match="grid"):
@@ -285,7 +298,7 @@ def test_checkpoint_roundtrip_3d(tmp_path):
         time=0.5,
     )
     path = tmp_path / "cube.nlsf"
-    save_checkpoint(path, st)
+    save_checkpoint(path, st, ModelParams(3, 1.0))
     loaded, _ = load_checkpoint(path)
     assert loaded.grid == g
     assert np.array_equal(loaded.values, st.values)
@@ -295,7 +308,7 @@ def test_checkpoint_truncated_body(tmp_path):
     g = GridSpec(1, 10.0, 64)
     st = FieldState(grid=g, values=np.ones(g.shape, complex))
     path = tmp_path / "short.nlsf"
-    save_checkpoint(path, st)
+    save_checkpoint(path, st, ModelParams(1, 1.0))
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) - 16])  # drop the last complex sample
     with pytest.raises(ValueError, match="samples"):

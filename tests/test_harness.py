@@ -442,16 +442,50 @@ def test_gnuplot_script_emitted(tmp_path):
     assert "trace.csv" in script and "plot" in script
 
 
+@pytest.mark.parametrize("command", ["sweep", "pct-check"])
+def test_gnuplot_is_simulate_only(tmp_path, capsys, command):
+    p = write_config(tmp_path, BASE_CONFIG.format(out=tmp_path / "o"))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(p), "--gnuplot"])
+    assert exc.value.code == 2  # argparse usage error
+    assert "unrecognized arguments: --gnuplot" in capsys.readouterr().err
+
+
+def test_cli_dt_below_floor_is_config_error(tmp_path, capsys):
+    text = BASE_CONFIG.format(out=tmp_path / "o").replace(
+        "solver.dt = 1e-2", "solver.dt = 1e-13"
+    )
+    assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: solver: dt=1e-13 is below blowup_dt_floor")
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
+def test_sweep_dt_below_floor_is_a_failed_row(tmp_path, capsys):
+    out = tmp_path / "sweep_floor"
+    text = (
+        BASE_CONFIG.format(out=out).replace("kind = single", "kind = sweep")
+        + "sweep.dt = [0.01, 1e-13]\n"
+    )
+    assert run_experiment(load_config(write_config(tmp_path, text))) == 2
+    good, bad = json.loads((out / "sweep_rows.json").read_text())
+    assert good["status"] == "ReachedTEnd"
+    assert bad["classification"] == "Failed" and bad["status"] is None
+    assert bad["error"] == "ValueError: dt=1e-13 is below blowup_dt_floor=1e-12"
+    capsys.readouterr()
+
+
 def test_initial_from_file_through_config(tmp_path):
     import numpy as np
 
+    from nls.exponents import ModelParams
     from nls.field import FieldState, GridSpec, save_checkpoint
 
     g = GridSpec(1, 40.0, 256)
     rng = np.random.default_rng(0)
     st = FieldState(grid=g, values=(0.1 * rng.standard_normal(g.shape)).astype(complex))
     ckpt = tmp_path / "init.nlsf"
-    save_checkpoint(ckpt, st)
+    save_checkpoint(ckpt, st, ModelParams(1, 1.0, -1j))
     out = tmp_path / "filerun"
     text = BASE_CONFIG.format(out=out).replace(
         "initial.kind = gaussian",
@@ -482,7 +516,7 @@ def make_outcome(trace, status):
 
     g = GridSpec(1, 10.0, 8)
     st = FieldState(grid=g, values=np.ones(g.shape, complex), time=trace.times[-1])
-    return RunOutcome(status, st, None, trace)
+    return RunOutcome(status, st, None, trace, [], 0, 0)
 
 
 def make_trace(times, K, scatter=None):

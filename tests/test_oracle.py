@@ -127,27 +127,27 @@ def test_classification_threshold_case():
     # alpha > 2/N: global iff |z0|^-alpha / alpha >= (-Im kappa) W(inf)
     m = ModelParams(2, 2.0, -1j)
     at_threshold = SelfSimilarParams(1.0, (1 / math.sqrt(2)) + 0j, m)
-    assert classify(at_threshold).classification is Classification.GLOBAL
+    assert classify(at_threshold) is Classification.GLOBAL
     just_above = SelfSimilarParams(1.0, (1 / math.sqrt(2)) * (1 + 1e-6) + 0j, m)
-    assert classify(just_above).classification is Classification.FINITE_TIME_BLOWUP
+    assert classify(just_above) is Classification.FINITE_TIME_BLOWUP
     just_below = SelfSimilarParams(1.0, (1 / math.sqrt(2)) * (1 - 1e-6) + 0j, m)
-    assert classify(just_below).classification is Classification.GLOBAL
+    assert classify(just_below) is Classification.GLOBAL
 
 
 def test_classification_below_fujita_always_blows_up():
     m = ModelParams(2, 1.0, -1j)  # alpha = 2/N
     for amp in (1e-6, 1e-2, 1.0, 100.0):
-        v = classify(SelfSimilarParams(1.0, amp + 0j, m))
-        assert v.classification is Classification.FINITE_TIME_BLOWUP
-        assert v.blowup_time is not None
+        p = SelfSimilarParams(1.0, amp + 0j, m)
+        assert classify(p) is Classification.FINITE_TIME_BLOWUP
+        assert blowup_time(p) is not None
 
 
 def test_classification_global_for_nonnegative_imaginary_part():
-    v = classify(SelfSimilarParams(1.0, 5.0 + 0j, ModelParams(2, 1.0, 1j)))
-    assert v.classification is Classification.GLOBAL
-    assert v.blowup_time is None
-    v2 = classify(SelfSimilarParams(1.0, 5.0 + 0j, ModelParams(1, 0.5, 3.0 + 0.0j)))
-    assert v2.classification is Classification.GLOBAL
+    p = SelfSimilarParams(1.0, 5.0 + 0j, ModelParams(2, 1.0, 1j))
+    assert classify(p) is Classification.GLOBAL
+    assert blowup_time(p) is None
+    p2 = SelfSimilarParams(1.0, 5.0 + 0j, ModelParams(1, 0.5, 3.0 + 0.0j))
+    assert classify(p2) is Classification.GLOBAL
 
 
 def test_classify_rejects_trivial_solution():
@@ -294,12 +294,3 @@ def test_flow_branches_match_closed_form(alpha, kappa):
     got = nonlinear_flow(vals, ModelParams(1, alpha, kappa), dt)
     assert got is not vals
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
-
-
-def test_verdict_amplitude_callable():
-    p = SelfSimilarParams(1.0, 1.0 + 0.0j, ModelParams(2, 2.0, -1j))
-    v = classify(p)
-    assert v.amplitude_at(0.0) == pytest.approx(1.0)
-    assert v.amplitude_at(0.5) == pytest.approx(reduced_amplitude(p, 0.5))
-    with pytest.raises(PastBlowupError):
-        v.amplitude_at(v.blowup_time + 0.01)
