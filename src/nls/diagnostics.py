@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy.fft
-import scipy.integrate
 
 from .exponents import ModelParams
 from .field import (
@@ -32,6 +30,8 @@ from .field import (
 )
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
+# int theta(|x|)^2 dx over R^N, exact for the piecewise-linear tent
+_TENT_SQ_INTEGRAL = {1: 8 / 3, 2: 11 * math.pi / 6, 3: 52 * math.pi / 15}
 
 
 def tent_profile(r):
@@ -40,14 +40,9 @@ def tent_profile(r):
     return np.clip(np.minimum(1.0, 2.0 - r), 0.0, 1.0)
 
 
-@lru_cache(maxsize=8)
 def cutoff_normalization(dim: int) -> float:
-    """nu with ||nu theta(|x|)||_L2 = 1, by adaptive radial quadrature."""
-    area = _SPHERE_AREA[dim]
-    integral, _ = scipy.integrate.quad(
-        lambda r: tent_profile(r) ** 2 * r ** (dim - 1), 0.0, 2.0, points=[1.0]
-    )
-    return 1.0 / math.sqrt(area * integral)
+    """nu with ||nu theta(|x|)||_L2 = 1, from the exact integral of theta^2."""
+    return 1.0 / math.sqrt(_TENT_SQ_INTEGRAL[dim])
 
 
 @dataclass(frozen=True)
@@ -67,6 +62,8 @@ class CutoffFamily:
 
     def phi_l2_norm_quadrature(self, lam: float) -> float:
         """||phi_lambda||_L2 by adaptive radial quadrature (exact: lam^(-N/2))."""
+        import scipy.integrate
+
         area = _SPHERE_AREA[self.dim]
         integral, _ = scipy.integrate.quad(
             lambda r: (self.nu * tent_profile(lam * r)) ** 2 * r ** (self.dim - 1),
@@ -261,15 +258,22 @@ class TraceRecorder:
         self.K_t = 0.0
         self._wk_prev: Optional[np.ndarray] = None  # F[w] at the last row
 
-    def record(self, state: FieldState) -> None:
+    def record(
+        self, state: FieldState, *, spectrum: bool = False
+    ) -> Optional[np.ndarray]:
         """One trace row from one forward FFT and one radial-shell histogram.
 
         With the scatter probe the row adds one inverse FFT (for the |x|
-        part of the increment of w), and none on the first row.
+        part of the increment of w), and none on the first row.  With
+        spectrum=True the row returns F[state.values], for a caller that
+        would otherwise transform the same values again.
         """
         p = self.probes
         g = state.grid
         uk = scipy.fft.fftn(state.values)
+        shared = None
+        if spectrum:  # the scatter probe turns uk into F[w] in place
+            shared = uk.copy() if p.scatter else uk
         grad = math.sqrt(spectral_sq(uk, g)[1])
         self.K_t = max(self.K_t, grad)
         scatter = math.nan
@@ -294,6 +298,7 @@ class TraceRecorder:
             _localized_mass(shells, g, p.cutoffs) if p.cutoffs is not None else None,
         )
         self.rows.append(row)
+        return shared
 
     def trace(self) -> DiagnosticTrace:
         """The rows so far, transposed through _CSV_COLUMNS; f_lambda comes last."""

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from nls.diagnostics import (
     _CSV_COLUMNS,
@@ -55,6 +56,17 @@ def test_normalization_closed_forms():
     assert cutoff_normalization(3) == pytest.approx(
         math.sqrt(15.0 / (52.0 * math.pi)), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_normalization_matches_radial_quadrature(n):
+    # nu from the closed forms against adaptive quadrature of theta^2 over R^N
+    area = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[n]
+    integral, _ = scipy.integrate.quad(
+        lambda r: tent_profile(r) ** 2 * r ** (n - 1), 0.0, 2.0, points=[1.0]
+    )
+    nu = 1.0 / math.sqrt(area * integral)
+    assert abs(cutoff_normalization(n) - nu) <= math.ulp(nu)
 
 
 def test_phi_norm_quadrature_identity():
