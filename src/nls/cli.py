@@ -112,7 +112,8 @@ def _cmd_oracle(args) -> int:
     if T is not None:
         print(f"blowup_time: {T!r}")
     if args.trace:
-        t_max = 0.999 * T if T is not None else 10.0 * args.t0
+        # a time beyond double range (inf) gets the global window too
+        t_max = 0.999 * T if T is not None and math.isfinite(T) else 10.0 * args.t0
         ts = [i * t_max / 200 for i in range(201)]
         with open(args.trace, "w") as f:
             f.write("t,abs_z,arg_z\n")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Union, get_type_hints
@@ -43,19 +43,28 @@ class ExperimentKind(Enum):
     LINEAR_CONFINEMENT = "linear-confinement"
 
 
+# sweep axis -> the key that each cell of the axis sets to one of its values
+SWEEP_AXES = {
+    "alpha": "model.alpha",
+    "kappa_im": "model.kappa_im",
+    "amplitude": "initial.amplitude_re",
+    "points": "grid.points",
+    "dt": "solver.dt",
+}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
-    axes: dict  # name -> list of values; axes over alpha, kappa_im, amplitude, M, dt
+    axes: dict  # axis name (a SWEEP_AXES key) -> list of values
     cap: int = 512
-
-    _AXES = ("alpha", "kappa_im", "amplitude", "points", "dt")
 
     def __post_init__(self):
         if not self.axes:
             raise ConfigError("sweep requires at least one non-empty axis")
         for name, vals in self.axes.items():
-            if name not in self._AXES:
-                raise ConfigError(f"unknown sweep axis {name!r}; allowed: {self._AXES}")
+            if name not in SWEEP_AXES:
+                allowed = tuple(SWEEP_AXES)
+                raise ConfigError(f"unknown sweep axis {name!r}; allowed: {allowed}")
             if not vals:
                 raise ConfigError(f"sweep axis {name!r} is empty")
         total = math.prod(len(v) for v in self.axes.values())
@@ -64,25 +73,11 @@ class SweepSpec:
 
     def points(self) -> list:
         """Cartesian product as a list of dicts, in deterministic order."""
-        names = [a for a in self._AXES if a in self.axes]
+        names = [a for a in SWEEP_AXES if a in self.axes]
         out = [dict()]
         for n in names:
             out = [{**d, n: v} for d in out for v in self.axes[n]]
         return out
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    kind: ExperimentKind
-    output_dir: str
-    model: ModelParams
-    grid: GridSpec
-    solver: SolverConfig
-    initial: InitialDataSpec
-    probes: ProbeSet
-    sweep: Optional[SweepSpec]
-    pct_t_star: float
-    confinement_times: tuple
 
 
 def _parse_value(text: str):
@@ -158,12 +153,12 @@ TABLE = {
     "probes.scatter": (bool, False),
     "probes.checkpoint_every": (int, 0),
     "probes.lambdas": ([float], ()),  # empty: default_lambdas(box, width)
-    # sweep.<axis> for each SweepSpec axis; the grid axis takes integers
-    **{f"sweep.{a}": ([int if a == "points" else float], None) for a in SweepSpec._AXES},
-    "sweep.cap": (int, 512),
     "pct.t_star": (float, 0.5),
     "confinement.times": ([float], (1.0, 2.0, 4.0, 8.0)),
 }
+# sweep.<axis> is a list of values of the key the axis sets
+TABLE.update({f"sweep.{a}": ([TABLE[key][0]], None) for a, key in SWEEP_AXES.items()})
+TABLE["sweep.cap"] = (int, 512)
 
 # parsed types each table type takes; a str key also takes a word parsed as a number
 _ACCEPTS = {bool: (bool,), int: (int,), float: (int, float), str: (str, int, float)}
@@ -174,7 +169,8 @@ def _coerce(typ, value):
     if isinstance(typ, list):  # a bare scalar is a one-element list
         items = value if isinstance(value, (list, tuple)) else [value]
         return tuple(_coerce(typ[0], v) for v in items)
-    if type(value) not in _ACCEPTS.get(typ, (str,)):  # an Enum takes its values
+    # an Enum takes its values; a value already of the key's type is taken again
+    if type(value) is not typ and type(value) not in _ACCEPTS.get(typ, (str,)):
         raise TypeError(f"expected {typ.__name__}, got {value!r}")
     return typ(value)
 
@@ -206,89 +202,113 @@ def _checked(where: str, make, *args, **kwargs):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _sectioned(keys: dict) -> dict:
+    """Dotted keys nested by section, in key order; top-level keys stay on top."""
+    out: dict = {}
+    for key, value in keys.items():
+        section, _, name = key.rpartition(".")
+        (out.setdefault(section, {}) if section else out)[name] = value
+    return out
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """The resolved TABLE keys of one experiment, and typed sections read from them.
+
+    The given keys (a file's, or a sweep cell's) are completed with their
+    defaults, coerced and validated; ``keys`` keeps the result in TABLE order.
+    """
+
+    keys: dict
+    kind: ExperimentKind = field(init=False)
+    output_dir: str = field(init=False)
+    model: ModelParams = field(init=False)
+    grid: GridSpec = field(init=False)
+    solver: SolverConfig = field(init=False)
+    initial: InitialDataSpec = field(init=False)
+    probes: ProbeSet = field(init=False)
+    sweep: Optional[SweepSpec] = field(init=False)
+    pct_t_star: float = field(init=False)
+    confinement_times: tuple = field(init=False)
+
+    def __post_init__(self):
+        keys = {}
+        for key, (typ, default) in TABLE.items():
+            value = self.keys.get(key, default)
+            if value is REQUIRED:
+                raise ConfigError(f"missing required key {key!r}")
+            keys[key] = None if value is None else _checked(key, _coerce, typ, value)
+        sec = _sectioned(keys)
+        m, p, sw = sec["model"], sec["probes"], sec["sweep"]
+        kappa = complex(m["kappa_re"], m["kappa_im"])
+        model = _checked("model", ModelParams, m["dim"], m["alpha"], kappa)
+        grid = _checked("grid", GridSpec, m["dim"], **sec["grid"])
+        initial = _checked("initial", _initial, sec["initial"])
+        cutoffs = None
+        if p["localized_mass"]:
+            width = getattr(initial, "width", 1.0)
+            lams = p["lambdas"] or default_lambdas(grid.box_length, width)
+            cutoffs = _checked("probes.lambdas", CutoffFamily.build, grid.dim, lams)
+            keys["probes.lambdas"] = cutoffs.lambdas
+        axes = {a: sw[a] for a in SWEEP_AXES if sw[a] is not None}
+        if sec["kind"] is ExperimentKind.SWEEP and not axes:
+            raise ConfigError("kind = sweep requires at least one sweep.<axis>")
+        if "amplitude" in axes and not isinstance(initial, Gaussian):
+            raise ConfigError("sweep.amplitude requires initial.kind = gaussian")
+        sections = dict(
+            keys=keys,
+            kind=sec["kind"],
+            output_dir=sec["output_dir"],
+            model=model,
+            grid=grid,
+            solver=_checked("solver", SolverConfig, **sec["solver"]),
+            initial=initial,
+            probes=ProbeSet(
+                cutoffs=cutoffs,
+                median_radius=p["median_radius"],
+                weighted_l2=p["weighted_l2"],
+                scatter=p["scatter"],
+                store_states_every=p["checkpoint_every"],
+            ),
+            sweep=SweepSpec(axes=axes, cap=sw["cap"]) if axes else None,
+            pct_t_star=sec["pct"]["t_star"],
+            confinement_times=sec["confinement"]["times"],
+        )
+        for name, value in sections.items():
+            object.__setattr__(self, name, value)
+
+    def cell(self, point: dict) -> "ExperimentConfig":
+        """The single run of one sweep point: each axis value set on its key."""
+        cleared = dict.fromkeys(f"sweep.{axis}" for axis in SWEEP_AXES)
+        values = {SWEEP_AXES[axis]: value for axis, value in point.items()}
+        keys = {**self.keys, **cleared, **values, "kind": ExperimentKind.SINGLE}
+        return ExperimentConfig(keys)
+
+
 def load_config(
     source: Union[str, Path], kind: Optional[ExperimentKind] = None
 ) -> ExperimentConfig:
     """Parse and validate a config file (or literal text containing newlines).
 
-    kind, when given, replaces the file's kind before validation.
+    kind, when given, replaces the file's kind (which must still be valid).
     """
     if isinstance(source, Path) or "\n" not in str(source):
         source = Path(source).read_text()
-    kv = parse_config_text(str(source))
-    unknown = sorted(set(kv) - TABLE.keys())
+    given = parse_config_text(str(source))
+    unknown = sorted(set(given) - TABLE.keys())
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    sec: dict = {}  # section -> name -> value; "" holds the top-level keys
-    for key, (typ, default) in TABLE.items():
-        value = kv.get(key, default)
-        if value is REQUIRED:
-            raise ConfigError(f"missing required key {key!r}")
-        section, _, name = key.rpartition(".")
-        if value is not None:
-            value = _checked(key, _coerce, typ, value)
-        sec.setdefault(section, {})[name] = value
     if kind is not None:
-        sec[""]["kind"] = kind
-    m, p, sw = sec["model"], sec["probes"], sec["sweep"]
-    kappa = complex(m["kappa_re"], m["kappa_im"])
-    model = _checked("model", ModelParams, m["dim"], m["alpha"], kappa)
-    grid = _checked("grid", GridSpec, m["dim"], **sec["grid"])
-    initial = _checked("initial", _initial, sec["initial"])
-    cutoffs = None
-    if p["localized_mass"]:
-        width = getattr(initial, "width", 1.0)
-        lams = p["lambdas"] or default_lambdas(grid.box_length, width)
-        cutoffs = _checked("probes.lambdas", CutoffFamily.build, grid.dim, lams)
-    axes = {name: v for name, v in sw.items() if name != "cap" and v is not None}
-    if sec[""]["kind"] is ExperimentKind.SWEEP and not axes:
-        raise ConfigError("kind = sweep requires at least one sweep.<axis>")
-    return ExperimentConfig(
-        **sec[""],
-        model=model,
-        grid=grid,
-        solver=_checked("solver", SolverConfig, **sec["solver"]),
-        initial=initial,
-        probes=ProbeSet(
-            cutoffs=cutoffs,
-            median_radius=p["median_radius"],
-            weighted_l2=p["weighted_l2"],
-            scatter=p["scatter"],
-            store_states_every=p["checkpoint_every"],
-        ),
-        sweep=SweepSpec(axes=axes, cap=sw["cap"]) if axes else None,
-        pct_t_star=sec["pct"]["t_star"],
-        confinement_times=sec["confinement"]["times"],
-    )
+        if "kind" in given:
+            _checked("kind", _coerce, ExperimentKind, given["kind"])
+        given["kind"] = kind
+    return ExperimentConfig(given)
 
 
 def resolved_config_dict(cfg: ExperimentConfig) -> dict:
-    """Full config, defaults included, for echoing into summary.json.
+    """cfg's keys by section, defaults included, for echoing into summary.json.
 
-    Read from cfg's dataclasses, so a sweep cell echoes its own values and
-    probes.lambdas is the ladder the run records.
+    Every TABLE key appears once under its own name, so the echo written
+    back as a config file rebuilds cfg.
     """
-    m, p = cfg.model, cfg.probes
-    initial = {k: [v.real, v.imag] if isinstance(v, complex) else v
-               for k, v in vars(cfg.initial).items()}
-    return {
-        "kind": cfg.kind.value,
-        "output_dir": cfg.output_dir,
-        "model": {
-            "dim": m.dim, "alpha": m.alpha, "kappa_re": m.kappa.real, "kappa_im": m.kappa.imag
-        },
-        "grid": dataclasses.asdict(cfg.grid),
-        "solver": dataclasses.asdict(cfg.solver),
-        "initial": {"kind": type(cfg.initial).__name__, **initial},
-        "probes": {
-            "median_radius": p.median_radius,
-            "weighted_l2": p.weighted_l2,
-            "localized_mass": p.cutoffs is not None,
-            "scatter": p.scatter,
-            "checkpoint_every": p.store_states_every,
-            "lambdas": p.cutoffs.lambdas if p.cutoffs else (),
-        },
-        "sweep": None if cfg.sweep is None else dataclasses.asdict(cfg.sweep),
-        "pct": {"t_star": cfg.pct_t_star},
-        "confinement": {"times": cfg.confinement_times},
-    }
+    return _sectioned({**cfg.keys, "kind": cfg.kind.value})

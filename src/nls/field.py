@@ -410,7 +410,7 @@ def load_checkpoint(path: Union[str, Path]):
     grid = GridSpec(dim=dim, box_length=length, points=m)
     n = m**dim
     expected = _HEADER.size + 16 * n
-    if len(raw) < expected:
+    if len(raw) != expected:
         raise ValueError(
             f"{path}: expected {n} complex samples ({expected} bytes), "
             f"got {len(raw)} bytes"

@@ -13,11 +13,11 @@ raises becomes a ``Failed`` row and the other cells still finish.
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 import json
 import os
 import time as _time
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from . import __version__
 from .config import ExperimentConfig, ExperimentKind, resolved_config_dict
 from .conformal import equivalence_experiment
 from .diagnostics import linear_confinement_check, rate_fit
-from .field import Gaussian, make_initial, save_checkpoint
+from .field import make_initial, save_checkpoint
 from .solver import RunOutcome, RunStatus, run
 
 
@@ -75,9 +75,18 @@ def execute_single(
     return outcome
 
 
-def _summarize(cfg: ExperimentConfig, outcome: RunOutcome, wall: float) -> dict:
+def _run_single(
+    cfg: ExperimentConfig, out_dir: Path, gnuplot: bool, point: Optional[dict]
+) -> dict:
+    """Run cfg and write its artifacts and summary.json; returns the summary.
+
+    A sweep cell passes its point, and its summary ends with its verdict row.
+    """
+    t0 = _time.perf_counter()
+    outcome = execute_single(cfg, out_dir, gnuplot=gnuplot)
+    wall = _time.perf_counter() - t0
     tr = outcome.trace
-    return {
+    summary = {
         "code_version": __version__,
         "config": resolved_config_dict(cfg),
         "status": outcome.status.value,
@@ -91,6 +100,10 @@ def _summarize(cfg: ExperimentConfig, outcome: RunOutcome, wall: float) -> dict:
         "K_T": float(tr.K_t[-1]),
         "wall_seconds": wall,
     }
+    if point is not None:
+        summary["verdict"] = {**_classify_run(cfg, outcome), "point": point}
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    return summary
 
 
 _VERDICT_KEYS = (
@@ -162,44 +175,9 @@ def dichotomy_table(rows: list, dim: int) -> str:
     return "\n".join(lines)
 
 
-def _sweep_cell_config(cfg: ExperimentConfig, point: dict) -> ExperimentConfig:
-    model = cfg.model
-    grid = cfg.grid
-    solver = cfg.solver
-    initial = cfg.initial
-    if "alpha" in point:
-        model = dataclasses.replace(model, alpha=float(point["alpha"]))
-    if "kappa_im" in point:
-        model = dataclasses.replace(
-            model, kappa=complex(model.kappa.real, float(point["kappa_im"]))
-        )
-    if "points" in point:
-        grid = dataclasses.replace(grid, points=int(point["points"]))
-    if "dt" in point:
-        solver = dataclasses.replace(solver, dt=float(point["dt"]))
-    if "amplitude" in point:
-        if not isinstance(initial, Gaussian):
-            raise ValueError("amplitude axis requires gaussian initial data")
-        amplitude = complex(float(point["amplitude"]), complex(initial.amplitude).imag)
-        initial = dataclasses.replace(initial, amplitude=amplitude)
-    return dataclasses.replace(
-        cfg, kind=ExperimentKind.SINGLE, model=model, grid=grid,
-        solver=solver, initial=initial,
-    )
-
-
 def _sweep_cell(cfg: ExperimentConfig, point: dict, cell_dir: Path) -> dict:
-    """One sweep cell: run it, write its artifacts and summary.json, return its row."""
-    cell_cfg = _sweep_cell_config(cfg, point)
-    t0 = _time.perf_counter()
-    outcome = execute_single(cell_cfg, cell_dir)
-    wall = _time.perf_counter() - t0
-    summary = _summarize(cell_cfg, outcome, wall)
-    row = _classify_run(cell_cfg, outcome)
-    row["point"] = point
-    summary["verdict"] = row
-    (cell_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    return row
+    """One sweep cell: the single run of its own config; returns its verdict row."""
+    return _run_single(cfg.cell(point), cell_dir, False, point)["verdict"]
 
 
 def _cell_row(
@@ -245,14 +223,11 @@ def run_experiment(cfg: ExperimentConfig, gnuplot: bool = False) -> int:
     """Dispatch on experiment kind; returns a process exit code (0 ok, 2 fail)."""
     out_root = Path(cfg.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-    t0 = _time.perf_counter()
     if cfg.kind is ExperimentKind.SINGLE:
-        outcome = execute_single(cfg, out_root, gnuplot=gnuplot)
-        summary = _summarize(cfg, outcome, _time.perf_counter() - t0)
-        (out_root / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-        print(f"status: {outcome.status.value}  final t = {outcome.final_state.time:.6g}")
-        if outcome.blowup_time_estimate is not None:
-            print(f"blowup time estimate: {outcome.blowup_time_estimate:.10g}")
+        summary = _run_single(cfg, out_root, gnuplot, None)
+        print(f"status: {summary['status']}  final t = {summary['final_time']:.6g}")
+        if summary["blowup_time_estimate"] is not None:
+            print(f"blowup time estimate: {summary['blowup_time_estimate']:.10g}")
         return 0
     if cfg.kind is ExperimentKind.SWEEP:
         rows = execute_sweep(cfg, out_root)

@@ -313,3 +313,13 @@ def test_checkpoint_truncated_body(tmp_path):
     path.write_bytes(raw[: len(raw) - 16])  # drop the last complex sample
     with pytest.raises(ValueError, match="samples"):
         load_checkpoint(path)
+
+
+def test_checkpoint_trailing_bytes(tmp_path):
+    g = GridSpec(1, 10.0, 8)
+    st = FieldState(grid=g, values=np.ones(g.shape, complex))
+    path = tmp_path / "long.nlsf"
+    save_checkpoint(path, st, ModelParams(1, 1.0))
+    path.write_bytes(path.read_bytes() + bytes(128))  # 8 samples too many
+    with pytest.raises(ValueError, match=r"8 complex samples \(160 bytes\), got 288"):
+        load_checkpoint(path)

@@ -93,7 +93,7 @@ def test_load_config_defaults_and_types(tmp_path):
     assert cfg.initial.amplitude == 0.5 + 0.0j
     echoed = resolved_config_dict(cfg)
     assert echoed["solver"]["safety"] == 0.5
-    assert echoed["initial"]["kind"] == "Gaussian"
+    assert echoed["initial"]["kind"] == "gaussian"  # the file's own value
     assert echoed["probes"]["lambdas"] == ()
     # a list key takes a bare scalar; the echo holds the ladder the run records
     text = "confinement.times = 3\nprobes.localized_mass = true\n"
@@ -180,25 +180,15 @@ def test_checkpoints_written(tmp_path):
     assert all(f.with_suffix(f.suffix + ".meta.json").exists() for f in files)
 
 
-# summary.json["config"]: section -> keys, in order
-ECHO_KEYS = {
-    "kind": None,
-    "output_dir": None,
-    "model": ["dim", "alpha", "kappa_re", "kappa_im"],
-    "grid": ["dim", "box_length", "points"],
-    "solver": [
-        "dt", "t_end", "safety", "blowup_linf_threshold", "blowup_dt_floor",
-        "diagnostics_cadence", "spectral_filter",
-    ],
-    "initial": ["kind", "amplitude", "width", "center"],
-    "probes": [
-        "median_radius", "weighted_l2", "localized_mass", "scatter",
-        "checkpoint_every", "lambdas",
-    ],
-    "sweep": ["axes", "cap"],
-    "pct": ["t_star"],
-    "confinement": ["times"],
-}
+def flat_echo(echo: dict) -> dict:
+    """summary.json's config block as dotted key -> value."""
+    flat = {}
+    for key, value in echo.items():
+        if isinstance(value, dict):
+            flat.update({f"{key}.{name}": v for name, v in value.items()})
+        else:
+            flat[key] = value
+    return flat
 
 
 def test_sweep_runs_and_dichotomy_table(tmp_path):
@@ -216,10 +206,10 @@ def test_sweep_runs_and_dichotomy_table(tmp_path):
     assert {r["alpha"] for r in rows} == {1.0, 3.0}
     for i, row in enumerate(rows):  # each cell echoes its own values
         echo = json.loads((out / f"run_{i:04d}" / "summary.json").read_text())["config"]
-        shape = [(k, list(v) if isinstance(v, dict) else None) for k, v in echo.items()]
-        assert shape == list(ECHO_KEYS.items())
+        assert list(flat_echo(echo)) == list(TABLE)  # sectioned by dotted prefix
         assert echo["model"]["alpha"] == row["point"]["alpha"]
-        assert echo["initial"]["amplitude"] == [0.25, 0.0]
+        assert echo["initial"]["amplitude_re"] == 0.25
+        assert echo["kind"] == "single" and echo["sweep"]["alpha"] is None
         assert echo["grid"]["points"] == 128 and echo["solver"]["dt"] == 0.02
     table = dichotomy_table(rows, dim=1)
     assert "alpha" in table and "classification" in table
@@ -237,7 +227,51 @@ def test_sweep_amplitude_axis_keeps_the_imaginary_part(tmp_path):
     )
     execute_sweep(load_config(write_config(tmp_path, text)), out)
     summary = json.loads((out / "run_0000" / "summary.json").read_text())
-    assert summary["config"]["initial"]["amplitude"] == [0.5, 0.4]
+    assert summary["config"]["initial"]["amplitude_re"] == 0.5
+    assert summary["config"]["initial"]["amplitude_im"] == 0.4
+
+
+def test_echo_reruns_to_the_same_artifacts(tmp_path, capsys):
+    # a single run and every cell of a 2x2 sweep, written back as config files
+    text = BASE_CONFIG.format(out=tmp_path / "single") + (
+        "initial.amplitude_im = 0.1\nprobes.localized_mass = true\n"
+        "probes.scatter = true\nprobes.checkpoint_every = 10\n"
+    )
+    assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 0
+    text = text.replace("single", "sweep") + (
+        "sweep.alpha = [1.0, 3.0]\nsweep.amplitude = [0.25, 0.5]\n"
+    )
+    assert main(["sweep", "--config", str(write_config(tmp_path, text))]) == 0
+    runs = [tmp_path / "single", *sorted((tmp_path / "sweep").glob("run_*"))]
+    assert len(runs) == 5
+    for i, run in enumerate(runs):
+        echo = json.loads((run / "summary.json").read_text())["config"]
+        keys = {**flat_echo(echo), "output_dir": str(tmp_path / f"rerun{i}")}
+        lines = [f"{k} = {v if isinstance(v, str) else json.dumps(v)}"
+                 for k, v in keys.items() if v is not None]
+        path = write_config(tmp_path, "\n".join(lines) + "\n", name=f"rerun{i}.cfg")
+        assert main(["simulate", "--config", str(path)]) == 0
+        rerun = tmp_path / f"rerun{i}"
+        files = ["trace.csv", *(f.name for f in run.glob("checkpoint_*.nlsf"))]
+        assert len(files) == 4
+        for name in files:
+            assert (rerun / name).read_bytes() == (run / name).read_bytes(), (run, name)
+        again = json.loads((rerun / "summary.json").read_text())["config"]
+        assert {**again, "output_dir": None} == {**echo, "output_dir": None}
+    capsys.readouterr()
+
+
+def test_sweep_amplitude_needs_gaussian_data(tmp_path, capsys):
+    text = (
+        BASE_CONFIG.format(out=tmp_path / "o").replace("kind = single", "kind = sweep")
+        .replace("initial.kind = gaussian", "initial.kind = plane_wave")
+        + "initial.mode_index = [3]\n"
+        + "sweep.amplitude = [0.5]\n"
+    )
+    assert main(["sweep", "--config", str(write_config(tmp_path, text))]) == 1
+    err = capsys.readouterr().err
+    assert err == "configuration error: sweep.amplitude requires initial.kind = gaussian\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_failed_cell_keeps_the_others(tmp_path, capsys):
@@ -254,7 +288,7 @@ def test_sweep_failed_cell_keeps_the_others(tmp_path, capsys):
     assert (out / "run_0000" / "trace.csv").exists()
     assert (out / "run_0000" / "summary.json").exists()
     assert bad["classification"] == "Failed"
-    assert bad["error"] == "ValueError: points must be a power of two >= 8, got 100"
+    assert bad["error"] == "ConfigError: grid: points must be a power of two >= 8, got 100"
     assert all(bad[k] is None for k in ("status", "fitted_slope", "h1_final"))
     table = (out / "dichotomy.txt").read_text()
     assert "Failed" in table and "got 100" in table
@@ -342,6 +376,21 @@ def test_cli_oracle_with_trace(tmp_path, capsys):
     lines = trace.read_text().splitlines()
     assert lines[0] == "t,abs_z,arg_z"
     assert len(lines) == 202
+
+
+def test_cli_oracle_trace_past_double_range(tmp_path, capsys):
+    # the blowup time overflows to inf: the trace spans the global window 10 t0
+    trace = tmp_path / "z.csv"
+    rc = main([
+        "oracle", "--kappa-im", "-1", "--alpha", "1", "--dim", "1",
+        "--t0", "1", "--z0", "1e-300", "--trace", str(trace),
+    ])
+    assert rc == 0
+    assert "blowup_time: inf" in capsys.readouterr().out
+    lines = trace.read_text().splitlines()
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert rows.shape == (201, 3) and np.isfinite(rows).all()
+    assert rows[-1, 0] == 10.0
 
 
 def test_cli_simulate_and_exit_codes(tmp_path, capsys):
@@ -471,7 +520,7 @@ def test_sweep_dt_below_floor_is_a_failed_row(tmp_path, capsys):
     good, bad = json.loads((out / "sweep_rows.json").read_text())
     assert good["status"] == "ReachedTEnd"
     assert bad["classification"] == "Failed" and bad["status"] is None
-    assert bad["error"] == "ValueError: dt=1e-13 is below blowup_dt_floor=1e-12"
+    assert bad["error"] == "ConfigError: solver: dt=1e-13 is below blowup_dt_floor=1e-12"
     capsys.readouterr()
 
 
