@@ -502,10 +502,14 @@ CRITERIA: list = [
 
 
 def run_criterion(number: int) -> CriterionResult:
+    """Run one criterion and time it; a crashed criterion is a failed one."""
     for num, name, fn in CRITERIA:
         if num == number:
             t0 = time.perf_counter()
-            passed, details = fn()
+            try:
+                passed, details = fn()
+            except Exception as exc:
+                passed, details = False, f"exception: {exc!r}"
             return CriterionResult(num, name, passed, details, time.perf_counter() - t0)
     raise KeyError(f"no criterion {number}")
 
@@ -513,15 +517,10 @@ def run_criterion(number: int) -> CriterionResult:
 def run_acceptance_suite(name_filter: Optional[str] = None) -> list:
     """Run and print every criterion whose name contains name_filter."""
     results = []
-    for num, name, fn in CRITERIA:
+    for num, name, _ in CRITERIA:
         if name_filter and name_filter.lower() not in name.lower():
             continue
-        t0 = time.perf_counter()
-        try:
-            passed, details = fn()
-        except Exception as exc:  # a crashed criterion is a failed criterion
-            passed, details = False, f"exception: {exc!r}"
-        res = CriterionResult(num, name, passed, details, time.perf_counter() - t0)
+        res = run_criterion(num)
         results.append(res)
         print(res.line(), flush=True)
     if results:

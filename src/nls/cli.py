@@ -13,7 +13,6 @@ import math
 import sys
 
 from . import __version__
-from .config import ExperimentKind, load_config
 from .exponents import (
     ModelParams,
     critical_exponents,
@@ -140,6 +139,8 @@ def main(argv=None) -> int:
                 return EXIT_CONFIG
             return EXIT_OK if all(r.passed for r in results) else EXIT_ACCEPT
         # config-file commands; simulate runs the kind the file names
+        from .config import ExperimentKind, load_config
+
         kind = {
             "simulate": None,
             "sweep": ExperimentKind.SWEEP,

@@ -18,7 +18,7 @@ exact discrete L2 isometry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .exponents import ModelParams
@@ -121,12 +121,7 @@ class EquivalenceReport:
             "t_star": self.t_star,
             "s_star": self.s_star,
             "l2_discrepancy": self.l2_discrepancy,
-            "grids": {
-                "v": {"dim": self.v_grid.dim, "box_length": self.v_grid.box_length,
-                      "points": self.v_grid.points},
-                "u": {"dim": self.u_grid.dim, "box_length": self.u_grid.box_length,
-                      "points": self.u_grid.points},
-            },
+            "grids": {"v": asdict(self.v_grid), "u": asdict(self.u_grid)},
             "dt": self.dt,
             "path_a_status": self.path_a_status,
             "path_b_status": self.path_b_status,

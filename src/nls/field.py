@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Union
@@ -383,7 +383,7 @@ def save_checkpoint(
         np.ascontiguousarray(state.values, dtype="<c16").tofile(f)
     meta = {
         "time": state.time,
-        "grid": {"dim": g.dim, "box_length": g.box_length, "points": g.points},
+        "grid": asdict(g),
         "model": {
             "dim": model.dim,
             "alpha": model.alpha,

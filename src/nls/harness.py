@@ -221,8 +221,7 @@ def execute_sweep(cfg: ExperimentConfig, out_root: Path) -> list:
 
 def run_experiment(cfg: ExperimentConfig, gnuplot: bool = False) -> int:
     """Dispatch on experiment kind; returns a process exit code (0 ok, 2 fail)."""
-    out_root = Path(cfg.output_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
+    out_root = Path(cfg.output_dir)  # created only once there is a result to write
     if cfg.kind is ExperimentKind.SINGLE:
         summary = _run_single(cfg, out_root, gnuplot, None)
         print(f"status: {summary['status']}  final t = {summary['final_time']:.6g}")
@@ -232,6 +231,7 @@ def run_experiment(cfg: ExperimentConfig, gnuplot: bool = False) -> int:
     if cfg.kind is ExperimentKind.SWEEP:
         rows = execute_sweep(cfg, out_root)
         table = dichotomy_table(rows, cfg.model.dim)
+        out_root.mkdir(parents=True, exist_ok=True)
         (out_root / "dichotomy.txt").write_text(table + "\n")
         (out_root / "sweep_rows.json").write_text(json.dumps(rows, indent=2) + "\n")
         print(table)
@@ -240,6 +240,7 @@ def run_experiment(cfg: ExperimentConfig, gnuplot: bool = False) -> int:
         report = equivalence_experiment(
             cfg.initial, cfg.grid, cfg.model, cfg.solver, cfg.pct_t_star
         )
+        out_root.mkdir(parents=True, exist_ok=True)
         (out_root / "pct_report.json").write_text(
             json.dumps(report.as_dict(), indent=2) + "\n"
         )
@@ -254,6 +255,7 @@ def run_experiment(cfg: ExperimentConfig, gnuplot: bool = False) -> int:
         payload = {
             k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(rep).items()
         }
+        out_root.mkdir(parents=True, exist_ok=True)
         (out_root / "confinement.json").write_text(json.dumps(payload, indent=2) + "\n")
         print(
             f"confinement: max violation {rep.max_violation:.3e}, "

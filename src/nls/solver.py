@@ -34,14 +34,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.fft
 
 from .diagnostics import DiagnosticTrace, ProbeSet, TraceRecorder
 from .exponents import ModelParams
-from .field import FieldState, apply_multiplier, free_multiplier, l2_norm
+from .field import FieldState, apply_multiplier, free_multiplier
 from .oracle import SubstepBlowupError, nonlinear_flow
 
 # relative margin between the L2 bound and the sup-norm threshold
@@ -231,41 +231,3 @@ def run(
     return RunOutcome(
         status, state, estimate, rec.trace(), checkpoints, accepted, rejected
     )
-
-
-def duhamel_residual(states: Sequence[FieldState], model: ModelParams) -> float:
-    """Relative L2 mismatch of the integral form of the equation.
-
-    The right side e^{i t Lap} u0 + i kappa int_0^t e^{i(t-s) Lap}
-    (|u|^a u)(s) ds is evaluated by composite Simpson quadrature over
-    uniformly spaced stored checkpoints; the result measures integration
-    quality, O(dt^2) plus quadrature error in smooth regimes.
-    """
-    import scipy.integrate
-
-    if len(states) < 3:
-        raise ValueError("need at least three checkpoints")
-    times = np.array([s.time for s in states])
-    gaps = np.diff(times)
-    if np.any(gaps <= 0):
-        raise ValueError("checkpoint times must increase")
-    if np.max(np.abs(gaps - gaps[0])) > 1e-9 * gaps[0]:
-        raise ValueError("checkpoints must be uniformly spaced")
-    g = states[0].grid
-    t_n = times[-1]
-    al = model.alpha
-
-    def propagate_to_end(vals: np.ndarray, t_from: float) -> np.ndarray:
-        uk = scipy.fft.fftn(vals)
-        apply_multiplier(uk, free_multiplier(g, t_n - t_from), out=uk)
-        return scipy.fft.ifftn(uk, overwrite_x=True)
-
-    integrand = np.empty((len(states),) + g.shape, dtype=np.complex128)
-    for i, s in enumerate(states):
-        m2 = s.values.real**2 + s.values.imag**2
-        nl = m2 ** (al / 2.0) * s.values
-        integrand[i] = propagate_to_end(nl, s.time)
-    integral = scipy.integrate.simpson(integrand, x=times, axis=0)
-    rhs = propagate_to_end(states[0].values, times[0]) + 1j * model.kappa * integral
-    diff = states[-1].with_values(states[-1].values - rhs)
-    return l2_norm(diff) / l2_norm(states[-1])

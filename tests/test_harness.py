@@ -510,6 +510,25 @@ def test_cli_dt_below_floor_is_config_error(tmp_path, capsys):
     assert "Traceback" not in err and not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "kind,box,message",
+    [
+        ("linear-confinement", "40.0", "confinement radius a t = 22.63 exceeds box half-length"),
+        ("pct-check", "400.0", "quadratic phase under-resolved"),
+    ],
+)
+def test_cli_run_time_config_error_leaves_no_output(tmp_path, capsys, kind, box, message):
+    text = (
+        BASE_CONFIG.format(out=tmp_path / "o")
+        .replace("kind = single", f"kind = {kind}")
+        .replace("grid.box_length = 40.0", f"grid.box_length = {box}")
+    )
+    assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message}")
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
 def test_sweep_dt_below_floor_is_a_failed_row(tmp_path, capsys):
     out = tmp_path / "sweep_floor"
     text = (

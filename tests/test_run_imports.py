@@ -1,10 +1,13 @@
-"""A run imports numpy and scipy.fft only.
+"""A run imports numpy and scipy.fft only; a command that runs no FFT
+imports neither.
 
 scipy.integrate (and the scipy.optimize, scipy.linalg and scipy.sparse it
 pulls in) costs every CLI call about a third of its start-up time and
-resident memory; only `nls accept`, duhamel_residual and the quadrature
-check of the cutoff norms use it.  The check runs in a fresh interpreter,
-since the test session itself has imported scipy.integrate.
+resident memory; only `nls accept` and the quadrature check of the cutoff
+norms use it.  `nls --version`, `nls exponents` and `nls oracle` are
+arithmetic: they load nls.exponents, nls.oracle and numpy, and not
+scipy.fft, which is most of a run's start-up time.  The checks run in a
+fresh interpreter, since the test session itself has imported scipy.
 """
 
 import os
@@ -49,15 +52,44 @@ assert "scipy.integrate" not in sys.modules, "scipy.integrate imported by a run"
 """
 
 
-def test_run_path_does_not_import_scipy_integrate(tmp_path):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(CONFIG.format(out=tmp_path / "out"))
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(cfg)],
+ARITHMETIC_SCRIPT = """
+import sys
+
+from nls.cli import main
+
+try:
+    main(["--version"])
+except SystemExit as exc:
+    assert exc.code == 0
+assert main(["exponents", "--dim", "7", "--alpha", "0.55"]) == 0
+assert main(["oracle", "--kappa-im", "-1", "--alpha", "1", "--dim", "2",
+             "--t0", "1", "--z0", "1", "--trace", sys.argv[1]]) == 0
+loaded = [m for m in ("scipy.fft", "nls.field", "nls.solver", "nls.config")
+          if m in sys.modules]
+assert not loaded, f"imported by an arithmetic command: {loaded}"
+"""
+
+
+def run_fresh(script, *args):
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_run_path_does_not_import_scipy_integrate(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CONFIG.format(out=tmp_path / "out"))
+    proc = run_fresh(SCRIPT, cfg)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "trace.csv").exists()
+
+
+def test_arithmetic_commands_do_not_import_the_fft_stack(tmp_path):
+    proc = run_fresh(ARITHMETIC_SCRIPT, tmp_path / "z.csv")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("nls ")
+    assert (tmp_path / "z.csv").exists()

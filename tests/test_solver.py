@@ -18,7 +18,6 @@ from nls.oracle import nonlinear_flow
 from nls.solver import (
     RunStatus,
     SolverConfig,
-    duhamel_residual,
     run,
     step,
 )
@@ -195,61 +194,6 @@ def test_solver_config_validation():
         SolverConfig(dt=0.1, t_end=1.0, diagnostics_cadence=0)
     with pytest.raises(ValueError, match="blowup_dt_floor"):
         SolverConfig(dt=1e-13, t_end=1.0)  # below the default floor 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Duhamel residual
-
-
-def checkpointed_run(model, cfg, st, every):
-    probes = ProbeSet(median_radius=False, weighted_l2=False,
-                      store_states_every=every)
-    return run(st, model, cfg, probes=probes)
-
-
-def test_duhamel_zero_kappa():
-    g = GridSpec(1, 40.0, 512)
-    model = ModelParams(1, 2.0, 0.0 + 0.0j)
-    st = make_initial(g, Gaussian(1.0, 1.0))
-    cfg = SolverConfig(dt=1e-2, t_end=0.5, diagnostics_cadence=QUIET)
-    out = checkpointed_run(model, cfg, st, every=5)
-    assert len(out.checkpoints) >= 3
-    assert duhamel_residual(out.checkpoints, model) < 1e-12
-
-
-def test_duhamel_second_order_on_gaussian():
-    g = GridSpec(1, 40.0, 512)
-    model = ModelParams(1, 2.0, -1j)
-    st = make_initial(g, Gaussian(1.0, 1.0))
-    res = []
-    for dt, every in ((4e-3, 2), (2e-3, 4)):
-        cfg = SolverConfig(dt=dt, t_end=0.4, diagnostics_cadence=QUIET)
-        out = checkpointed_run(model, cfg, st, every=every)
-        res.append(duhamel_residual(out.checkpoints, model))
-    # same checkpoint spacing, halved dt: the solver's O(dt^2) term dominates
-    assert res[0] / res[1] == pytest.approx(4.0, rel=0.35)
-
-
-def test_duhamel_smooth_blowup_window():
-    # constant data stopped before t* = 0.5: smooth regime, small residual
-    g = GridSpec(1, 1.0, 16)
-    model = ModelParams(1, 2.0, -1j)
-    st = make_initial(g, PlaneWave(1.0, (0,)))
-    cfg = SolverConfig(dt=1e-4, t_end=0.4, diagnostics_cadence=QUIET)
-    out = checkpointed_run(model, cfg, st, every=100)
-    assert duhamel_residual(out.checkpoints, model) < 1e-4
-
-
-def test_duhamel_input_validation():
-    g = GridSpec(1, 10.0, 64)
-    model = ModelParams(1, 2.0, -1j)
-    st = make_initial(g, Gaussian(0.5, 1.0))
-    s1 = linear_propagate(st, 0.1)
-    with pytest.raises(ValueError):
-        duhamel_residual([st, s1], model)  # fewer than 3
-    s2 = linear_propagate(st, 0.15)
-    with pytest.raises(ValueError):
-        duhamel_residual([st, s1, s2], model)  # non-uniform spacing
 
 
 def test_spectral_tail_resolution_criterion():
