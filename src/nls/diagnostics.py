@@ -20,9 +20,9 @@ from .exponents import ModelParams
 from .field import (
     FieldState,
     GridSpec,
+    abs_lp_norm,
     apply_multiplier,
     free_multiplier,
-    lp_norm,
     radial_shells,
     shell_mass,
     spectral_sq,
@@ -285,13 +285,15 @@ class TraceRecorder:
             self._wk_prev = wk
         del uk
         shells = shell_mass(state.values, g)
+        absu = np.abs(state.values)
+        linf = float(np.max(absu))
         row = (
             state.time,
             math.sqrt(float(np.sum(shells)) * g.spacing**g.dim),
-            lp_norm(state, self.model.alpha + 2.0),
+            abs_lp_norm(absu, self.model.alpha + 2.0, g),  # overwrites absu
             grad,
             self.K_t,
-            float(np.max(np.abs(state.values))),
+            linf,
             _median_radius(shells, g) if p.median_radius else math.nan,
             math.sqrt(weighted_sq(shells, g)) if p.weighted_l2 else math.nan,
             scatter,

@@ -95,8 +95,8 @@ def _wavenumbers(box_length: float, points: int) -> np.ndarray:
     return kd
 
 
-def free_multiplier(grid: GridSpec, t: float, filtered: bool = False) -> tuple:
-    """exp(-i |k|^2 t), times the exponential filter when `filtered`.
+def free_multiplier(grid: GridSpec, t: float) -> tuple:
+    """exp(-i |k|^2 t).
 
     The multiplier is separable (exp(-i|k|^2 t) = prod_d exp(-i k_d^2 t)) and
     is returned as two factors: one over the trailing N-1 axes (M^(N-1)
@@ -104,8 +104,6 @@ def free_multiplier(grid: GridSpec, t: float, filtered: bool = False) -> tuple:
     array is built.
     """
     f = np.exp(-1j * axis_wavenumbers(grid.box_length, grid.points) ** 2 * t)
-    if filtered:
-        f *= exponential_filter(grid.points)
     trailing = f
     for _ in range(grid.dim - 2):
         trailing = np.multiply.outer(f, trailing)
@@ -224,21 +222,6 @@ def spectral_tail_fraction(state: FieldState) -> float:
     return float(np.sum(power[mask])) / total if total > 0 else 0.0
 
 
-@lru_cache(maxsize=32)
-def exponential_filter(points: int) -> np.ndarray:
-    """Smooth high-order exponential filter exp(-36 (|k_d|/k_max)^36) of one axis.
-
-    The N-D filter is the product of this profile over the axes.  Optional
-    stress-run smoothing; off by default since the split-step with exact
-    substeps needs no stabilization on resolved fields.
-    """
-    m = points
-    eta = np.abs(np.fft.fftfreq(m, d=1.0 / m)) / (m / 2)
-    f1d = np.exp(-36.0 * eta**36)
-    f1d.flags.writeable = False
-    return f1d
-
-
 def gradient_norm(state: FieldState) -> float:
     """L2 norm of the gradient, evaluated spectrally (Parseval-consistent)."""
     return math.sqrt(spectral_sq(scipy.fft.fftn(state.values), state.grid)[1])
@@ -255,9 +238,13 @@ def l2_norm(state: FieldState) -> float:
 def lp_norm(state: FieldState, p: float) -> float:
     if p < 1:
         raise ValueError("p must be >= 1")
-    g = state.grid
-    absu = np.abs(state.values)
-    return float(np.sum(absu**p) * g.spacing**g.dim) ** (1.0 / p)
+    return abs_lp_norm(np.abs(state.values), p, state.grid)
+
+
+def abs_lp_norm(absu: np.ndarray, p: float, grid: GridSpec) -> float:
+    """L^p norm from absu = |u|, which is raised to the p-th power in place."""
+    absu **= p
+    return float(np.sum(absu) * grid.spacing**grid.dim) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

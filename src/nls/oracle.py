@@ -116,36 +116,60 @@ def classify(p: SelfSimilarParams) -> Classification:
     return Classification.FINITE_TIME_BLOWUP
 
 
-def nonlinear_flow(values: np.ndarray, model: ModelParams, dt: float) -> np.ndarray:
+def nonlinear_flow(
+    values: np.ndarray, model: ModelParams, dt: float, overwrite_x: bool = False
+) -> np.ndarray:
     """Exact flow of u_t = i kappa |u|^alpha u over time dt, elementwise.
 
     Modulus: m(dt) = (m0^-alpha + alpha Im(kappa) dt)^(-1/alpha).
     Phase increment: Re(kappa)/(alpha Im(kappa)) * log(1 + alpha Im(kappa)
     m0^alpha dt), degenerating to Re(kappa) m0^alpha dt when Im(kappa) = 0.
     Zero entries are fixed points.  Raises SubstepBlowupError if the bracket
-    1 + alpha Im(kappa) m0^alpha dt is nonpositive anywhere.  Always returns
-    a new array.
+    1 + alpha Im(kappa) m0^alpha dt is nonpositive anywhere.
 
+    Returns a new complex128 array, advanced in place by _flow_in_place.
+    With overwrite_x (the scipy.fft idiom) a complex128 values is advanced
+    and returned itself; the split-step chain passes the buffer its inverse
+    FFT returned.
+    """
+    values = np.array(values, dtype=np.complex128, copy=None if overwrite_x else True)
+    return _flow_in_place(values, model, dt)
+
+
+def _flow_in_place(values: np.ndarray, model: ModelParams, dt: float) -> np.ndarray:
+    """nonlinear_flow on a complex128 values, overwriting and returning it.
+
+    One real buffer holds |u|^2, then |u|^alpha, then the bracket, then its
+    power; values is written only after the bracket check, so a
+    SubstepBlowupError leaves it unchanged.  kappa = 0 leaves values as is.
     Re(kappa) = 0 (the phase increment vanishes) scales by the real modulus
     factor with no log or complex exp.  Otherwise modulus and phase come
     from one complex power of the bracket.
     """
     al = model.alpha
     kr, ki = model.kappa.real, model.kappa.imag
-    values = np.asarray(values, dtype=np.complex128)
-    m2 = values.real**2 + values.imag**2
-    ma = m2 ** (al / 2.0)  # |u|^alpha, exactly 0 at u = 0 since alpha > 0
+    if kr == 0.0 and ki == 0.0:
+        return values
+    m = np.square(values.real)
+    m += np.square(values.imag)
+    m **= al / 2.0  # |u|^alpha, exactly 0 at u = 0 since alpha > 0
     if ki == 0.0:
-        return values * np.exp(1j * (kr * dt) * ma)
-    bracket = ma * (al * ki * dt)
-    bracket += 1.0
-    if np.min(bracket) <= 0.0:
+        phase = np.multiply(1j * (kr * dt), m)
+        values *= np.exp(phase, out=phase)
+        return values
+    m *= al * ki * dt
+    m += 1.0
+    if np.min(m) <= 0.0:
         raise SubstepBlowupError(
-            f"nonlinear substep blowup: min bracket {np.min(bracket):.3e} at dt={dt:.3e}"
+            f"nonlinear substep blowup: min bracket {np.min(m):.3e} at dt={dt:.3e}"
         )
     if kr != 0.0:
-        return values * np.exp(np.log(bracket) * complex(-1.0 / al, kr / (al * ki)))
-    return values * bracket ** (-1.0 / al)
+        power = np.multiply(np.log(m, out=m), complex(-1.0 / al, kr / (al * ki)))
+        values *= np.exp(power, out=power)
+        return values
+    m **= -1.0 / al
+    values *= m
+    return values
 
 
 def reduced_rhs(t: float, z: np.ndarray, p: SelfSimilarParams) -> np.ndarray:

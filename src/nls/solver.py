@@ -11,10 +11,14 @@ chain carries p = F[w], the spectrum of the last nonlinear output, and
 leaves the trailing half-step of the last accepted step pending.  The next
 step multiplies p once by its own leading half-step times the pending one,
 then runs one inverse FFT, the nonlinear substep and one forward FFT: two
-FFTs per step instead of four.  The physical state ifftn(pending * p) is
-rebuilt only where it is read: trace rows, stored states, store_at_times
-targets, t_end, the blowup return, and step() (a chain of one step).  A
-rejected step leaves p and the pending half-step alone; only dt changes.
+FFTs per step instead of four.  That product q is the step's one new field
+array: the inverse FFT, the nonlinear substep and the forward FFT all
+overwrite it, and it becomes the next p.  The substep adds one real buffer
+(|u|^2, then its powers), and a complex one only when Re(kappa) != 0.
+The physical state ifftn(pending * p) is rebuilt only where it is read:
+trace rows, stored states, store_at_times targets, t_end, the blowup
+return, and step() (a chain of one step).  A rejected step leaves p and
+the pending half-step alone; only dt changes.
 The |k|^2 multipliers are separable (exp(-i|k|^2 t) = prod_d exp(-i k_d^2 t))
 and are never stored as dense N-D arrays.
 
@@ -62,7 +66,6 @@ class SolverConfig:
     blowup_linf_threshold: float = 1e6
     blowup_dt_floor: float = 1e-12
     diagnostics_cadence: int = 1
-    spectral_filter: bool = False  # smooth exponential filter, stress runs only
 
     def __post_init__(self):
         if not 0 < self.dt <= self.t_end:
@@ -93,30 +96,25 @@ class RunOutcome:
 class _StrangChain:
     """Strang steps chained in Fourier space (see the module docstring).
 
-    The pending trailing half-step is exp(-i |k|^2 tau), times the filter
-    when `filtered`; p and the pending half-step together stand for the
-    physical state at `time`.
+    The pending trailing half-step is exp(-i |k|^2 tau); p and the pending
+    half-step together stand for the physical state at `time`.
     """
 
-    def __init__(
-        self, state0: FieldState, p0: np.ndarray, spectral_filter: bool = False
-    ):
+    def __init__(self, state0: FieldState, p0: np.ndarray):
         self._grid = state0.grid
-        self._spectral_filter = spectral_filter
         self._factors: dict = {}
         self.p = p0  # F[state0.values]; the chain owns it
         self.time = state0.time
-        self._tau, self._filtered = 0.0, False
+        self._tau = 0.0
         self._state: Optional[FieldState] = state0  # physical state, once built
 
-    def _times(self, spec: np.ndarray, tau: float, filtered: bool) -> np.ndarray:
-        """New array spec * exp(-i |k|^2 tau) (times the filter if filtered)."""
-        key = (tau, filtered)
-        if key not in self._factors:
+    def _times(self, spec: np.ndarray, tau: float) -> np.ndarray:
+        """New array spec * exp(-i |k|^2 tau)."""
+        if tau not in self._factors:
             if len(self._factors) >= _MAX_CACHED_FACTORS:
                 self._factors.clear()
-            self._factors[key] = free_multiplier(self._grid, tau, filtered)
-        return apply_multiplier(spec, self._factors[key])
+            self._factors[tau] = free_multiplier(self._grid, tau)
+        return apply_multiplier(spec, self._factors[tau])
 
     def advance(
         self, model: ModelParams, dt: float, linf_max: Optional[float] = None
@@ -127,21 +125,23 @@ class _StrangChain:
         norm exceeds linf_max; raises SubstepBlowupError (chain unchanged)
         when the nonlinear bracket fails.
         """
-        q = self._times(self.p, dt / 2 + self._tau, self._filtered)
-        w = nonlinear_flow(scipy.fft.ifftn(q, overwrite_x=True), model, dt)
+        q = self._times(self.p, dt / 2 + self._tau)
+        w = nonlinear_flow(
+            scipy.fft.ifftn(q, overwrite_x=True), model, dt, overwrite_x=True
+        )
         # L2 bound on the new sup norm; needs w before the FFT overwrites it
         bounded = linf_max is None or (
             np.vdot(w, w).real <= (linf_max * _BOUND_MARGIN) ** 2
         )
         p = scipy.fft.fftn(w, overwrite_x=True)
-        tau, filtered = dt / 2, self._spectral_filter
+        tau = dt / 2
         state = None
         if not bounded:
-            u = scipy.fft.ifftn(self._times(p, tau, filtered), overwrite_x=True)
+            u = scipy.fft.ifftn(self._times(p, tau), overwrite_x=True)
             if not float(np.max(np.abs(u))) <= linf_max:
                 return False
             state = FieldState(self._grid, u, self.time + dt)
-        self.p, self._tau, self._filtered = p, tau, filtered
+        self.p, self._tau = p, tau
         self.time += dt
         self._state = state
         return True
@@ -149,9 +149,7 @@ class _StrangChain:
     def state(self) -> FieldState:
         """The physical state at self.time, rebuilt at most once per step."""
         if self._state is None:
-            u = scipy.fft.ifftn(
-                self._times(self.p, self._tau, self._filtered), overwrite_x=True
-            )
+            u = scipy.fft.ifftn(self._times(self.p, self._tau), overwrite_x=True)
             self._state = FieldState(self._grid, u, self.time)
         return self._state
 
@@ -187,7 +185,7 @@ def run(
     accepted = rejected = 0
     checkpoints = []
     # the first row and the chain share one FFT of state0
-    chain = _StrangChain(state0, rec.record(state0, spectrum=True), cfg.spectral_filter)
+    chain = _StrangChain(state0, rec.record(state0, spectrum=True))
     targets = sorted({t for t in probes.store_at_times if t > state0.time + 1e-15})
     if probes.store_states_every or probes.store_at_times:
         checkpoints.append(state0)

@@ -105,8 +105,8 @@ def test_load_config_defaults_and_types(tmp_path):
 
 @pytest.mark.parametrize("line", [
     "probes.scatter = no",
-    "solver.spectral_filter = off",
-    "solver.spectral_filter = 1",
+    "probes.median_radius = off",
+    "probes.weighted_l2 = 1",
     "solver.diagnostics_cadence = 2.5",
     "probes.checkpoint_every = 1.9",
     "model.alpha = true",
@@ -474,13 +474,6 @@ def test_worker_count_env(monkeypatch):
 def test_cli_accept_no_match_is_config_error(capsys):
     assert main(["accept", "--filter", "zzz-no-such-criterion"]) == 1
     capsys.readouterr()
-
-
-def test_spectral_filter_config_roundtrip(tmp_path):
-    text = BASE_CONFIG.format(out=tmp_path / "o") + "solver.spectral_filter = true\n"
-    cfg = load_config(write_config(tmp_path, text))
-    assert cfg.solver.spectral_filter
-    assert resolved_config_dict(cfg)["solver"]["spectral_filter"] is True
 
 
 def test_gnuplot_script_emitted(tmp_path):

@@ -11,6 +11,7 @@ from nls.oracle import (
     PastBlowupError,
     SelfSimilarParams,
     SubstepBlowupError,
+    _flow_in_place,
     blowup_time,
     classify,
     nonlinear_flow,
@@ -294,3 +295,74 @@ def test_flow_branches_match_closed_form(alpha, kappa):
     got = nonlinear_flow(vals, ModelParams(1, alpha, kappa), dt)
     assert got is not vals
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+
+def out_of_place_flow(values, model, dt):
+    """The substep as a chain of new arrays, as written before _flow_in_place."""
+    al = model.alpha
+    kr, ki = model.kappa.real, model.kappa.imag
+    ma = (values.real**2 + values.imag**2) ** (al / 2.0)
+    if ki == 0.0:
+        return values * np.exp(1j * (kr * dt) * ma)
+    bracket = ma * (al * ki * dt)
+    bracket += 1.0
+    if np.min(bracket) <= 0.0:
+        raise SubstepBlowupError("bracket")
+    if kr != 0.0:
+        return values * np.exp(np.log(bracket) * complex(-1.0 / al, kr / (al * ki)))
+    return values * bracket ** (-1.0 / al)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def flow_data():
+    rng = np.random.default_rng(11)
+    vals = 0.4 * (rng.standard_normal(257) + 1j * rng.standard_normal(257))
+    vals[:4] = [0.0, -0.0, complex(-0.0, 0.0), 1e-300]
+    return vals
+
+
+# kappa = 0, Re and Im nonzero, Im = 0, Re = 0
+KAPPAS = [0j, complex(0.7, -0.9), complex(1.3, 0.0), complex(0.0, -1.0)]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_in_place_flow_is_bit_equal(alpha, kappa):
+    vals, model, dt = flow_data(), ModelParams(1, alpha, kappa), 0.02
+    buf = vals.copy()
+    got = _flow_in_place(buf, model, dt)
+    assert got is buf
+    assert np.array_equal(bits(got), bits(nonlinear_flow(vals, model, dt)))
+    if kappa == 0:
+        # the identity: the old kernel's exp(0) factor changed at most zero signs
+        assert np.array_equal(bits(got), bits(vals))
+        assert np.array_equal(got, out_of_place_flow(vals, model, dt))
+    else:
+        assert np.array_equal(bits(got), bits(out_of_place_flow(vals, model, dt)))
+
+
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_nonlinear_flow_never_mutates_its_input(kappa):
+    vals = flow_data()
+    before = vals.copy()
+    out = nonlinear_flow(vals, ModelParams(1, 1.0, kappa), 0.05)
+    assert out is not vals and not np.shares_memory(out, vals)
+    assert np.array_equal(bits(vals), bits(before))
+    real = np.linspace(-1.0, 1.0, 9)  # converted to complex, never written back
+    assert nonlinear_flow(real, ModelParams(1, 1.0, kappa), 0.05).dtype == np.complex128
+    assert np.array_equal(real, np.linspace(-1.0, 1.0, 9))
+    # overwrite_x hands a complex128 buffer to the in-place flow
+    assert nonlinear_flow(vals, ModelParams(1, 1.0, kappa), 0.05, overwrite_x=True) is vals
+
+
+@pytest.mark.parametrize("kappa", KAPPAS[1::2])
+def test_substep_blowup_leaves_the_buffer_unchanged(kappa):
+    vals = flow_data()
+    vals[-1] = 10.0  # 1 - alpha |u|^alpha dt < 0 here
+    buf = vals.copy()
+    with pytest.raises(SubstepBlowupError):
+        _flow_in_place(buf, ModelParams(1, 1.0, kappa), 0.5)
+    assert np.array_equal(bits(buf), bits(vals))

@@ -207,26 +207,6 @@ def test_spectral_tail_resolution_criterion():
     assert spectral_tail_fraction(out.final_state) < 1e-8
 
 
-def test_spectral_filter_flag():
-    from nls.field import spectral_tail_fraction
-
-    g = GridSpec(1, 40.0, 256)  # deliberately coarse
-    model = ModelParams(1, 1.0, -1j)
-    st = make_initial(g, Gaussian(1.0, 0.5))
-    cfg = SolverConfig(dt=1e-3, t_end=1.0, diagnostics_cadence=QUIET,
-                       spectral_filter=True)
-    filtered = run(st, model, cfg)
-    plain = run(st, model, SolverConfig(dt=1e-3, t_end=1.0,
-                                        diagnostics_cadence=QUIET))
-    assert filtered.status is RunStatus.REACHED_T_END
-    assert spectral_tail_fraction(filtered.final_state) <= spectral_tail_fraction(
-        plain.final_state
-    )
-    # the filter only touches the top of the spectrum: bulk agreement
-    d = filtered.final_state.values - plain.final_state.values
-    assert np.max(np.abs(d)) < 1e-2 * np.max(np.abs(plain.final_state.values))
-
-
 def test_run_2d_kappa_zero_matches_linear_flow():
     g = GridSpec(2, 20.0, 64)
     st = make_initial(g, Gaussian(1.0, 1.0))

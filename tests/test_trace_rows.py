@@ -20,6 +20,7 @@ from nls.field import (
     GridSpec,
     QuadraticPhaseGaussian,
     axis_wavenumbers,
+    lp_norm,
     make_initial,
     radial_shells,
 )
@@ -190,6 +191,23 @@ def test_record_on_boundary_shells(grid):
     probes = ProbeSet(cutoffs=cutoffs, scatter=True)
     states = [st, FieldState(grid, 0.5j * st.values, time=0.25)]
     assert_rows_match(model, probes, states)
+
+
+@pytest.mark.parametrize("grid,alpha", CASES, ids=["1d", "2d", "3d"])
+def test_row_norms_are_bit_equal_to_lp_norm_and_max(grid, alpha):
+    # lp and linf share one |u| array in the row; lp_norm is the one formula
+    model, states = evolving_states(grid, alpha)
+    rec = TraceRecorder(model, ProbeSet(median_radius=False, weighted_l2=False))
+    for s in states:
+        before = s.values.copy()
+        rec.record(s)
+        assert np.array_equal(s.values, before)
+        _, _, lp, _, _, linf, *_ = rec.rows[-1]
+        assert lp == lp_norm(s, alpha + 2.0)
+        # the out-of-place formula the row used before
+        q, h = alpha + 2.0, grid.spacing**grid.dim
+        assert lp == float(np.sum(np.abs(s.values) ** q) * h) ** (1.0 / q)
+        assert linf == float(np.max(np.abs(s.values)))
 
 
 def counted_ffts(monkeypatch):
