@@ -8,6 +8,12 @@ convergence-slope fit there hits rounding noise), the suite asserts the
 strictly stronger exactness bound and demonstrates the convergence order on
 data where the splitting error is nonzero; details are printed per line.
 
+Each criterion takes a `check(ok, msg)` callable, reports every pinned
+check through it, and returns its detail line.  `run_criterion` alone turns
+the checks into a verdict: a criterion passes when no check failed and it
+did not raise; a failing one reports the messages of its failed checks in
+order, then `exception: ...` if it raised.
+
 DELTA_SUBSTITUTION_NOTE documents the stand-ins for the theorems'
 non-reproducible existential constants.
 """
@@ -16,9 +22,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.integrate
@@ -50,6 +56,8 @@ from .field import (
 from .oracle import SelfSimilarParams, blowup_time, nonlinear_flow, reduced_rhs
 from .solver import RunStatus, SolverConfig, run
 
+Check = Callable[[bool, str], None]  # check(ok, msg) records msg when not ok
+
 DELTA_SUBSTITUTION_NOTE = (
     "The existential constants delta in the growth bound and in the "
     "small-data smallness threshold are not reproducible numerically; the "
@@ -70,11 +78,6 @@ class CriterionResult:
     def line(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
         return f"[{flag}] {self.number:2d} {self.name}: {self.details} ({self.seconds:.1f}s)"
-
-
-def _check(cond: bool, msg: str, failures: list) -> None:
-    if not cond:
-        failures.append(msg)
 
 
 # ---------------------------------------------------------------------------
@@ -115,17 +118,15 @@ def _gradient_monotonicity_run():
 # criteria
 
 
-def criterion_01_exponent_table() -> tuple:
-    failures: list = []
+def criterion_01_exponent_table(check: Check) -> str:
     for n in range(1, 65):
         a1, a2 = alpha1_threshold(n), alpha2_threshold(n)
-        _check(a2 < 4.0 / n, f"alpha2({n}) >= 4/N", failures)
+        check(a2 < 4.0 / n, f"alpha2({n}) >= 4/N")
         if n >= 7:
-            _check(a2 < a1, f"alpha2({n}) >= alpha1({n})", failures)
+            check(a2 < a1, f"alpha2({n}) >= alpha1({n})")
         else:
-            _check(a2 >= a1, f"alpha2({n}) < alpha1({n}) below N=7", failures)
-    return not failures, "alpha2 < 4/N for N=1..64; alpha2 < alpha1 exactly for N >= 7" \
-        if not failures else "; ".join(failures[:4])
+            check(a2 >= a1, f"alpha2({n}) < alpha1({n}) below N=7")
+    return "alpha2 < 4/N for N=1..64; alpha2 < alpha1 exactly for N >= 7"
 
 
 def _integrator_blowup_time(p: SelfSimilarParams) -> float:
@@ -159,8 +160,7 @@ def _integrator_blowup_time(p: SelfSimilarParams) -> float:
     )
 
 
-def criterion_02_oracle_closed_forms() -> tuple:
-    failures: list = []
+def criterion_02_oracle_closed_forms(check: Check) -> str:
     cases = [
         (ModelParams(2, 1.0, -1j), math.e - 1.0),
         (ModelParams(2, 2.0, -1j), 1.0),
@@ -169,23 +169,20 @@ def criterion_02_oracle_closed_forms() -> tuple:
     for model, t_exact in cases:
         p = SelfSimilarParams(t0=1.0, z0=1.0 + 0.0j, model=model)
         t_closed = blowup_time(p)
-        _check(
+        check(
             t_closed is not None and abs(t_closed - t_exact) / t_exact < 1e-10,
             f"closed-form T={t_closed} vs {t_exact}",
-            failures,
         )
         t_int = _integrator_blowup_time(p)
-        _check(
+        check(
             abs(t_int - t_exact) / t_exact < 1e-6,
             f"integrator T={t_int} vs {t_exact}",
-            failures,
         )
         details.append(f"alpha={model.alpha:g}: T={t_closed:.10g} (ivp {t_int:.8g})")
-    return not failures, "; ".join(details if not failures else failures)
+    return "; ".join(details)
 
 
-def criterion_03_solver_exactness_and_order() -> tuple:
-    failures: list = []
+def criterion_03_solver_exactness_and_order(check: Check) -> str:
     # (a) kappa = 0 run against the closed-form free Gaussian
     grid = GridSpec(1, 40.0, 1024)
     spec = Gaussian(1.0, math.sqrt(2.0))  # exp(-x^2/4)
@@ -194,7 +191,7 @@ def criterion_03_solver_exactness_and_order() -> tuple:
     out = run(state0, model0, SolverConfig(dt=1e-2, t_end=1.0, diagnostics_cadence=10**9))
     exact = free_gaussian(grid, spec, 1.0)
     sup_err = float(np.max(np.abs(out.final_state.values - exact.values)))
-    _check(sup_err <= 1e-8, f"free-Gaussian sup error {sup_err:.2e} > 1e-8", failures)
+    check(sup_err <= 1e-8, f"free-Gaussian sup error {sup_err:.2e} > 1e-8")
 
     # (b) plane wave at dt in {1e-2, 5e-3, 2.5e-3}: the splitting commutator
     # vanishes on single-mode data (both substeps act as scalar flows on the
@@ -214,10 +211,9 @@ def criterion_03_solver_exactness_and_order() -> tuple:
     for dt in (1e-2, 5e-3, 2.5e-3):
         o = run(statep, model, SolverConfig(dt=dt, t_end=T, diagnostics_cadence=10**9))
         pw_errors.append(float(np.max(np.abs(o.final_state.values - exact_vals))))
-    _check(
+    check(
         max(pw_errors) <= 1e-12,
         f"plane-wave errors {pw_errors} above rounding",
-        failures,
     )
 
     # (c) the order-2 property measured where the splitting error is nonzero
@@ -233,18 +229,16 @@ def criterion_03_solver_exactness_and_order() -> tuple:
         d = o.final_state.with_values(o.final_state.values - ref.final_state.values)
         errs.append(l2_norm(d))
     slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
-    _check(abs(slope - 2.0) <= 0.1, f"Strang order slope {slope:.3f} not 2.0+-0.1", failures)
+    check(abs(slope - 2.0) <= 0.1, f"Strang order slope {slope:.3f} not 2.0+-0.1")
 
-    detail = (
+    return (
         f"free-Gaussian sup err {sup_err:.1e}; plane-wave exact to "
         f"{max(pw_errors):.1e} (slope fit vacuous at rounding); Gaussian "
         f"order slope {slope:.3f}"
     )
-    return not failures, detail if not failures else "; ".join(failures)
 
 
-def criterion_04_mass_law() -> tuple:
-    failures: list = []
+def criterion_04_mass_law(check: Check) -> str:
     # kappa real: drift per unit time
     grid = GridSpec(1, 40.0, 1024)
     model_r = ModelParams(1, 2.0, 1.0 + 0.0j)
@@ -254,7 +248,7 @@ def criterion_04_mass_law() -> tuple:
         o = run(st, model_r, SolverConfig(dt=1e-3, t_end=1.0, diagnostics_cadence=100))
         m = o.trace.mass
         drifts.append(float(np.max(np.abs(m - m[0])) / m[0]))
-    _check(max(drifts) <= 1e-10, f"mass drift {max(drifts):.2e} > 1e-10", failures)
+    check(max(drifts) <= 1e-10, f"mass drift {max(drifts):.2e} > 1e-10")
 
     # kappa = -i: mismatch order under dt halving
     model_i = ModelParams(1, 2.0, -1j)
@@ -264,17 +258,14 @@ def criterion_04_mass_law() -> tuple:
         o = run(st, model_i, SolverConfig(dt=dt, t_end=0.4, diagnostics_cadence=1))
         mismatches.append(mass_balance_check(o.trace, model_i).max_relative_mismatch)
     orders = [math.log2(a / b) for a, b in zip(mismatches[:-1], mismatches[1:])]
-    _check(
+    check(
         min(orders) >= 1.9,
         f"mass-balance orders {orders} below 1.9 (mismatches {mismatches})",
-        failures,
     )
-    detail = f"drift {max(drifts):.1e}/unit time; mismatch orders {[f'{o:.2f}' for o in orders]}"
-    return not failures, detail if not failures else "; ".join(failures)
+    return f"drift {max(drifts):.1e}/unit time; mismatch orders {[f'{o:.2f}' for o in orders]}"
 
 
-def criterion_05_uniform_blowup() -> tuple:
-    failures: list = []
+def criterion_05_uniform_blowup(check: Check) -> str:
     grid = GridSpec(1, 1.0, 16)
     model = ModelParams(1, 2.0, -1j)
     st = make_initial(grid, PlaneWave(1.0, (0,)))  # u = 1 everywhere
@@ -282,103 +273,85 @@ def criterion_05_uniform_blowup() -> tuple:
         dt=1e-3, t_end=1.0, blowup_dt_floor=1e-10, diagnostics_cadence=10
     )
     o = run(st, model, cfg)
-    _check(o.status is RunStatus.BLOWUP_DETECTED, f"status {o.status}", failures)
+    check(o.status is RunStatus.BLOWUP_DETECTED, f"status {o.status}")
     est = o.blowup_time_estimate
-    _check(
+    check(
         est is not None and 0.499 <= est <= 0.5,
         f"blowup estimate {est} outside [0.499, 0.5]",
-        failures,
     )
-    detail = f"status {o.status.value}, estimate {est:.12g} (exact 0.5)"
-    return not failures, detail if not failures else "; ".join(failures)
+    return f"status {o.status.value}, estimate {est:.12g} (exact 0.5)"
 
 
-def criterion_06_gradient_monotonicity() -> tuple:
-    failures: list = []
+def criterion_06_gradient_monotonicity(check: Check) -> str:
     outcome, model, _ = _gradient_monotonicity_run()
-    _check(
+    check(
         outcome.status is RunStatus.REACHED_T_END,
         f"run ended {outcome.status} before t=2",
-        failures,
     )
     g = outcome.trace.grad_l2
     scale = float(np.max(g))
     worst = float(np.min(np.diff(g)))
-    _check(
+    check(
         worst >= -1e-8 * scale,
         f"gradient decreased by {-worst:.2e} (tol {1e-8 * scale:.2e})",
-        failures,
     )
-    detail = f"min row-to-row gradient increment {worst:.2e} over [0,2], scale {scale:.3g}"
-    return not failures, detail if not failures else "; ".join(failures)
+    return f"min row-to-row gradient increment {worst:.2e} over [0,2], scale {scale:.3g}"
 
 
-def criterion_07_localized_mass_machinery() -> tuple:
-    failures: list = []
+def criterion_07_localized_mass_machinery(check: Check) -> str:
     for n in (1, 2):
         fam = CutoffFamily.build(n, (0.5, 1.0, 2.0))
         for lam in fam.lambdas:
             got = fam.phi_l2_norm_quadrature(lam)
             want = lam ** (-n / 2.0)
-            _check(
+            check(
                 abs(got - want) <= 1e-8,
                 f"N={n} lambda={lam}: ||phi|| {got} vs {want}",
-                failures,
             )
     nu1 = cutoff_normalization(1)
-    _check(
+    check(
         abs(nu1 - math.sqrt(3.0 / 8.0)) <= 1e-10,
         f"nu(1) = {nu1} vs sqrt(3/8)",
-        failures,
     )
     outcome, model, cutoffs = _gradient_monotonicity_run()
     ledger = differential_inequality_ledger(outcome.trace, model, cutoffs)
-    _check(
+    check(
         ledger.normalized_min_slack >= -1e-3,
         f"ledger min slack {ledger.normalized_min_slack:.2e} below -1e-3*scale",
-        failures,
     )
-    detail = (
+    return (
         f"cutoff norms exact to 1e-8 (N=1,2); nu(1)={nu1:.12f}; "
         f"ledger min slack {ledger.normalized_min_slack:.2e} (>= -1e-3)"
     )
-    return not failures, detail if not failures else "; ".join(failures)
 
 
-def criterion_08_fujita_dichotomy() -> tuple:
-    failures: list = []
+def criterion_08_fujita_dichotomy(check: Check) -> str:
     # alpha = 1 < 2/N: blowup or confirmed growth at the theoretical rate
     growth = _long_run(*_GROWTH_ALPHA1)
-    blown = growth.status is RunStatus.BLOWUP_DETECTED
-    slope_txt = "n/a"
-    if blown:
-        verdict = True
+    if growth.status is RunStatus.BLOWUP_DETECTED:
+        alpha1_txt = f"BlowupDetected at t={growth.blowup_time_estimate:.3f}"
     else:
         fit = rate_fit(growth.trace, ModelParams(1, 1.0, -1j))
-        verdict = fit.slope >= 0.9
-        slope_txt = f"{fit.slope:.3f}"
-    _check(verdict, f"alpha=1 run: status {growth.status}, slope {slope_txt}", failures)
+        alpha1_txt = f"slope {fit.slope:.3f}"
+        check(fit.verdict, f"alpha=1 run: status {growth.status}, {alpha1_txt}")
 
     # alpha = 3 > 2/N: scattering residuals through t in {5,10,20,40}
     scat = _long_run(*_SCATTER_ALPHA3)
     res = scattering_residual(scat.checkpoints)  # w-path from t=0 through samples
     decreasing = all(b < a for a, b in zip(res[:-1], res[1:]))
-    _check(decreasing, f"residuals not strictly decreasing: {res}", failures)
-    _check(
+    check(decreasing, f"residuals not strictly decreasing: {res}")
+    check(
         res[-1] <= 0.1 * res[0],
         f"final residual {res[-1]:.3e} > 0.1 x first {res[0]:.3e}",
-        failures,
     )
-    detail = (
-        f"alpha=1: {'BlowupDetected at t=%.3f' % growth.blowup_time_estimate if blown else 'slope ' + slope_txt}; "
+    return (
+        f"alpha=1: {alpha1_txt}; "
         f"alpha=3 residuals {['%.2e' % r for r in res]} (final/first "
         f"{res[-1] / res[0]:.3f})"
     )
-    return not failures, detail if not failures else "; ".join(failures)
 
 
-def criterion_09_non_scattering_floor() -> tuple:
-    failures: list = []
+def criterion_09_non_scattering_floor(check: Check) -> str:
     growth = _long_run(*_GROWTH_ALPHA1)
     # residuals only over samples actually reached (the run may blow up after 40)
     states = [s for s in growth.checkpoints if s.time <= 40.0 + 1e-9]
@@ -386,39 +359,32 @@ def criterion_09_non_scattering_floor() -> tuple:
     floor_run = _long_run(*_NOISE_FLOOR)
     res_floor = scattering_residual(floor_run.checkpoints)
     floor = max(res_floor)
-    _check(
+    check(
         res_alpha1[-1] >= 10.0 * floor,
         f"last residual {res_alpha1[-1]:.3e} below 10x floor {floor:.3e}",
-        failures,
     )
-    detail = f"last alpha=1 residual {res_alpha1[-1]:.3e} vs kappa=0 floor {floor:.3e}"
-    return not failures, detail if not failures else "; ".join(failures)
+    return f"last alpha=1 residual {res_alpha1[-1]:.3e} vs kappa=0 floor {floor:.3e}"
 
 
-def criterion_10_linear_confinement() -> tuple:
-    failures: list = []
+def criterion_10_linear_confinement(check: Check) -> str:
     grid = GridSpec(1, 400.0, 4096)
     u0 = make_initial(grid, Gaussian(1.0, math.sqrt(2.0)))
     rep = linear_confinement_check(u0, (1.0, 2.0, 4.0, 8.0))
-    _check(
+    check(
         rep.max_violation <= 1e-8,
         f"confinement violation {rep.max_violation:.2e} > 1e-8",
-        failures,
     )
-    _check(
+    check(
         rep.exterior_fraction[-1] <= 0.25,
         f"exterior fraction {rep.exterior_fraction[-1]:.3f} > 1/4",
-        failures,
     )
-    detail = (
+    return (
         f"max violation {rep.max_violation:.2e}; exterior fraction at t=8: "
         f"{rep.exterior_fraction[-1]:.2e} (a = {rep.a:.4g})"
     )
-    return not failures, detail if not failures else "; ".join(failures)
 
 
-def criterion_11_median_radius_law() -> tuple:
-    failures: list = []
+def criterion_11_median_radius_law(check: Check) -> str:
     grid = GridSpec(1, 80.0, 2048)
     spec = Gaussian(1.0, math.sqrt(2.0))
     u0 = make_initial(grid, spec)
@@ -431,57 +397,43 @@ def criterion_11_median_radius_law() -> tuple:
         want = probit75 * math.sqrt(1.0 + t * t)
         rel = abs(r - want) / want
         rows.append((t, r, want, rel))
-        _check(rel <= 0.01, f"R({t}) = {r:.4f} vs {want:.4f} ({rel:.2%})", failures)
+        check(rel <= 0.01, f"R({t}) = {r:.4f} vs {want:.4f} ({rel:.2%})")
         if t in (2.0, 4.0):
-            _check(r <= a * t, f"R({t}) = {r:.3f} > a t = {a * t:.3f}", failures)
-    detail = "; ".join(f"R({t:g})={r:.4f} (thy {w:.4f})" for t, r, w, _ in rows)
-    return not failures, detail + f"; a={a:.3g}" if not failures else "; ".join(failures)
+            check(r <= a * t, f"R({t}) = {r:.3f} > a t = {a * t:.3f}")
+    return "; ".join(f"R({t:g})={r:.4f} (thy {w:.4f})" for t, r, w, _ in rows) + f"; a={a:.3g}"
 
 
-def criterion_12_pseudo_conformal_equivalence() -> tuple:
-    failures: list = []
-    grid = GridSpec(1, 80.0, 4096)
+def criterion_12_pseudo_conformal_equivalence(check: Check) -> str:
+    def discrepancy(kappa: complex, dt: float) -> float:
+        """Two-path L2 discrepancy at t* = 0.5 for N=1, alpha=3, A=0.1 data."""
+        cfg = SolverConfig(dt=dt, t_end=1.0, diagnostics_cadence=10**9)
+        model = ModelParams(1, 3.0, kappa)
+        grid = GridSpec(1, 80.0, 4096)
+        return equivalence_experiment(Gaussian(0.1, 1.0), grid, model, cfg, 0.5).l2_discrepancy
+
     # kappa = 0: the transform is exact for the free flow
-    model0 = ModelParams(1, 3.0, 0.0 + 0.0j)
-    cfg0 = SolverConfig(dt=1e-3, t_end=1.0, diagnostics_cadence=10**9)
-    rep0 = equivalence_experiment(Gaussian(0.1, 1.0), grid, model0, cfg0, 0.5)
-    _check(
-        rep0.l2_discrepancy <= 1e-8,
-        f"kappa=0 discrepancy {rep0.l2_discrepancy:.2e} > 1e-8",
-        failures,
-    )
+    d_free = discrepancy(0j, 1e-3)
+    check(d_free <= 1e-8, f"kappa=0 discrepancy {d_free:.2e} > 1e-8")
     # nonlinear case at dt = 1e-4, plus the order-2 ratio at coarser steps
-    model = ModelParams(1, 3.0, -1j)
-    cfg = SolverConfig(dt=1e-4, t_end=1.0, diagnostics_cadence=10**9)
-    rep = equivalence_experiment(Gaussian(0.1, 1.0), grid, model, cfg, 0.5)
-    _check(
-        rep.l2_discrepancy <= 1e-2,
-        f"nonlinear discrepancy {rep.l2_discrepancy:.2e} > 1e-2",
-        failures,
+    d_nonlinear = discrepancy(-1j, 1e-4)
+    check(d_nonlinear <= 1e-2, f"nonlinear discrepancy {d_nonlinear:.2e} > 1e-2")
+    ratio = discrepancy(-1j, 2e-3) / discrepancy(-1j, 1e-3)
+    check(2.5 <= ratio <= 5.5, f"dt-halving ratio {ratio:.2f} not ~4")
+    return (
+        f"kappa=0: {d_free:.1e}; nonlinear at dt=1e-4: "
+        f"{d_nonlinear:.1e}; halving ratio {ratio:.2f}"
     )
-    d_coarse = equivalence_experiment(
-        Gaussian(0.1, 1.0), grid, model, replace(cfg, dt=2e-3), 0.5
-    ).l2_discrepancy
-    d_fine = equivalence_experiment(
-        Gaussian(0.1, 1.0), grid, model, replace(cfg, dt=1e-3), 0.5
-    ).l2_discrepancy
-    ratio = d_coarse / d_fine
-    _check(2.5 <= ratio <= 5.5, f"dt-halving ratio {ratio:.2f} not ~4", failures)
-    detail = (
-        f"kappa=0: {rep0.l2_discrepancy:.1e}; nonlinear at dt=1e-4: "
-        f"{rep.l2_discrepancy:.1e}; halving ratio {ratio:.2f}"
-    )
-    return not failures, detail if not failures else "; ".join(failures)
 
 
-def criterion_13_delta_documentation() -> tuple:
-    documented = (
+def criterion_13_delta_documentation(check: Check) -> str:
+    check(
         "criteria 1" in DELTA_SUBSTITUTION_NOTE
         and "8" in DELTA_SUBSTITUTION_NOTE
         and "9" in DELTA_SUBSTITUTION_NOTE
-        and "12" in DELTA_SUBSTITUTION_NOTE
+        and "12" in DELTA_SUBSTITUTION_NOTE,
+        "substitution note does not name criteria 1, 8, 9 and 12",
     )
-    return documented, DELTA_SUBSTITUTION_NOTE
+    return DELTA_SUBSTITUTION_NOTE
 
 
 CRITERIA: list = [
@@ -502,15 +454,29 @@ CRITERIA: list = [
 
 
 def run_criterion(number: int) -> CriterionResult:
-    """Run one criterion and time it; a crashed criterion is a failed one."""
+    """Run one criterion and time it.
+
+    It passes when every check holds and it does not raise.  Its details are
+    then its detail line; otherwise they are the failed checks' messages in
+    order, then `exception: ...` if it raised, joined by "; ".
+    """
     for num, name, fn in CRITERIA:
         if num == number:
+            failures: list = []
+
+            def check(ok: bool, msg: str) -> None:
+                if not ok:
+                    failures.append(msg)
+
             t0 = time.perf_counter()
             try:
-                passed, details = fn()
+                detail = fn(check)
             except Exception as exc:
-                passed, details = False, f"exception: {exc!r}"
-            return CriterionResult(num, name, passed, details, time.perf_counter() - t0)
+                failures.append(f"exception: {exc!r}")
+            details = "; ".join(failures) if failures else detail
+            return CriterionResult(
+                num, name, not failures, details, time.perf_counter() - t0
+            )
     raise KeyError(f"no criterion {number}")
 
 

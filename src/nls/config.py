@@ -143,7 +143,6 @@ TABLE = {
     "initial.amplitude_re": (float, 1.0),
     "initial.amplitude_im": (float, 0.0),
     "initial.width": (float, 1.0),
-    "initial.center": (float, 0.0),
     "initial.mode_index": ([int], None),
     "initial.chirp_sign": (int, 1),
     "initial.path": (str, None),
@@ -178,7 +177,7 @@ def _coerce(typ, value):
 def _initial(i: dict) -> InitialDataSpec:
     amp = complex(i["amplitude_re"], i["amplitude_im"])
     if i["kind"] == "gaussian":
-        return Gaussian(amp, i["width"], i["center"])
+        return Gaussian(amp, i["width"])
     if i["kind"] == "plane_wave":
         if i["mode_index"] is None:
             raise ConfigError("plane_wave requires 'initial.mode_index'")

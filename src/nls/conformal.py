@@ -152,16 +152,12 @@ def equivalence_experiment(
         return EquivalenceReport(
             0.0, 0.0, 0.0, grid, grid, cfg.dt, "ReachedTEnd", "ReachedTEnd"
         )
-    grid_u = GridSpec(
-        dim=grid.dim, box_length=grid.box_length / pair.scale, points=grid.points
-    )
-
     v0 = initial_v_data(u0_v)
     cfg_a = replace(cfg, t_end=t_star)
     out_a = solve_v_problem(v0, model, cfg_a)
     u_a = to_u_frame(out_a.final_state, t_star)
 
-    u0_u = make_initial(grid_u, initial)
+    u0_u = make_initial(u_a.grid, initial)
     cfg_b = replace(cfg, t_end=pair.s)
     out_b = run(u0_u, model, cfg_b)
     u_b = out_b.final_state
@@ -173,7 +169,7 @@ def equivalence_experiment(
         pair.s,
         disc,
         grid,
-        grid_u,
+        u_a.grid,
         cfg.dt,
         out_a.status.value,
         out_b.status.value,

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-TOL = 1e-12  # absolute tolerance for exponent-identity checks
-
 
 class InfeasibleExponentError(ValueError):
     """No admissible index exists for the requested (N, alpha)."""

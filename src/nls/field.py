@@ -253,11 +253,10 @@ def abs_lp_norm(absu: np.ndarray, p: float, grid: GridSpec) -> float:
 
 @dataclass(frozen=True)
 class Gaussian:
-    """A exp(-|x-x0|^2 / (2 sigma^2))."""
+    """A exp(-|x|^2 / (2 sigma^2)), |x| from the box center as in every radial diagnostic."""
 
     amplitude: complex = 1.0
     width: float = 1.0
-    center: float = 0.0
 
     def __post_init__(self):
         if not self.width > 0:
@@ -302,10 +301,7 @@ InitialDataSpec = Union[Gaussian, PlaneWave, QuadraticPhaseGaussian, FromFile]
 def make_initial(grid: GridSpec, spec: InitialDataSpec) -> FieldState:
     """Sample an initial-data formula on the grid at time 0."""
     if isinstance(spec, Gaussian):
-        r2 = np.zeros(grid.shape)
-        for xd in grid.coordinate_arrays():
-            r2 = r2 + (xd - spec.center) ** 2
-        vals = spec.amplitude * np.exp(-r2 / (2 * spec.width**2))
+        vals = spec.amplitude * np.exp(-grid.radius_squared() / (2 * spec.width**2))
     elif isinstance(spec, PlaneWave):
         m = spec.mode_index
         if len(m) != grid.dim:
@@ -335,16 +331,14 @@ def make_initial(grid: GridSpec, spec: InitialDataSpec) -> FieldState:
 
 
 def free_gaussian(grid: GridSpec, spec: Gaussian, t: float) -> FieldState:
-    """Closed-form free evolution of a (centered or shifted) Gaussian.
+    """Closed-form free evolution of a Gaussian.
 
-    For u0 = A exp(-a|x-x0|^2) with a = 1/(2 sigma^2):
-    e^{it Lap} u0 = A (1+4iat)^{-N/2} exp(-a|x-x0|^2/(1+4iat)).
+    For u0 = A exp(-a|x|^2) with a = 1/(2 sigma^2):
+    e^{it Lap} u0 = A (1+4iat)^{-N/2} exp(-a|x|^2/(1+4iat)).
     """
     a = 1.0 / (2 * spec.width**2)
     z = 1 + 4j * a * t
-    r2 = np.zeros(grid.shape)
-    for xd in grid.coordinate_arrays():
-        r2 = r2 + (xd - spec.center) ** 2
+    r2 = grid.radius_squared()
     vals = spec.amplitude * z ** (-grid.dim / 2.0) * np.exp(-a * r2 / z)
     return FieldState(grid=grid, values=np.asarray(vals, np.complex128), time=t)
 

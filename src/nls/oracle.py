@@ -102,11 +102,6 @@ def blowup_time(p: SelfSimilarParams) -> Optional[float]:
     return _invert_weight_integral(p.model, p.t0, c)
 
 
-def reduced_amplitude(p: SelfSimilarParams, t: float) -> float:
-    """|z(t)| from the closed-form modulus law; exact to rounding."""
-    return abs(reduced_trajectory(p, t))
-
-
 def classify(p: SelfSimilarParams) -> Classification:
     """Global vs finite-time blowup for the self-similar reduced flow."""
     if p.z0 == 0:

@@ -62,7 +62,6 @@ class RunStatus(Enum):
 class SolverConfig:
     dt: float
     t_end: float
-    safety: float = 0.5
     blowup_linf_threshold: float = 1e6
     blowup_dt_floor: float = 1e-12
     diagnostics_cadence: int = 1
@@ -70,8 +69,6 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.dt <= self.t_end:
             raise ValueError(f"need 0 < dt <= t_end, got dt={self.dt}, t_end={self.t_end}")
-        if not 0 < self.safety <= 1:
-            raise ValueError("safety must be in (0, 1]")
         if self.blowup_linf_threshold <= 0 or self.blowup_dt_floor <= 0:
             raise ValueError("thresholds must be positive")
         if self.dt < self.blowup_dt_floor:
@@ -204,7 +201,7 @@ def run(
             ok = False
         if not ok:
             rejected += 1
-            dt *= cfg.safety
+            dt *= 0.5
             if dt < cfg.blowup_dt_floor:
                 status = RunStatus.BLOWUP_DETECTED
                 break

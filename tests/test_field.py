@@ -62,7 +62,7 @@ def test_grid_coordinates():
 
 def test_gaussian_sampling():
     g = GridSpec(1, 40.0, 512)
-    st = make_initial(g, Gaussian(1.0, 1.0, 0.0))
+    st = make_initial(g, Gaussian(1.0, 1.0))
     i0 = 256  # x = 0
     assert st.values[i0] == pytest.approx(1.0)
     x = g.axis_coordinates()

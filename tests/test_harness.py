@@ -87,12 +87,11 @@ def test_load_config_defaults_and_types(tmp_path):
     cfg = load_config(p)
     assert cfg.kind is ExperimentKind.SINGLE
     assert cfg.model.kappa == -1j
-    assert cfg.solver.safety == 0.5  # default
-    assert cfg.solver.blowup_linf_threshold == 1e6
+    assert cfg.solver.blowup_linf_threshold == 1e6  # default
     assert isinstance(cfg.initial, Gaussian)
     assert cfg.initial.amplitude == 0.5 + 0.0j
     echoed = resolved_config_dict(cfg)
-    assert echoed["solver"]["safety"] == 0.5
+    assert echoed["solver"]["blowup_linf_threshold"] == 1e6
     assert echoed["initial"]["kind"] == "gaussian"  # the file's own value
     assert echoed["probes"]["lambdas"] == ()
     # a list key takes a bare scalar; the echo holds the ladder the run records
@@ -164,7 +163,7 @@ def test_single_run_artifacts_and_determinism(tmp_path):
     trace1 = (out / "trace.csv").read_bytes()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "ReachedTEnd"
-    assert summary["config"]["solver"]["safety"] == 0.5  # defaults echoed
+    assert summary["config"]["solver"]["blowup_linf_threshold"] == 1e6  # defaults echoed
     assert summary["code_version"]
     # rerun reproduces the trace byte for byte
     assert run_experiment(load_config(p)) == 0

@@ -15,7 +15,6 @@ from nls.oracle import (
     blowup_time,
     classify,
     nonlinear_flow,
-    reduced_amplitude,
     reduced_rhs,
     reduced_trajectory,
     weight_integral,
@@ -83,7 +82,7 @@ def test_weight_integral_generic_vs_quadrature():
 def test_amplitude_constant_without_dissipation():
     p = SelfSimilarParams(1.0, 0.7 + 0.2j, ModelParams(2, 1.5, 2.0 + 0.0j))
     for t in (0.0, 1.0, 10.0):
-        assert reduced_amplitude(p, t) == pytest.approx(abs(p.z0), rel=1e-14)
+        assert abs(reduced_trajectory(p, t)) == pytest.approx(abs(p.z0), rel=1e-14)
 
 
 def test_blowup_time_log_branch():
@@ -91,7 +90,7 @@ def test_blowup_time_log_branch():
     T = blowup_time(p)
     assert T == pytest.approx(math.e - 1.0, rel=1e-12)
     with pytest.raises(PastBlowupError):
-        reduced_amplitude(p, T + 1e-9)
+        reduced_trajectory(p, T + 1e-9)
 
 
 def test_blowup_time_algebraic_branch():
@@ -175,7 +174,7 @@ def test_amplitude_against_integrator_random_draws():
         t_eval = np.linspace(0.0, horizon, 7)
         z_num = integrate_reduced(p, t_eval)
         for t, zn in zip(t_eval, z_num):
-            assert reduced_amplitude(p, t) == pytest.approx(abs(zn), rel=1e-8)
+            assert abs(reduced_trajectory(p, t)) == pytest.approx(abs(zn), rel=1e-8)
         checked += 1
 
 
@@ -201,10 +200,10 @@ def test_trajectory_phase_matches_integrator():
 def test_amplitude_monotone_in_sign_of_imaginary_part():
     grow = SelfSimilarParams(1.0, 1.0 + 0j, ModelParams(2, 2.0, 0.5 - 0.8j))
     ts = np.linspace(0, 0.5, 20)
-    amps = [reduced_amplitude(grow, t) for t in ts]
+    amps = [abs(reduced_trajectory(grow, t)) for t in ts]
     assert all(b >= a for a, b in zip(amps, amps[1:]))
     shrink = SelfSimilarParams(1.0, 1.0 + 0j, ModelParams(2, 2.0, 0.5 + 0.8j))
-    amps = [reduced_amplitude(shrink, t) for t in ts]
+    amps = [abs(reduced_trajectory(shrink, t)) for t in ts]
     assert all(b <= a for a, b in zip(amps, amps[1:]))
 
 

@@ -189,8 +189,6 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(dt=2.0, t_end=1.0)
     with pytest.raises(ValueError):
-        SolverConfig(dt=0.1, t_end=1.0, safety=0.0)
-    with pytest.raises(ValueError):
         SolverConfig(dt=0.1, t_end=1.0, diagnostics_cadence=0)
     with pytest.raises(ValueError, match="blowup_dt_floor"):
         SolverConfig(dt=1e-13, t_end=1.0)  # below the default floor 1e-12

@@ -81,7 +81,7 @@ def reference_run(state0, model, cfg, probes=None, kappa_of_time=None):
             ok = False
         if not ok:
             rejected += 1
-            dt *= cfg.safety
+            dt *= 0.5
             if dt < cfg.blowup_dt_floor:
                 status = RunStatus.BLOWUP_DETECTED
                 break
