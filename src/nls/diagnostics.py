@@ -258,22 +258,15 @@ class TraceRecorder:
         self.K_t = 0.0
         self._wk_prev: Optional[np.ndarray] = None  # F[w] at the last row
 
-    def record(
-        self, state: FieldState, *, spectrum: bool = False
-    ) -> Optional[np.ndarray]:
-        """One trace row from one forward FFT and one radial-shell histogram.
+    def record(self, state: FieldState, uk: np.ndarray) -> None:
+        """One trace row from uk = F[state.values] and one radial-shell histogram.
 
-        With the scatter probe the row adds one inverse FFT (for the |x|
-        part of the increment of w), and none on the first row.  With
-        spectrum=True the row returns F[state.values], for a caller that
-        would otherwise transform the same values again.
+        The row consumes uk: the scatter probe turns it into F[w] in place.
+        It runs no forward FFT; the scatter probe adds one inverse FFT (for
+        the |x| part of the increment of w), and none on the first row.
         """
         p = self.probes
         g = state.grid
-        uk = scipy.fft.fftn(state.values)
-        shared = None
-        if spectrum:  # the scatter probe turns uk into F[w] in place
-            shared = uk.copy() if p.scatter else uk
         grad = math.sqrt(spectral_sq(uk, g)[1])
         self.K_t = max(self.K_t, grad)
         scatter = math.nan
@@ -300,7 +293,6 @@ class TraceRecorder:
             _localized_mass(shells, g, p.cutoffs) if p.cutoffs is not None else None,
         )
         self.rows.append(row)
-        return shared
 
     def trace(self) -> DiagnosticTrace:
         """The rows so far, transposed through _CSV_COLUMNS; f_lambda comes last."""

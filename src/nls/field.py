@@ -95,18 +95,21 @@ def _wavenumbers(box_length: float, points: int) -> np.ndarray:
     return kd
 
 
+@lru_cache(maxsize=4)
 def free_multiplier(grid: GridSpec, t: float) -> tuple:
     """exp(-i |k|^2 t).
 
     The multiplier is separable (exp(-i|k|^2 t) = prod_d exp(-i k_d^2 t)) and
     is returned as two factors: one over the trailing N-1 axes (M^(N-1)
     entries) and a 1D factor broadcast along the first axis.  No dense N-D
-    array is built.
+    array is built.  The last four are cached and read-only.
     """
     f = np.exp(-1j * axis_wavenumbers(grid.box_length, grid.points) ** 2 * t)
+    f.flags.writeable = False
     trailing = f
     for _ in range(grid.dim - 2):
         trailing = np.multiply.outer(f, trailing)
+    trailing.flags.writeable = False
     return trailing, f.reshape((-1,) + (1,) * (grid.dim - 1))
 
 

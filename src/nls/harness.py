@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, ExperimentKind, resolved_config_dict
+from .config import ConfigError, ExperimentConfig, ExperimentKind, resolved_config_dict
 from .conformal import equivalence_experiment
 from .diagnostics import linear_confinement_check, rate_fit
 from .field import make_initial, save_checkpoint
@@ -221,6 +221,10 @@ def execute_sweep(cfg: ExperimentConfig, out_root: Path) -> list:
 
 def run_experiment(cfg: ExperimentConfig, gnuplot: bool = False) -> int:
     """Dispatch on experiment kind; returns a process exit code (0 ok, 2 fail)."""
+    if gnuplot and cfg.kind is not ExperimentKind.SINGLE:
+        raise ConfigError(
+            f"--gnuplot plots a single run's trace; kind = {cfg.kind.value} writes none"
+        )
     out_root = Path(cfg.output_dir)  # created only once there is a result to write
     if cfg.kind is ExperimentKind.SINGLE:
         summary = _run_single(cfg, out_root, gnuplot, None)

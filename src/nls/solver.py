@@ -17,8 +17,10 @@ overwrite it, and it becomes the next p.  The substep adds one real buffer
 (|u|^2, then its powers), and a complex one only when Re(kappa) != 0.
 The physical state ifftn(pending * p) is rebuilt only where it is read:
 trace rows, stored states, store_at_times targets, t_end, the blowup
-return, and step() (a chain of one step).  A rejected step leaves p and
-the pending half-step alone; only dt changes.
+return, and step() (a chain of one step).  A trace row also takes the
+spectrum pending * p, so it costs at most that one inverse FFT (plus one
+for the scatter probe).  A rejected step leaves p and the pending
+half-step alone; only dt changes.
 The |k|^2 multipliers are separable (exp(-i|k|^2 t) = prod_d exp(-i k_d^2 t))
 and are never stored as dense N-D arrays.
 
@@ -50,7 +52,6 @@ from .oracle import SubstepBlowupError, nonlinear_flow
 
 # relative margin between the L2 bound and the sup-norm threshold
 _BOUND_MARGIN = 1.0 - 1e-9
-_MAX_CACHED_FACTORS = 4
 
 
 class RunStatus(Enum):
@@ -99,7 +100,6 @@ class _StrangChain:
 
     def __init__(self, state0: FieldState, p0: np.ndarray):
         self._grid = state0.grid
-        self._factors: dict = {}
         self.p = p0  # F[state0.values]; the chain owns it
         self.time = state0.time
         self._tau = 0.0
@@ -107,11 +107,7 @@ class _StrangChain:
 
     def _times(self, spec: np.ndarray, tau: float) -> np.ndarray:
         """New array spec * exp(-i |k|^2 tau)."""
-        if tau not in self._factors:
-            if len(self._factors) >= _MAX_CACHED_FACTORS:
-                self._factors.clear()
-            self._factors[tau] = free_multiplier(self._grid, tau)
-        return apply_multiplier(spec, self._factors[tau])
+        return apply_multiplier(spec, free_multiplier(self._grid, tau))
 
     def advance(
         self, model: ModelParams, dt: float, linf_max: Optional[float] = None
@@ -146,9 +142,13 @@ class _StrangChain:
     def state(self) -> FieldState:
         """The physical state at self.time, rebuilt at most once per step."""
         if self._state is None:
-            u = scipy.fft.ifftn(self._times(self.p, self._tau), overwrite_x=True)
+            u = scipy.fft.ifftn(self.spectrum(), overwrite_x=True)
             self._state = FieldState(self._grid, u, self.time)
         return self._state
+
+    def spectrum(self) -> np.ndarray:
+        """New array F[u] of the physical state at self.time (no FFT)."""
+        return self._times(self.p, self._tau)
 
 
 def step(state: FieldState, model: ModelParams, dt: float) -> FieldState:
@@ -181,8 +181,8 @@ def run(
     dt = cfg.dt
     accepted = rejected = 0
     checkpoints = []
-    # the first row and the chain share one FFT of state0
-    chain = _StrangChain(state0, rec.record(state0, spectrum=True))
+    chain = _StrangChain(state0, scipy.fft.fftn(state0.values))
+    rec.record(chain.state(), chain.spectrum())
     targets = sorted({t for t in probes.store_at_times if t > state0.time + 1e-15})
     if probes.store_states_every or probes.store_at_times:
         checkpoints.append(state0)
@@ -208,7 +208,7 @@ def run(
             continue
         accepted += 1
         if accepted % cfg.diagnostics_cadence == 0:
-            rec.record(chain.state())
+            rec.record(chain.state(), chain.spectrum())
         if probes.store_states_every and accepted % probes.store_states_every == 0:
             checkpoints.append(chain.state())
         if targets and chain.time >= targets[0] - eps:
@@ -219,7 +219,7 @@ def run(
 
     state = chain.state()
     if rec.rows[-1][0] != state.time:
-        rec.record(state)
+        rec.record(state, chain.spectrum())
     if probes.store_states_every and checkpoints[-1] is not state:
         checkpoints.append(state)
     estimate = state.time if status is RunStatus.BLOWUP_DETECTED else None

@@ -492,6 +492,29 @@ def test_gnuplot_is_simulate_only(tmp_path, capsys, command):
     assert "unrecognized arguments: --gnuplot" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind,box,extra",
+    [
+        ("sweep", "40.0", "sweep.alpha = [1.0, 3.0]\n"),
+        ("pct-check", "20.0", ""),
+        ("linear-confinement", "40.0", "confinement.times = 1.0\n"),
+    ],
+)
+def test_simulate_gnuplot_needs_a_single_run(tmp_path, capsys, kind, box, extra):
+    # each config runs and exits 0 without --gnuplot, which it would ignore
+    text = (
+        BASE_CONFIG.format(out=tmp_path / "o")
+        .replace("kind = single", f"kind = {kind}")
+        .replace("grid.box_length = 40.0", f"grid.box_length = {box}")
+        + extra
+    )
+    p = write_config(tmp_path, text)
+    assert main(["simulate", "--config", str(p), "--gnuplot"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: --gnuplot plots a single run's trace; kind = {kind}")
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_dt_below_floor_is_config_error(tmp_path, capsys):
     text = BASE_CONFIG.format(out=tmp_path / "o").replace(
         "solver.dt = 1e-2", "solver.dt = 1e-13"

@@ -60,7 +60,7 @@ def reference_run(state0, model, cfg, probes=None, kappa_of_time=None):
     state, t_end, dt = state0, state0.time + cfg.t_end, cfg.dt
     eps = 1e-12 * max(1.0, abs(t_end))
     accepted = rejected = 0
-    rec.record(state)
+    rec.record(state, scipy.fft.fftn(state.values))
     targets = sorted(t for t in probes.store_at_times if t > state0.time + 1e-15)
     checkpoints = [state] if probes.store_states_every or probes.store_at_times else []
     status = RunStatus.REACHED_T_END
@@ -89,7 +89,7 @@ def reference_run(state0, model, cfg, probes=None, kappa_of_time=None):
         state = state.with_values(u, time=state.time + dt_step)
         accepted += 1
         if accepted % cfg.diagnostics_cadence == 0:
-            rec.record(state)
+            rec.record(state, scipy.fft.fftn(state.values))
         if probes.store_states_every and accepted % probes.store_states_every == 0:
             checkpoints.append(state)
         if targets and state.time >= targets[0] - eps:
@@ -98,7 +98,7 @@ def reference_run(state0, model, cfg, probes=None, kappa_of_time=None):
             if checkpoints[-1] is not state:
                 checkpoints.append(state)
     if rec.rows[-1][0] != state.time:
-        rec.record(state)
+        rec.record(state, scipy.fft.fftn(state.values))
     if probes.store_states_every and checkpoints[-1] is not state:
         checkpoints.append(state)
     estimate = state.time if status is RunStatus.BLOWUP_DETECTED else None
@@ -227,7 +227,13 @@ def test_sup_norm_decision_matches_exact_test(threshold):
         assert np.max(np.abs(got.final_state.values)) <= threshold
 
 
-def test_two_ffts_per_accepted_step(monkeypatch):
+@pytest.mark.parametrize("scatter", [False, True], ids=["plain", "scatter"])
+def test_fft_calls_per_run(monkeypatch, scatter):
+    # every scipy.fft call of a run, its trace rows' included: one forward
+    # FFT of the initial state, two per accepted step, one inverse FFT per
+    # rebuilt state (each row after the first; the last row is t_end), and
+    # with the scatter probe one more inverse FFT per row after the first.
+    # A row reads its spectrum from the chain, so it adds no forward FFT.
     calls = []
 
     def counted(fn):
@@ -236,24 +242,18 @@ def test_two_ffts_per_accepted_step(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    fake_fft = types.SimpleNamespace(
-        fftn=counted(scipy.fft.fftn), ifftn=counted(scipy.fft.ifftn)
-    )
-    monkeypatch.setattr(nls.solver, "scipy", types.SimpleNamespace(fft=fake_fft))
+    monkeypatch.setattr(scipy.fft, "fftn", counted(scipy.fft.fftn))
+    monkeypatch.setattr(scipy.fft, "ifftn", counted(scipy.fft.ifftn))
     grid = GridSpec(1, 40.0, 256)
     st = make_initial(grid, Gaussian(0.5, 1.0))
-    cadence = 10
-    cfg = SolverConfig(dt=1e-2, t_end=1.0, diagnostics_cadence=cadence)
-    out = run(st, ModelParams(1, 1.0, -1j), cfg,
-              probes=ProbeSet(median_radius=False, weighted_l2=False))
-    assert out.steps_accepted == 100 and out.steps_rejected == 0
-    # two per step and one inverse FFT per rebuilt state (a trace row every
-    # `cadence` steps; the last row is t_end); the chain starts from the
-    # spectrum of the first trace row, so the initial state is not
-    # transformed again
-    rebuilds = out.steps_accepted // cadence
-    assert len(out.trace.times) == rebuilds + 1
-    assert len(calls) == 2 * out.steps_accepted + rebuilds
+    cfg = SolverConfig(dt=1e-2, t_end=1.0, diagnostics_cadence=10)
+    probes = ProbeSet(median_radius=False, weighted_l2=False, scatter=scatter)
+    out = run(st, ModelParams(1, 1.0, -1j), cfg, probes=probes)
+    accepted, rows = out.steps_accepted, len(out.trace)
+    assert accepted == 100 and out.steps_rejected == 0 and not out.checkpoints
+    assert rows == accepted // 10 + 1
+    assert calls.count("fftn") == accepted + 1
+    assert len(calls) == 2 * accepted + rows + (rows - 1 if scatter else 0)
 
 
 def test_step_allocates_one_field_and_one_real_buffer():

@@ -161,7 +161,7 @@ def evolving_states(grid, alpha):
 def assert_rows_match(model, probes, states):
     new, old = TraceRecorder(model, probes), OldRecorder(model, probes)
     for s in states:
-        new.record(s)
+        new.record(s, scipy.fft.fftn(s.values))
         old.record(s)
     cols = ("t", "mass", "lp", "grad_l2", "K_t", "linf", "R_t", "weighted_l2",
             "scatter_residual")
@@ -200,7 +200,7 @@ def test_row_norms_are_bit_equal_to_lp_norm_and_max(grid, alpha):
     rec = TraceRecorder(model, ProbeSet(median_radius=False, weighted_l2=False))
     for s in states:
         before = s.values.copy()
-        rec.record(s)
+        rec.record(s, scipy.fft.fftn(s.values))
         assert np.array_equal(s.values, before)
         _, _, lp, _, _, linf, *_ = rec.rows[-1]
         assert lp == lp_norm(s, alpha + 2.0)
@@ -208,36 +208,6 @@ def test_row_norms_are_bit_equal_to_lp_norm_and_max(grid, alpha):
         q, h = alpha + 2.0, grid.spacing**grid.dim
         assert lp == float(np.sum(np.abs(s.values) ** q) * h) ** (1.0 / q)
         assert linf == float(np.max(np.abs(s.values)))
-
-
-def counted_ffts(monkeypatch):
-    calls = []
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(scipy.fft, "fftn", counted(scipy.fft.fftn))
-    monkeypatch.setattr(scipy.fft, "ifftn", counted(scipy.fft.ifftn))
-    return calls
-
-
-@pytest.mark.parametrize("scatter", [False, True])
-def test_one_fft_per_row(monkeypatch, scatter):
-    grid = GridSpec(3, 16.0, 16)
-    model, states = evolving_states(grid, 0.5)
-    probes = ProbeSet(cutoffs=CutoffFamily.build(3, (0.5, 1.0)), scatter=scatter)
-    rec = TraceRecorder(model, probes)
-    calls = counted_ffts(monkeypatch)
-    rec.record(states[0])
-    assert calls == ["fftn"]
-    for s in states[1:]:
-        rec.record(s)
-    rows = len(states)
-    assert calls.count("fftn") == rows
-    assert calls.count("ifftn") == (rows - 1 if scatter else 0)
 
 
 def test_shells_built_once_per_grid():
