@@ -227,13 +227,8 @@ def test_sup_norm_decision_matches_exact_test(threshold):
         assert np.max(np.abs(got.final_state.values)) <= threshold
 
 
-@pytest.mark.parametrize("scatter", [False, True], ids=["plain", "scatter"])
-def test_fft_calls_per_run(monkeypatch, scatter):
-    # every scipy.fft call of a run, its trace rows' included: one forward
-    # FFT of the initial state, two per accepted step, one inverse FFT per
-    # rebuilt state (each row after the first; the last row is t_end), and
-    # with the scatter probe one more inverse FFT per row after the first.
-    # A row reads its spectrum from the chain, so it adds no forward FFT.
+def counted_ffts(monkeypatch):
+    """Record the name of every scipy.fft.fftn / ifftn call from here on."""
     calls = []
 
     def counted(fn):
@@ -244,6 +239,34 @@ def test_fft_calls_per_run(monkeypatch, scatter):
 
     monkeypatch.setattr(scipy.fft, "fftn", counted(scipy.fft.fftn))
     monkeypatch.setattr(scipy.fft, "ifftn", counted(scipy.fft.ifftn))
+    return calls
+
+
+def test_two_ffts_per_accepted_step(monkeypatch):
+    # the step's own FFTs, apart from the run's initial transform and its
+    # state rebuilds: an accepted step makes two, with no sup-norm test or
+    # with one its L2 bound settles; its state costs one inverse FFT, once
+    grid = GridSpec(1, 40.0, 256)
+    st = make_initial(grid, Gaussian(0.5, 1.0))
+    model = ModelParams(1, 1.0, -1j)
+    chain = nls.solver._StrangChain(st, scipy.fft.fftn(st.values))
+    calls = counted_ffts(monkeypatch)
+    for n in range(1, 11):
+        assert chain.advance(model, 1e-2, None if n % 2 else 1e6)
+        assert calls[-2:] == ["ifftn", "fftn"] and len(calls) == 2 * n
+    chain.state()
+    chain.state()
+    assert len(calls) == 21 and calls[-1] == "ifftn"
+
+
+@pytest.mark.parametrize("scatter", [False, True], ids=["plain", "scatter"])
+def test_fft_calls_per_run(monkeypatch, scatter):
+    # every scipy.fft call of a run, its trace rows' included: one forward
+    # FFT of the initial state, two per accepted step, one inverse FFT per
+    # rebuilt state (each row after the first; the last row is t_end), and
+    # with the scatter probe one more inverse FFT per row after the first.
+    # A row reads its spectrum from the chain, so it adds no forward FFT.
+    calls = counted_ffts(monkeypatch)
     grid = GridSpec(1, 40.0, 256)
     st = make_initial(grid, Gaussian(0.5, 1.0))
     cfg = SolverConfig(dt=1e-2, t_end=1.0, diagnostics_cadence=10)

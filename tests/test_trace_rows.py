@@ -24,7 +24,7 @@ from nls.field import (
     make_initial,
     radial_shells,
 )
-from nls.solver import SolverConfig, run
+from nls.solver import SolverConfig, _StrangChain, run
 
 
 def dense_k(grid):
@@ -208,6 +208,43 @@ def test_row_norms_are_bit_equal_to_lp_norm_and_max(grid, alpha):
         q, h = alpha + 2.0, grid.spacing**grid.dim
         assert lp == float(np.sum(np.abs(s.values) ** q) * h) ** (1.0 / q)
         assert linf == float(np.max(np.abs(s.values)))
+
+
+def counted_ffts(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scipy.fft, "fftn", counted(scipy.fft.fftn))
+    monkeypatch.setattr(scipy.fft, "ifftn", counted(scipy.fft.ifftn))
+    return calls
+
+
+@pytest.mark.parametrize("scatter", [False, True])
+def test_one_fft_per_row(monkeypatch, scatter):
+    # a row as run() records it: the chain's state (one inverse FFT to
+    # rebuild it; the initial state needs none) and the chain's spectrum (no
+    # FFT).  record runs no forward FFT; the scatter probe adds one inverse
+    # FFT per row after the first.
+    grid = GridSpec(3, 16.0, 16)
+    st = make_initial(grid, QuadraticPhaseGaussian(1.5, 1.0, chirp_sign=1))
+    model = ModelParams(3, 0.5, 0.4 - 1j)
+    probes = ProbeSet(cutoffs=CutoffFamily.build(3, (0.5, 1.0)), scatter=scatter)
+    rec = TraceRecorder(model, probes)
+    chain = _StrangChain(st, scipy.fft.fftn(st.values))
+    calls = counted_ffts(monkeypatch)
+    rec.record(chain.state(), chain.spectrum())
+    assert calls == []
+    for _ in range(4):
+        assert chain.advance(model, 5e-3)
+        calls.clear()
+        rec.record(chain.state(), chain.spectrum())
+        assert calls == ["ifftn"] * (2 if scatter else 1)
+    assert len(rec.rows) == 5
 
 
 def test_shells_built_once_per_grid():
