@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import sys
+from pathlib import Path
 
 from . import __version__
 from .exponents import (
@@ -25,6 +26,18 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUN = 2
 EXIT_ACCEPT = 3
+
+GNUPLOT_SCRIPT = """\
+# gnuplot script for trace.csv; run: gnuplot -persist plot_trace.gp
+set datafile separator ','
+set key autotitle columnhead outside
+set logscale y
+set xlabel 't'
+plot 'trace.csv' using 1:2 with lines, \\
+     '' using 1:4 with lines, \\
+     '' using 1:5 with lines, \\
+     '' using 1:6 with lines
+"""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -139,7 +152,7 @@ def main(argv=None) -> int:
                 return EXIT_CONFIG
             return EXIT_OK if all(r.passed for r in results) else EXIT_ACCEPT
         # config-file commands; simulate runs the kind the file names
-        from .config import ExperimentKind, load_config
+        from .config import ConfigError, ExperimentKind, load_config
 
         kind = {
             "simulate": None,
@@ -151,9 +164,17 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
+        gnuplot = getattr(args, "gnuplot", False)
+        if gnuplot and cfg.kind is not ExperimentKind.SINGLE:
+            raise ConfigError(
+                f"--gnuplot plots a single run's trace; kind = {cfg.kind.value} writes none"
+            )
         from .harness import run_experiment
 
-        return run_experiment(cfg, gnuplot=getattr(args, "gnuplot", False))
+        code = run_experiment(cfg)
+        if gnuplot:
+            (Path(cfg.output_dir) / "plot_trace.gp").write_text(GNUPLOT_SCRIPT)
+        return code
     except ValueError as exc:  # ConfigError and InfeasibleExponentError included
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

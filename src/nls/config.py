@@ -6,8 +6,9 @@ numbers, or bare strings.  ``TABLE`` declares every key once, with its type
 and default, and drives the unknown-key check (typos are hard errors, so
 they cannot silently change an experiment), the defaults and the coercion:
 a bool key takes only true/false, an int key only an integer, a float key
-an integer or a float, and a list key a list or a bare scalar.  A value
-the program cannot use is a ConfigError naming its key or section.
+a finite integer or float (not nan or inf), and a list key a list or a
+bare scalar.  A value the program cannot use is a ConfigError naming its
+key or section.
 """
 
 from __future__ import annotations
@@ -171,7 +172,10 @@ def _coerce(typ, value):
     # an Enum takes its values; a value already of the key's type is taken again
     if type(value) is not typ and type(value) not in _ACCEPTS.get(typ, (str,)):
         raise TypeError(f"expected {typ.__name__}, got {value!r}")
-    return typ(value)
+    out = typ(value)  # an integer beyond double range raises OverflowError
+    if typ is float and not math.isfinite(out):
+        raise ValueError(f"expected a finite float, got {value!r}")
+    return out
 
 
 def _initial(i: dict) -> InitialDataSpec:
@@ -192,12 +196,12 @@ def _initial(i: dict) -> InitialDataSpec:
 
 
 def _checked(where: str, make, *args, **kwargs):
-    """make(*args, **kwargs), a ValueError or TypeError becoming a ConfigError."""
+    """make(*args, **kwargs); a ValueError, TypeError or OverflowError is a ConfigError."""
     try:
         return make(*args, **kwargs)
     except ConfigError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 

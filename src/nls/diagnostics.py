@@ -10,7 +10,7 @@ lambda^(-N/2) exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -113,15 +113,19 @@ def median_radius(state: FieldState) -> float:
     bin boundary are split half-and-half between the adjacent bins (the
     trapezoid-consistent convention; on axis-aligned grids every node radius
     is a boundary, and whole-bin assignment would bias R by +h/2).
+    The zero field has none: a ValueError here, NaN (an empty R_t) in a trace.
     """
-    return _median_radius(shell_mass(state.values, state.grid), state.grid)
+    r = _median_radius(shell_mass(state.values, state.grid), state.grid)
+    if math.isnan(r):
+        raise ValueError("zero field has no median radius")
+    return r
 
 
 def _median_radius(shells: np.ndarray, grid: GridSpec) -> float:
     """median_radius from the shell masses (all nodes of a shell share a bin)."""
     total = float(np.sum(shells))
     if total <= 0:
-        raise ValueError("zero field has no median radius")
+        return math.nan  # the zero field has no median radius
     h = grid.spacing
     scaled = np.sqrt(radial_shells(grid)[0]) / h
     near = np.rint(scaled)
@@ -161,46 +165,40 @@ def _x_norm(dk: np.ndarray, grid: GridSpec) -> float:
 # trace
 
 
-# The trace row, in row and file order: CSV column -> DiagnosticTrace field.
-# A row of TraceRecorder holds these values, then the f_lambda array;
-# loc_mass_λ=... columns follow in the file, one per lambda.
-_CSV_COLUMNS = (
-    ("t", "times"),
-    ("mass", "mass"),
-    ("lp", "lp"),
-    ("grad_l2", "grad_l2"),
-    ("K_t", "K_t"),
-    ("linf", "linf"),
-    ("R_t", "R_t"),
-    ("weighted_l2", "weighted_l2"),
-    ("scatter_residual", "scatter_residual"),
-)
-
-
 @dataclass
 class DiagnosticTrace:
-    """Time-indexed record of all monitored scalars for one run."""
+    """Time-indexed record of all monitored scalars for one run.
 
-    times: np.ndarray
+    The fields before loc_mass are the CSV columns, in file order; the
+    loc_mass_λ=... columns follow, one per lambda.
+    """
+
+    t: np.ndarray
     mass: np.ndarray
     lp: np.ndarray  # L^(alpha+2) norm
     grad_l2: np.ndarray
     K_t: np.ndarray  # running sup of grad_l2
     linf: np.ndarray
-    R_t: np.ndarray  # median radius (nan when not probed)
+    R_t: np.ndarray  # median radius (nan when not probed or at zero mass)
     weighted_l2: np.ndarray
     scatter_residual: np.ndarray  # nan when not probed
-    lambdas: tuple = ()
     loc_mass: np.ndarray = dc_field(default_factory=lambda: np.empty((0, 0)))
+    lambdas: tuple = ()
+
+    @classmethod
+    def columns(cls) -> list:
+        """Names of the scalar CSV columns: every field before loc_mass."""
+        names = [f.name for f in fields(cls)]
+        return names[: names.index("loc_mass")]
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.t)
 
     def to_csv(self) -> str:
         """The trace as CSV text; every NaN is written as an empty field."""
-        header = [name for name, _ in _CSV_COLUMNS]
-        header += [f"loc_mass_λ={lam:.6g}" for lam in self.lambdas]
-        columns = [np.asarray(getattr(self, fld)).tolist() for _, fld in _CSV_COLUMNS]
+        names = self.columns()
+        header = names + [f"loc_mass_λ={lam:.6g}" for lam in self.lambdas]
+        columns = [np.asarray(getattr(self, name)).tolist() for name in names]
         columns += np.asarray(self.loc_mass).T.tolist()
         lines = [",".join(header)]
         for row in zip(*columns):
@@ -217,7 +215,7 @@ class DiagnosticTrace:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         header = lines[0].split(",")
         where = {name: j for j, name in enumerate(header)}
-        missing = [name for name, _ in _CSV_COLUMNS if name not in where]
+        missing = [name for name in cls.columns() if name not in where]
         if missing:
             raise ValueError(f"trace CSV lacks columns {missing}")
         loc_cols = [j for j, name in enumerate(header) if name.startswith("loc_mass_")]
@@ -230,9 +228,9 @@ class DiagnosticTrace:
 
         loc = np.array([col(j) for j in loc_cols]).T.reshape(len(rows), len(loc_cols))
         return cls(
-            **{fld: col(where[name]) for name, fld in _CSV_COLUMNS},
-            lambdas=tuple(float(header[j].split("=", 1)[1]) for j in loc_cols),
+            **{name: col(where[name]) for name in cls.columns()},
             loc_mass=loc,
+            lambdas=tuple(float(header[j].split("=", 1)[1]) for j in loc_cols),
         )
 
 
@@ -249,13 +247,12 @@ class ProbeSet:
 
 
 class TraceRecorder:
-    """Accumulates DiagnosticTrace rows; K_t is the running max by construction."""
+    """Accumulates DiagnosticTrace rows, one dict of columns by field name each."""
 
     def __init__(self, model: ModelParams, probes: ProbeSet):
         self.model = model
         self.probes = probes
         self.rows: list = []
-        self.K_t = 0.0
         self._wk_prev: Optional[np.ndarray] = None  # F[w] at the last row
 
     def record(self, state: FieldState, uk: np.ndarray) -> None:
@@ -268,7 +265,6 @@ class TraceRecorder:
         p = self.probes
         g = state.grid
         grad = math.sqrt(spectral_sq(uk, g)[1])
-        self.K_t = max(self.K_t, grad)
         scatter = math.nan
         if p.scatter:
             wk = _free_frame(uk, state)
@@ -280,30 +276,27 @@ class TraceRecorder:
         shells = shell_mass(state.values, g)
         absu = np.abs(state.values)
         linf = float(np.max(absu))
-        row = (
-            state.time,
-            math.sqrt(float(np.sum(shells)) * g.spacing**g.dim),
-            abs_lp_norm(absu, self.model.alpha + 2.0, g),  # overwrites absu
-            grad,
-            self.K_t,
-            linf,
-            _median_radius(shells, g) if p.median_radius else math.nan,
-            math.sqrt(weighted_sq(shells, g)) if p.weighted_l2 else math.nan,
-            scatter,
-            _localized_mass(shells, g, p.cutoffs) if p.cutoffs is not None else None,
-        )
-        self.rows.append(row)
+        self.rows.append(dict(
+            t=state.time,
+            mass=math.sqrt(float(np.sum(shells)) * g.spacing**g.dim),
+            lp=abs_lp_norm(absu, self.model.alpha + 2.0, g),  # overwrites absu
+            grad_l2=grad,
+            linf=linf,
+            R_t=_median_radius(shells, g) if p.median_radius else math.nan,
+            weighted_l2=math.sqrt(weighted_sq(shells, g)) if p.weighted_l2 else math.nan,
+            scatter_residual=scatter,
+            loc_mass=(
+                np.empty(0) if p.cutoffs is None else _localized_mass(shells, g, p.cutoffs)
+            ),
+        ))
 
     def trace(self) -> DiagnosticTrace:
-        """The rows so far, transposed through _CSV_COLUMNS; f_lambda comes last."""
-        rows, cutoffs = self.rows, self.probes.cutoffs
-        columns = {
-            fld: np.array([r[j] for r in rows]) for j, (_, fld) in enumerate(_CSV_COLUMNS)
-        }
-        if cutoffs is None:
-            return DiagnosticTrace(**columns, loc_mass=np.empty((len(rows), 0)))
+        """The rows so far, column by column; K_t is the running sup of grad_l2."""
+        columns = {name: np.array([r[name] for r in self.rows]) for name in self.rows[0]}
         return DiagnosticTrace(
-            **columns, lambdas=cutoffs.lambdas, loc_mass=np.array([r[-1] for r in rows])
+            **columns,
+            K_t=np.maximum.accumulate(columns["grad_l2"]),
+            lambdas=getattr(self.probes.cutoffs, "lambdas", ()),
         )
 
 
@@ -314,10 +307,7 @@ class TraceRecorder:
 @dataclass(frozen=True)
 class MassBalanceReport:
     max_relative_mismatch: float
-    scale: float
-    mismatch: np.ndarray  # per interior row, absolute
-    derivative: np.ndarray
-    rhs: np.ndarray
+    derivative: np.ndarray  # per interior row
 
 
 def mass_balance_check(trace: DiagnosticTrace, model: ModelParams) -> MassBalanceReport:
@@ -329,27 +319,24 @@ def mass_balance_check(trace: DiagnosticTrace, model: ModelParams) -> MassBalanc
     """
     if len(trace) < 3:
         raise ValueError("need at least 3 trace rows")
-    t, m2 = trace.times, trace.mass**2
+    t, m2 = trace.t, trace.mass**2
     lp = trace.lp
     deriv = (m2[2:] - m2[:-2]) / (t[2:] - t[:-2])
     rhs = -2.0 * model.kappa.imag * lp[1:-1] ** (model.alpha + 2.0)
-    mismatch = np.abs(deriv - rhs)
     span = t[-1] - t[0]
     scale = max(
         float(np.max(np.abs(rhs))),
         float(np.max(np.abs(deriv))),
         float(np.max(m2)) / span if span > 0 else 0.0,
     )
-    rel = float(np.max(mismatch)) / scale if scale > 0 else 0.0
-    return MassBalanceReport(rel, scale, mismatch, deriv, rhs)
+    rel = float(np.max(np.abs(deriv - rhs))) / scale if scale > 0 else 0.0
+    return MassBalanceReport(rel, deriv)
 
 
 @dataclass(frozen=True)
 class InequalityLedger:
     lambdas: tuple
-    min_slack: np.ndarray  # per lambda
-    scale: np.ndarray  # per lambda
-    normalized_min_slack: float  # min over lambdas of min_slack/scale
+    normalized_min_slack: float  # min over lambdas of min slack / scale
     dominance_fraction: np.ndarray  # per lambda
 
 
@@ -372,7 +359,7 @@ def differential_inequality_ledger(
     ki = model.kappa.imag
     nu = cutoffs.nu
     n, al = model.dim, model.alpha
-    t = trace.times
+    t = trace.t
     K = trace.K_t
     min_slack = np.empty(len(cutoffs.lambdas))
     scale = np.empty(len(cutoffs.lambdas))
@@ -395,17 +382,15 @@ def differential_inequality_ledger(
         thresh = 4.0 / (-ki) * lam ** ((2.0 - n * al) / 2.0) * nu * K
         dom[j] = float(np.mean(f ** (al + 1.0) >= thresh))
     normalized = float(np.min(min_slack / np.where(scale > 0, scale, 1.0)))
-    return InequalityLedger(cutoffs.lambdas, min_slack, scale, normalized, dom)
+    return InequalityLedger(cutoffs.lambdas, normalized, dom)
 
 
 @dataclass(frozen=True)
 class RateFit:
     slope: float
-    intercept: float
     r2: float
     theoretical_exponent: float
     verdict: bool
-    rows_used: int
 
 
 def rate_fit(trace: DiagnosticTrace, model: ModelParams) -> RateFit:
@@ -415,8 +400,8 @@ def rate_fit(trace: DiagnosticTrace, model: ModelParams) -> RateFit:
     (2 - N alpha)/(N alpha).  The verdict confirms growth at that rate:
     fitted slope within 0.1 of the exponent from below.
     """
-    mask = (trace.times > 0) & (trace.K_t > 0)
-    lt = np.log(trace.times[mask])
+    mask = (trace.t > 0) & (trace.K_t > 0)
+    lt = np.log(trace.t[mask])
     lK = np.log(trace.K_t[mask])
     if len(lt) < 10:
         raise ValueError("trace too short for a rate fit")
@@ -431,7 +416,7 @@ def rate_fit(trace: DiagnosticTrace, model: ModelParams) -> RateFit:
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     theo = (2.0 - model.dim * model.alpha) / (model.dim * model.alpha)
     verdict = slope >= theo - 0.1
-    return RateFit(float(slope), float(intercept), r2, theo, verdict, int(np.sum(sel)))
+    return RateFit(float(slope), r2, theo, verdict)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, ExperimentKind, resolved_config_dict
+from .config import ExperimentConfig, ExperimentKind, resolved_config_dict
 from .conformal import equivalence_experiment
 from .diagnostics import linear_confinement_check, rate_fit
 from .field import make_initial, save_checkpoint
@@ -45,22 +45,7 @@ def worker_count() -> int:
     return min(8, cpus)
 
 
-GNUPLOT_TEMPLATE = """\
-# gnuplot script for {csv}; run: gnuplot -persist {name}
-set datafile separator ','
-set key autotitle columnhead outside
-set logscale y
-set xlabel 't'
-plot '{csv}' using 1:2 with lines, \\
-     '' using 1:4 with lines, \\
-     '' using 1:5 with lines, \\
-     '' using 1:6 with lines
-"""
-
-
-def execute_single(
-    cfg: ExperimentConfig, out_dir: Path, gnuplot: bool = False
-) -> RunOutcome:
+def execute_single(cfg: ExperimentConfig, out_dir: Path) -> RunOutcome:
     """One solver run with the configured probes; writes its artifacts to out_dir."""
     state0 = make_initial(cfg.grid, cfg.initial)
     outcome = run(state0, cfg.model, cfg.solver, probes=cfg.probes)
@@ -68,22 +53,16 @@ def execute_single(
     outcome.trace.write_csv(out_dir / "trace.csv")
     for i, st in enumerate(outcome.checkpoints):
         save_checkpoint(out_dir / f"checkpoint_{i:04d}.nlsf", st, cfg.model)
-    if gnuplot:
-        (out_dir / "plot_trace.gp").write_text(
-            GNUPLOT_TEMPLATE.format(csv="trace.csv", name="plot_trace.gp")
-        )
     return outcome
 
 
-def _run_single(
-    cfg: ExperimentConfig, out_dir: Path, gnuplot: bool, point: Optional[dict]
-) -> dict:
+def _run_single(cfg: ExperimentConfig, out_dir: Path, point: Optional[dict]) -> dict:
     """Run cfg and write its artifacts and summary.json; returns the summary.
 
     A sweep cell passes its point, and its summary ends with its verdict row.
     """
     t0 = _time.perf_counter()
-    outcome = execute_single(cfg, out_dir, gnuplot=gnuplot)
+    outcome = execute_single(cfg, out_dir)
     wall = _time.perf_counter() - t0
     tr = outcome.trace
     summary = {
@@ -177,7 +156,7 @@ def dichotomy_table(rows: list, dim: int) -> str:
 
 def _sweep_cell(cfg: ExperimentConfig, point: dict, cell_dir: Path) -> dict:
     """One sweep cell: the single run of its own config; returns its verdict row."""
-    return _run_single(cfg.cell(point), cell_dir, False, point)["verdict"]
+    return _run_single(cfg.cell(point), cell_dir, point)["verdict"]
 
 
 def _cell_row(
@@ -219,15 +198,11 @@ def execute_sweep(cfg: ExperimentConfig, out_root: Path) -> list:
         return [_cell_row(cfg, p, fut) for p, fut in zip(points, futures)]
 
 
-def run_experiment(cfg: ExperimentConfig, gnuplot: bool = False) -> int:
+def run_experiment(cfg: ExperimentConfig) -> int:
     """Dispatch on experiment kind; returns a process exit code (0 ok, 2 fail)."""
-    if gnuplot and cfg.kind is not ExperimentKind.SINGLE:
-        raise ConfigError(
-            f"--gnuplot plots a single run's trace; kind = {cfg.kind.value} writes none"
-        )
     out_root = Path(cfg.output_dir)  # created only once there is a result to write
     if cfg.kind is ExperimentKind.SINGLE:
-        summary = _run_single(cfg, out_root, gnuplot, None)
+        summary = _run_single(cfg, out_root, None)
         print(f"status: {summary['status']}  final t = {summary['final_time']:.6g}")
         if summary["blowup_time_estimate"] is not None:
             print(f"blowup time estimate: {summary['blowup_time_estimate']:.10g}")

@@ -218,7 +218,7 @@ def run(
                 checkpoints.append(chain.state())
 
     state = chain.state()
-    if rec.rows[-1][0] != state.time:
+    if accepted % cfg.diagnostics_cadence != 0:  # the last accepted step has no row
         rec.record(state, chain.spectrum())
     if probes.store_states_every and checkpoints[-1] is not state:
         checkpoints.append(state)

@@ -7,7 +7,6 @@ import pytest
 import scipy.integrate
 
 from nls.diagnostics import (
-    _CSV_COLUMNS,
     CutoffFamily,
     DiagnosticTrace,
     ProbeSet,
@@ -202,7 +201,7 @@ def test_mass_balance_uniform_closed_form():
     out = run_simple(model, PlaneWave(1.0, (0,)), g, 1e-4, 0.4)
     rep = mass_balance_check(out.trace, model)
     assert rep.max_relative_mismatch <= 1e-4
-    t = out.trace.times[1:-1]
+    t = out.trace.t[1:-1]
     want = 2.0 * (1.0 - 2.0 * t) ** (-2.0) * g.box_length  # 2 m^4 L
     assert np.allclose(rep.derivative, want, rtol=1e-4)
 
@@ -221,7 +220,7 @@ def test_mass_balance_needs_three_rows():
     out = run_simple(model, Gaussian(0.5, 1.0), g, 1e-2, 0.02)
     tr = out.trace
     short = DiagnosticTrace(
-        times=tr.times[:2], mass=tr.mass[:2], lp=tr.lp[:2],
+        t=tr.t[:2], mass=tr.mass[:2], lp=tr.lp[:2],
         grad_l2=tr.grad_l2[:2], K_t=tr.K_t[:2], linf=tr.linf[:2],
         R_t=tr.R_t[:2], weighted_l2=tr.weighted_l2[:2],
         scatter_residual=tr.scatter_residual[:2],
@@ -249,7 +248,7 @@ def synthetic_uniform_trace(model, grid, fam, times):
     n = len(times)
     z = np.zeros(n)
     return DiagnosticTrace(
-        times=np.asarray(times), mass=np.asarray(mass), lp=np.asarray(lp),
+        t=np.asarray(times), mass=np.asarray(mass), lp=np.asarray(lp),
         grad_l2=z, K_t=z, linf=np.full(n, np.nan), R_t=np.full(n, np.nan),
         weighted_l2=np.full(n, np.nan), scatter_residual=np.full(n, np.nan),
         lambdas=fam.lambdas, loc_mass=np.array(rows_f),
@@ -303,7 +302,7 @@ def synthetic_power_trace(power, n=200, t0=1e-2, t1=100.0, noise=0.0, seed=0):
     K = np.maximum.accumulate(K)
     z = np.zeros(n)
     return DiagnosticTrace(
-        times=t, mass=np.ones(n), lp=np.ones(n), grad_l2=K, K_t=K,
+        t=t, mass=np.ones(n), lp=np.ones(n), grad_l2=K, K_t=K,
         linf=z, R_t=z, weighted_l2=z, scatter_residual=np.full(n, np.nan),
     )
 
@@ -423,7 +422,7 @@ def test_trace_csv_roundtrip():
     assert "loc_mass_λ=0.5" in header and "loc_mass_λ=1" in header
     back = DiagnosticTrace.from_csv(text)
     assert back.to_csv() == text  # parse is lossless (repr round-trip floats)
-    assert np.array_equal(back.times, out.trace.times)
+    assert np.array_equal(back.t, out.trace.t)
     assert np.array_equal(back.loc_mass, out.trace.loc_mass)
 
 
@@ -442,7 +441,7 @@ def test_trace_csv_columns_read_by_name():
         for r, name in zip(table, ["tail_frac"] + ["0.0"] * len(table))
     )
     back = DiagnosticTrace.from_csv(permuted)
-    for name in ("times", "mass", "lp", "grad_l2", "K_t", "linf", "R_t",
+    for name in ("t", "mass", "lp", "grad_l2", "K_t", "linf", "R_t",
                  "weighted_l2", "scatter_residual"):
         assert np.array_equal(getattr(back, name), getattr(out.trace, name),
                               equal_nan=True), name
@@ -457,7 +456,7 @@ def test_readme_trace_header_matches_to_csv():
     fixed, per_lambda = re.search(
         r"\*\*Trace CSV\*\* — header\n`([^`\[]*)\[(,loc_mass_λ=)<v>\.\.\.\]`", readme
     ).groups()
-    columns = {fld: np.zeros(1) for _, fld in _CSV_COLUMNS}
+    columns = {name: np.zeros(1) for name in DiagnosticTrace.columns()}
     trace = DiagnosticTrace(**columns, lambdas=(0.5,), loc_mass=np.zeros((1, 1)))
     assert trace.to_csv().splitlines()[0] == fixed + per_lambda + "0.5"
 

@@ -122,6 +122,39 @@ def test_values_are_coerced_by_type(tmp_path, line):
         load_config(p)
 
 
+@pytest.mark.parametrize("command,line", [
+    ("simulate", "solver.t_end = inf"),
+    ("simulate", "model.kappa_im = nan"),
+    ("simulate", "model.kappa_re = inf"),
+    ("simulate", "solver.blowup_linf_threshold = nan"),
+    ("simulate", "solver.blowup_dt_floor = nan"),
+    ("simulate", "confinement.times = [nan]"),
+    pytest.param("simulate", "model.alpha = 1" + "0" * 400, id="simulate-alpha-overflow"),
+    ("sweep", "sweep.alpha = [1.0, nan]"),
+])
+def test_cli_rejects_non_finite_floats(tmp_path, capsys, command, line):
+    key = line.split(" = ")[0]
+    text = re.sub(rf"^{re.escape(key)} = .*$", "", BASE_CONFIG, flags=re.M)
+    p = write_config(tmp_path, text.format(out=tmp_path / "o") + line + "\n")
+    assert main([command, "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    reason = "(expected a finite float|int too large to convert to float)"
+    assert re.match(rf"configuration error: {re.escape(key)}: {reason}", err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_zero_data_runs_with_an_empty_median_radius(tmp_path, capsys):
+    out = tmp_path / "zero"
+    text = BASE_CONFIG.format(out=out).replace(
+        "initial.amplitude_re = 0.5", "initial.amplitude_re = 0.0"
+    )
+    assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 0
+    header, *rows = (out / "trace.csv").read_text().splitlines()
+    j = header.split(",").index("R_t")
+    assert rows and all(row.split(",")[j] == "" for row in rows)
+    capsys.readouterr()
+
+
 def test_readme_config_block_matches_the_table():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"## Config file format.*?```ini\n(.*?)```", readme, re.S).group(1)
@@ -598,7 +631,7 @@ def make_outcome(trace, status):
     from nls.solver import RunOutcome
 
     g = GridSpec(1, 10.0, 8)
-    st = FieldState(grid=g, values=np.ones(g.shape, complex), time=trace.times[-1])
+    st = FieldState(grid=g, values=np.ones(g.shape, complex), time=trace.t[-1])
     return RunOutcome(status, st, None, trace, [], 0, 0)
 
 
@@ -609,7 +642,7 @@ def make_trace(times, K, scatter=None):
     K = np.asarray(K, float)
     sc = np.full(n, np.nan) if scatter is None else np.asarray(scatter, float)
     return DiagnosticTrace(
-        times=np.asarray(times, float), mass=np.ones(n), lp=np.ones(n),
+        t=np.asarray(times, float), mass=np.ones(n), lp=np.ones(n),
         grad_l2=K, K_t=np.maximum.accumulate(K), linf=np.ones(n),
         R_t=np.full(n, np.nan), weighted_l2=np.full(n, np.nan),
         scatter_residual=sc,

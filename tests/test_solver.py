@@ -107,7 +107,7 @@ def test_run_uniform_data_blowup_estimate():
     assert out.status is RunStatus.BLOWUP_DETECTED
     assert out.blowup_time_estimate is not None
     assert 0.499 <= out.blowup_time_estimate <= 0.5  # exact t* = 1/2
-    assert out.trace.times[-1] == pytest.approx(out.blowup_time_estimate)
+    assert out.trace.t[-1] == pytest.approx(out.blowup_time_estimate)
 
 
 def test_blowup_estimate_tightens_with_floor():
@@ -167,7 +167,7 @@ def test_trace_rows_strictly_increasing_and_K_t_running_max():
     st = make_initial(g, Gaussian(0.8, 1.0))
     out = run(st, model, SolverConfig(dt=1e-2, t_end=0.5, diagnostics_cadence=5))
     tr = out.trace
-    assert np.all(np.diff(tr.times) > 0)
+    assert np.all(np.diff(tr.t) > 0)
     assert np.array_equal(tr.K_t, np.maximum.accumulate(tr.grad_l2))
 
 

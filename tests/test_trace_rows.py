@@ -163,15 +163,13 @@ def assert_rows_match(model, probes, states):
     for s in states:
         new.record(s, scipy.fft.fftn(s.values))
         old.record(s)
+    got = new.trace()
     cols = ("t", "mass", "lp", "grad_l2", "K_t", "linf", "R_t", "weighted_l2",
-            "scatter_residual")
+            "scatter_residual", "loc_mass")
     for j, name in enumerate(cols):
-        got = np.array([r[j] for r in new.rows])
         want = np.array([r[j] for r in old.rows])
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=name)
-    np.testing.assert_allclose(np.array([r[9] for r in new.rows]),
-                               np.array([r[9] for r in old.rows]),
-                               rtol=1e-12, atol=0, err_msg="loc_mass")
+        np.testing.assert_allclose(getattr(got, name), want, rtol=1e-12, atol=0,
+                                   err_msg=name)
 
 
 @pytest.mark.parametrize("grid,alpha", CASES, ids=["1d", "2d", "3d"])
@@ -202,7 +200,7 @@ def test_row_norms_are_bit_equal_to_lp_norm_and_max(grid, alpha):
         before = s.values.copy()
         rec.record(s, scipy.fft.fftn(s.values))
         assert np.array_equal(s.values, before)
-        _, _, lp, _, _, linf, *_ = rec.rows[-1]
+        lp, linf = rec.rows[-1]["lp"], rec.rows[-1]["linf"]
         assert lp == lp_norm(s, alpha + 2.0)
         # the out-of-place formula the row used before
         q, h = alpha + 2.0, grid.spacing**grid.dim
