@@ -80,14 +80,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_exponents(args) -> int:
+    if args.a_index is not None and args.alpha is None:
+        raise ValueError("--a needs --alpha")
     alpha = args.alpha if args.alpha is not None else 1.0 / args.dim  # placeholder
     model = ModelParams(
         dim=args.dim, alpha=alpha, kappa=complex(args.kappa_re, args.kappa_im)
     )
     report = critical_exponents(model)
-    if args.alpha is not None and report.flags.alpha_in_scattering_window:
-        a = args.a_index if args.a_index is not None else smallest_valid_a(model)
-        report = strichartz_indices(model, a)
+    if args.a_index is not None:  # outside the window this raises
+        report = strichartz_indices(model, args.a_index)
+    elif args.alpha is not None and report.flags.alpha_in_scattering_window:
+        report = strichartz_indices(model, smallest_valid_a(model))
     d = dataclasses.asdict(report)
     if args.alpha is None:  # thresholds only: alpha-dependent entries are moot
         d["alpha"] = None

@@ -6,9 +6,9 @@ numbers, or bare strings.  ``TABLE`` declares every key once, with its type
 and default, and drives the unknown-key check (typos are hard errors, so
 they cannot silently change an experiment), the defaults and the coercion:
 a bool key takes only true/false, an int key only an integer, a float key
-a finite integer or float (not nan or inf), and a list key a list or a
-bare scalar.  A value the program cannot use is a ConfigError naming its
-key or section.
+a finite integer or float (not nan or inf), a list key a list or a bare
+scalar, and a str key its text as written.  A value the program cannot
+use is a ConfigError naming its key or section.
 """
 
 from __future__ import annotations
@@ -54,31 +54,7 @@ SWEEP_AXES = {
 }
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    axes: dict  # axis name (a SWEEP_AXES key) -> list of values
-    cap: int = 512
-
-    def __post_init__(self):
-        if not self.axes:
-            raise ConfigError("sweep requires at least one non-empty axis")
-        for name, vals in self.axes.items():
-            if name not in SWEEP_AXES:
-                allowed = tuple(SWEEP_AXES)
-                raise ConfigError(f"unknown sweep axis {name!r}; allowed: {allowed}")
-            if not vals:
-                raise ConfigError(f"sweep axis {name!r} is empty")
-        total = math.prod(len(v) for v in self.axes.values())
-        if total > self.cap:
-            raise ConfigError(f"sweep of {total} runs exceeds cap {self.cap}")
-
-    def points(self) -> list:
-        """Cartesian product as a list of dicts, in deterministic order."""
-        names = [a for a in SWEEP_AXES if a in self.axes]
-        out = [dict()]
-        for n in names:
-            out = [{**d, n: v} for d in out for v in self.axes[n]]
-        return out
+SWEEP_CAP = 512  # most cells one sweep may run
 
 
 def _parse_value(text: str):
@@ -100,7 +76,10 @@ def _parse_value(text: str):
 
 
 def parse_config_text(text: str) -> dict:
-    """Flat dict of dotted keys -> parsed values; syntax errors carry line numbers."""
+    """Flat dict of dotted keys -> parsed values; syntax errors carry line numbers.
+
+    A str key of TABLE keeps its text, so `output_dir = 007` names 007/.
+    """
     out: dict = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -114,7 +93,8 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {ln}: empty key")
         if key in out:
             raise ConfigError(f"line {ln}: duplicate key {key!r}")
-        out[key] = _parse_value(val)
+        typ = TABLE.get(key, (None,))[0]
+        out[key] = val.strip() if typ is str else _parse_value(val)
     return out
 
 
@@ -158,10 +138,9 @@ TABLE = {
 }
 # sweep.<axis> is a list of values of the key the axis sets
 TABLE.update({f"sweep.{a}": ([TABLE[key][0]], None) for a, key in SWEEP_AXES.items()})
-TABLE["sweep.cap"] = (int, 512)
 
-# parsed types each table type takes; a str key also takes a word parsed as a number
-_ACCEPTS = {bool: (bool,), int: (int,), float: (int, float), str: (str, int, float)}
+# parsed types each table type takes
+_ACCEPTS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 
 def _coerce(typ, value):
@@ -230,7 +209,7 @@ class ExperimentConfig:
     solver: SolverConfig = field(init=False)
     initial: InitialDataSpec = field(init=False)
     probes: ProbeSet = field(init=False)
-    sweep: Optional[SweepSpec] = field(init=False)
+    sweep: Optional[dict] = field(init=False)  # axis -> values; None: no axis
     pct_t_star: float = field(init=False)
     confinement_times: tuple = field(init=False)
 
@@ -258,6 +237,12 @@ class ExperimentConfig:
             raise ConfigError("kind = sweep requires at least one sweep.<axis>")
         if "amplitude" in axes and not isinstance(initial, Gaussian):
             raise ConfigError("sweep.amplitude requires initial.kind = gaussian")
+        for name, vals in axes.items():
+            if not vals:
+                raise ConfigError(f"sweep axis {name!r} is empty")
+        total = math.prod(len(v) for v in axes.values())
+        if total > SWEEP_CAP:
+            raise ConfigError(f"sweep of {total} runs exceeds cap {SWEEP_CAP}")
         sections = dict(
             keys=keys,
             kind=sec["kind"],
@@ -273,7 +258,7 @@ class ExperimentConfig:
                 scatter=p["scatter"],
                 store_states_every=p["checkpoint_every"],
             ),
-            sweep=SweepSpec(axes=axes, cap=sw["cap"]) if axes else None,
+            sweep=axes or None,
             pct_t_star=sec["pct"]["t_star"],
             confinement_times=sec["confinement"]["times"],
         )
@@ -287,17 +272,22 @@ class ExperimentConfig:
         keys = {**self.keys, **cleared, **values, "kind": ExperimentKind.SINGLE}
         return ExperimentConfig(keys)
 
+    def points(self) -> list:
+        """The sweep's cells as axis -> value dicts, the first axis slowest."""
+        out = [dict()]
+        for name, vals in self.sweep.items():
+            out = [{**d, name: v} for d in out for v in vals]
+        return out
+
 
 def load_config(
-    source: Union[str, Path], kind: Optional[ExperimentKind] = None
+    path: Union[str, Path], kind: Optional[ExperimentKind] = None
 ) -> ExperimentConfig:
-    """Parse and validate a config file (or literal text containing newlines).
+    """Parse and validate a config file.
 
     kind, when given, replaces the file's kind (which must still be valid).
     """
-    if isinstance(source, Path) or "\n" not in str(source):
-        source = Path(source).read_text()
-    given = parse_config_text(str(source))
+    given = parse_config_text(Path(path).read_text())
     unknown = sorted(set(given) - TABLE.keys())
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")

@@ -26,25 +26,6 @@ from .field import FieldState, GridSpec, InitialDataSpec, l2_norm, make_initial
 from .solver import RunOutcome, SolverConfig, run
 
 
-@dataclass(frozen=True)
-class ConformalPair:
-    """Matched times on the two sides: t in [0,1) and s = t/(1-t)."""
-
-    t: float
-
-    def __post_init__(self):
-        if not 0 <= self.t < 1:
-            raise ValueError(f"t must be in [0, 1), got {self.t}")
-
-    @property
-    def s(self) -> float:
-        return self.t / (1.0 - self.t)
-
-    @property
-    def scale(self) -> float:
-        return 1.0 - self.t
-
-
 def effective_kappa(model: ModelParams, t: float) -> complex:
     """Nonlinear coefficient of the differential v-equation at time t.
 
@@ -82,15 +63,16 @@ def to_u_frame(v: FieldState, t: float) -> FieldState:
     The returned state lives on the rescaled grid (box L/(1-t), same M);
     no interpolation is involved.
     """
-    pair = ConformalPair(t)
-    scale = pair.scale
+    if not 0 <= t < 1:
+        raise ValueError(f"t must be in [0, 1), got {t}")
+    scale = 1.0 - t
     check_chirp_resolution(v.grid, scale=scale)
     r2 = v.grid.radius_squared()  # |x|^2 on the source grid
     vals = scale ** (v.grid.dim / 2.0) * np.exp(1j * r2 / (4.0 * scale)) * v.values
     grid_u = GridSpec(
         dim=v.grid.dim, box_length=v.grid.box_length / scale, points=v.grid.points
     )
-    return FieldState(grid=grid_u, values=vals, time=pair.s)
+    return FieldState(grid=grid_u, values=vals, time=t / scale)
 
 
 def solve_v_problem(
@@ -146,7 +128,7 @@ def equivalence_experiment(
     """
     if not 0 <= t_star < 1:
         raise ValueError("t_star must be in [0, 1)")
-    pair = ConformalPair(t_star)
+    s_star = t_star / (1.0 - t_star)
     u0_v = make_initial(grid, initial)
     if t_star == 0.0:
         return EquivalenceReport(
@@ -158,7 +140,7 @@ def equivalence_experiment(
     u_a = to_u_frame(out_a.final_state, t_star)
 
     u0_u = make_initial(u_a.grid, initial)
-    cfg_b = replace(cfg, t_end=pair.s)
+    cfg_b = replace(cfg, t_end=s_star)
     out_b = run(u0_u, model, cfg_b)
     u_b = out_b.final_state
 
@@ -166,7 +148,7 @@ def equivalence_experiment(
     disc = l2_norm(diff) / l2_norm(u_b)
     return EquivalenceReport(
         t_star,
-        pair.s,
+        s_star,
         disc,
         grid,
         u_a.grid,

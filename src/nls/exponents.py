@@ -98,7 +98,7 @@ def critical_exponents(params: ModelParams) -> ExponentReport:
     n = params.dim
     energy = math.inf if n <= 2 else 4.0 / (n - 2)
     a2 = alpha2_threshold(n)
-    window = (n >= 3) and (a2 < params.alpha < 4.0 / n)
+    window = (n >= 3) and (a2 < params.alpha <= 4.0 / n)
     return ExponentReport(
         dim=n,
         alpha=params.alpha,
@@ -117,14 +117,14 @@ def critical_exponents(params: ModelParams) -> ExponentReport:
 def scattering_window(params: ModelParams) -> ExponentReport:
     """critical_exponents(params), or InfeasibleExponentError outside the window.
 
-    The window is alpha2 < alpha < 4/N with N >= 3, the range in which the
+    The window is alpha2 < alpha <= 4/N with N >= 3, the range in which the
     index chain and a valid a exist.
     """
     base = critical_exponents(params)
     if not base.flags.alpha_in_scattering_window:
         raise InfeasibleExponentError(
             f"alpha={params.alpha}, dim={params.dim} is outside the scattering "
-            f"window: dim >= 3 and alpha2 = {base.alpha2:.6g} < alpha < 4/N = "
+            f"window: dim >= 3 and alpha2 = {base.alpha2:.6g} < alpha <= 4/N = "
             f"{base.mass_critical:.6g}"
         )
     return base

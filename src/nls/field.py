@@ -10,6 +10,7 @@ always measured from the box center with no periodic wrapping.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import struct
@@ -381,7 +382,10 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: Union[str, Path]):
-    """Read a field file; returns (FieldState, ModelParams or None)."""
+    """Read a field file; returns (FieldState, ModelParams or None).
+
+    A sidecar whose time or kappa is not finite is a ValueError.
+    """
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < _HEADER.size:
@@ -414,5 +418,10 @@ def load_checkpoint(path: Union[str, Path]):
                 dim=int(mm["dim"]),
                 alpha=float(mm["alpha"]),
                 kappa=complex(mm["kappa_re"], mm["kappa_im"]),
+            )
+        kappa = 0j if model is None else model.kappa
+        if not (math.isfinite(time) and cmath.isfinite(kappa)):
+            raise ValueError(
+                f"{meta_path}: time and kappa must be finite, got {time} and {kappa}"
             )
     return FieldState(grid=grid, values=vals, time=time), model

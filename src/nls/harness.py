@@ -187,8 +187,7 @@ def execute_sweep(cfg: ExperimentConfig, out_root: Path) -> list:
     row with classification "Failed" and an "error" field; the other cells
     finish.
     """
-    assert cfg.sweep is not None
-    points = cfg.sweep.points()  # cap enforced at SweepSpec construction
+    points = cfg.points()
     workers = min(worker_count(), len(points))
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [

@@ -122,25 +122,18 @@ def nonlinear_flow(
     Zero entries are fixed points.  Raises SubstepBlowupError if the bracket
     1 + alpha Im(kappa) m0^alpha dt is nonpositive anywhere.
 
-    Returns a new complex128 array, advanced in place by _flow_in_place.
-    With overwrite_x (the scipy.fft idiom) a complex128 values is advanced
-    and returned itself; the split-step chain passes the buffer its inverse
-    FFT returned.
-    """
-    values = np.array(values, dtype=np.complex128, copy=None if overwrite_x else True)
-    return _flow_in_place(values, model, dt)
-
-
-def _flow_in_place(values: np.ndarray, model: ModelParams, dt: float) -> np.ndarray:
-    """nonlinear_flow on a complex128 values, overwriting and returning it.
+    Returns a new complex128 array.  With overwrite_x (the scipy.fft idiom)
+    a complex128 values is advanced and returned itself; the split-step
+    chain passes the buffer its inverse FFT returned.
 
     One real buffer holds |u|^2, then |u|^alpha, then the bracket, then its
-    power; values is written only after the bracket check, so a
-    SubstepBlowupError leaves it unchanged.  kappa = 0 leaves values as is.
+    power; the field is written only after the bracket check, so a
+    SubstepBlowupError leaves values unchanged.  kappa = 0 is the identity.
     Re(kappa) = 0 (the phase increment vanishes) scales by the real modulus
     factor with no log or complex exp.  Otherwise modulus and phase come
     from one complex power of the bracket.
     """
+    values = np.array(values, dtype=np.complex128, copy=None if overwrite_x else True)
     al = model.alpha
     kr, ki = model.kappa.real, model.kappa.imag
     if kr == 0.0 and ki == 0.0:

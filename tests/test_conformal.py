@@ -3,7 +3,6 @@ import pytest
 import scipy.integrate
 
 from nls.conformal import (
-    ConformalPair,
     check_chirp_resolution,
     effective_kappa,
     equivalence_experiment,
@@ -24,15 +23,15 @@ from nls.field import (
 from nls.solver import SolverConfig
 
 
-def test_conformal_pair_roundtrip():
+def test_to_u_frame_time_roundtrip():
+    v = make_initial(GridSpec(1, 1.0, 1024), Gaussian(1.0, 0.1))  # chirp resolved
     for t in (0.0, 0.25, 0.5, 0.9, 0.999):
-        pair = ConformalPair(t)
-        assert pair.s / (1.0 + pair.s) == pytest.approx(t, abs=1e-14)
-        assert pair.scale == 1.0 - t
-    with pytest.raises(ValueError):
-        ConformalPair(1.0)
-    with pytest.raises(ValueError):
-        ConformalPair(-0.1)
+        u = to_u_frame(v, t)
+        assert u.time / (1.0 + u.time) == pytest.approx(t, abs=1e-14)
+        assert u.grid.box_length == 1.0 / (1.0 - t)
+    for t in (1.0, -0.1):
+        with pytest.raises(ValueError, match=r"t must be in \[0, 1\)"):
+            to_u_frame(v, t)
 
 
 # the Duhamel kernel h(t) = i kappa (1-t)^{-(4 - N alpha)/2} is i effective_kappa

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -173,6 +174,21 @@ def test_scattering_window_flag():
     assert r.flags.alpha_in_scattering_window
     assert not critical_exponents(ModelParams(3, 0.5)).flags.alpha_in_scattering_window
     assert not critical_exponents(ModelParams(1, 3.0)).flags.alpha_in_scattering_window
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 8])
+def test_scattering_window_is_closed_at_mass_critical_power(n):
+    model = ModelParams(n, 4.0 / n)
+    assert critical_exponents(model).flags.alpha_in_scattering_window
+    r = strichartz_indices(model, smallest_valid_a(model))
+    assert all(dataclasses.astuple(r.flags))
+    assert r.a == r.gamma
+    assert r.s == pytest.approx(0.0, abs=1e-15)
+    assert 2 < r.rho < 2 * n / (n - 2)
+    above = ModelParams(n, math.nextafter(4.0 / n, math.inf))
+    assert not critical_exponents(above).flags.alpha_in_scattering_window
+    with pytest.raises(InfeasibleExponentError, match="outside the scattering window"):
+        strichartz_indices(above, r.a)
 
 
 def test_model_params_validation():

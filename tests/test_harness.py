@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -11,7 +12,6 @@ from nls.config import (
     TABLE,
     ConfigError,
     ExperimentKind,
-    SweepSpec,
     load_config,
     parse_config_text,
     resolved_config_dict,
@@ -111,7 +111,7 @@ def test_load_config_defaults_and_types(tmp_path):
     "model.alpha = true",
     "grid.points = [64, 128]",
     "pct.t_star = abc",
-    "sweep.cap = x",
+    "initial.chirp_sign = x",
     "confinement.times = [1.0, x]",
 ])
 def test_values_are_coerced_by_type(tmp_path, line):
@@ -155,10 +155,10 @@ def test_zero_data_runs_with_an_empty_median_radius(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_readme_config_block_matches_the_table():
+def test_readme_config_block_matches_the_table(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"## Config file format.*?```ini\n(.*?)```", readme, re.S).group(1)
-    assert load_config(block).kind is ExperimentKind.SINGLE
+    assert load_config(write_config(tmp_path, block)).kind is ExperimentKind.SINGLE
     axes = next(line for line in block.splitlines() if "# axes:" in line)
     for key in TABLE:
         section, _, name = key.rpartition(".")
@@ -175,14 +175,17 @@ def test_plane_wave_and_chirp_initial(tmp_path):
     assert cfg.initial.mode_index == (3,)
 
 
-def test_sweep_spec_validation():
-    with pytest.raises(ConfigError, match="axis"):
-        SweepSpec(axes={"bogus": [1]})
-    with pytest.raises(ConfigError, match="cap"):
-        SweepSpec(axes={"alpha": list(range(100)), "dt": list(range(100))}, cap=512)
-    s = SweepSpec(axes={"alpha": [1.0, 2.0], "dt": [0.1]})
-    pts = s.points()
-    assert pts == [{"alpha": 1.0, "dt": 0.1}, {"alpha": 2.0, "dt": 0.1}]
+def test_sweep_config_validation(tmp_path):
+    def load(lines):
+        text = BASE_CONFIG.format(out=tmp_path / "o").replace("kind = single", "kind = sweep")
+        return load_config(write_config(tmp_path, text + lines))
+
+    with pytest.raises(ConfigError, match="sweep axis 'dt' is empty"):
+        load("sweep.alpha = [1.0]\nsweep.dt = []\n")
+    with pytest.raises(ConfigError, match="sweep of 600 runs exceeds cap 512"):
+        load(f"sweep.alpha = {list(range(1, 31))}\nsweep.dt = {[0.01] * 20}\n")
+    with pytest.raises(ConfigError, match="unknown config keys: sweep.cap"):
+        load("sweep.alpha = [1.0]\nsweep.cap = 1024\n")
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +359,7 @@ def test_sweep_pool_size_leaves_artifacts_unchanged(tmp_path, monkeypatch):
         monkeypatch.setenv("NLS_THREADS", n)
         rows[n] = execute_sweep(cfg, tmp_path / f"pool{n}")
     assert rows["1"] == rows["2"]
-    assert [r["point"] for r in rows["1"]] == cfg.sweep.points()
+    assert [r["point"] for r in rows["1"]] == cfg.points()
     for i in range(3):
         one = tmp_path / "pool1" / f"run_{i:04d}"
         two = tmp_path / "pool2" / f"run_{i:04d}"
@@ -394,6 +397,23 @@ def test_cli_exponents_table(capsys):
     assert main(["exponents", "--dim", "1"]) == 0
     out = capsys.readouterr().out
     assert "fujita" in out and "inf" in out
+
+
+def test_cli_exponents_full_chain_at_mass_critical_power(capsys):
+    assert main(["exponents", "--dim", "8", "--alpha", "0.5", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert None not in data.values() and all(data["flags"].values())
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--dim", "7", "--alpha", "0.3", "--a", "5"], "alpha=0.3, dim=7 is outside"),
+    (["--dim", "7", "--a", "5"], "--a needs --alpha"),
+])
+def test_cli_exponents_never_drops_a_given_a(capsys, argv, message):
+    assert main(["exponents", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"configuration error: {message}")
 
 
 def test_cli_oracle_with_trace(tmp_path, capsys):
@@ -612,6 +632,71 @@ def test_initial_from_file_through_config(tmp_path):
     assert summary["status"] in ("ReachedTEnd", "BlowupDetected")
 
 
+@pytest.mark.parametrize("key", ["time", "kappa_re", "kappa_im"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_checkpoint_sidecar_must_be_finite(tmp_path, capsys, key, value):
+    from nls.exponents import ModelParams
+    from nls.field import GridSpec, load_checkpoint, make_initial, save_checkpoint
+
+    ckpt = tmp_path / "init.nlsf"
+    state = make_initial(GridSpec(1, 40.0, 256), Gaussian(0.5, 1.0))
+    save_checkpoint(ckpt, state, ModelParams(1, 1.0, -1j))
+    meta = tmp_path / "init.nlsf.meta.json"
+    data = json.loads(meta.read_text())
+    (data if key == "time" else data["model"])[key] = value
+    meta.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=re.escape(f"{meta}: time and kappa must be finite")):
+        load_checkpoint(ckpt)
+    out = tmp_path / "o"
+    text = BASE_CONFIG.format(out=out).replace(
+        "initial.kind = gaussian", f"initial.kind = file\ninitial.path = {ckpt}"
+    )
+    assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 1
+    assert capsys.readouterr().err.startswith(f"configuration error: {meta}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("word", ["1e3", "007", "1_000", "NaN", "Infinity"])
+@pytest.mark.parametrize("key", ["output_dir", "initial.path"])
+def test_string_keys_keep_their_text(tmp_path, monkeypatch, capsys, key, word):
+    from nls.exponents import ModelParams
+    from nls.field import GridSpec, make_initial, save_checkpoint
+
+    monkeypatch.chdir(tmp_path)
+    text = BASE_CONFIG.format(out=word if key == "output_dir" else "out")
+    if key == "initial.path":
+        state = make_initial(GridSpec(1, 40.0, 256), Gaussian(0.5, 1.0))
+        save_checkpoint(word, state, ModelParams(1, 1.0, -1j))
+        text = text.replace(
+            "initial.kind = gaussian", f"initial.kind = file\ninitial.path = {word}"
+        )
+    cfg = load_config(write_config(tmp_path, text))
+    assert cfg.keys[key] == word
+    assert main(["simulate", "--config", "exp.cfg"]) == 0
+    assert (tmp_path / cfg.output_dir / "trace.csv").exists()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", ["single", "pct-check", "linear-confinement"])
+def test_cfg_sweep_is_none_without_an_axis(tmp_path, kind):
+    text = BASE_CONFIG.format(out=tmp_path / "o").replace("kind = single", f"kind = {kind}")
+    assert load_config(write_config(tmp_path, text)).sweep is None
+
+
+def test_cfg_sweep_maps_each_axis_to_its_values_in_axis_order(tmp_path):
+    text = (
+        BASE_CONFIG.format(out=tmp_path / "o").replace("kind = single", "kind = sweep")
+        + "sweep.dt = [0.01, 0.02]\nsweep.amplitude = [0.25]\nsweep.alpha = [1.0, 3.0]\n"
+    )
+    cfg = load_config(write_config(tmp_path, text))
+    assert cfg.sweep == {"alpha": (1.0, 3.0), "amplitude": (0.25,), "dt": (0.01, 0.02)}
+    assert list(cfg.sweep) == ["alpha", "amplitude", "dt"]
+    assert cfg.points() == [
+        {"alpha": a, "amplitude": 0.25, "dt": d} for a in (1.0, 3.0) for d in (0.01, 0.02)
+    ]
+    assert cfg.cell(cfg.points()[0]).sweep is None
+
+
 def test_cli_sweep_without_axis_is_config_error(tmp_path, capsys):
     # the file's kind is single; the sweep subcommand's kind is checked
     p = write_config(tmp_path, BASE_CONFIG.format(out=tmp_path / "o"))
@@ -649,11 +734,10 @@ def make_trace(times, K, scatter=None):
     )
 
 
-def classify_with(alpha, trace, status):
+def classify_with(tmp_path, alpha, trace, status):
     from nls.harness import _classify_run
 
-    cfg = load_config(
-        f"""
+    cfg = load_config(write_config(tmp_path, f"""
 kind = single
 model.dim = 1
 model.alpha = {alpha}
@@ -663,52 +747,51 @@ grid.points = 8
 solver.dt = 0.1
 solver.t_end = 1.0
 initial.kind = gaussian
-"""
-    )
+"""))
     return _classify_run(cfg, make_outcome(trace, status))
 
 
-def test_classifier_growth_confirmed():
+def test_classifier_growth_confirmed(tmp_path):
     from nls.solver import RunStatus
 
     t = np.geomspace(0.01, 100.0, 80)
-    row = classify_with(1.0, make_trace(t, t**1.05), RunStatus.REACHED_T_END)
+    row = classify_with(tmp_path, 1.0, make_trace(t, t**1.05), RunStatus.REACHED_T_END)
     assert row["classification"] == "GrowthConfirmed"
     assert row["fitted_slope"] == pytest.approx(1.05, abs=1e-6)
     assert row["theoretical_exponent"] == pytest.approx(1.0)
 
 
-def test_classifier_bounded_scattering():
+def test_classifier_bounded_scattering(tmp_path):
     from nls.solver import RunStatus
 
     t = np.linspace(0.0, 40.0, 30)
     scatter = np.full(30, np.nan)
     scatter[5], scatter[15], scatter[25] = 1e-3, 5e-4, 1e-4
     row = classify_with(
-        3.0, make_trace(t, np.ones(30), scatter), RunStatus.REACHED_T_END
+        tmp_path, 3.0, make_trace(t, np.ones(30), scatter), RunStatus.REACHED_T_END
     )
     assert row["classification"] == "BoundedScattering"
     assert row["scatter_first"] == pytest.approx(1e-3)
     assert row["scatter_last"] == pytest.approx(1e-4)
 
 
-def test_classifier_blowup_short_circuits():
+def test_classifier_blowup_short_circuits(tmp_path):
     from nls.solver import RunStatus
 
     t = np.linspace(0.0, 1.0, 5)
-    row = classify_with(1.0, make_trace(t, np.ones(5)), RunStatus.BLOWUP_DETECTED)
+    row = classify_with(tmp_path, 1.0, make_trace(t, np.ones(5)), RunStatus.BLOWUP_DETECTED)
     assert row["classification"] == "BlowupDetected"
 
 
-def test_classifier_undetermined_without_signal():
+def test_classifier_undetermined_without_signal(tmp_path):
     from nls.solver import RunStatus
 
     t = np.geomspace(0.01, 100.0, 80)
     # growing too slowly for the sub-Fujita verdict
-    row = classify_with(1.0, make_trace(t, t**0.3), RunStatus.REACHED_T_END)
+    row = classify_with(tmp_path, 1.0, make_trace(t, t**0.3), RunStatus.REACHED_T_END)
     assert row["classification"] == "Undetermined"
     # no scattering residuals recorded above Fujita
-    row2 = classify_with(3.0, make_trace(t, np.ones(80)), RunStatus.REACHED_T_END)
+    row2 = classify_with(tmp_path, 3.0, make_trace(t, np.ones(80)), RunStatus.REACHED_T_END)
     assert row2["classification"] == "Undetermined"
 
 

@@ -11,7 +11,6 @@ from nls.oracle import (
     PastBlowupError,
     SelfSimilarParams,
     SubstepBlowupError,
-    _flow_in_place,
     blowup_time,
     classify,
     nonlinear_flow,
@@ -297,7 +296,7 @@ def test_flow_branches_match_closed_form(alpha, kappa):
 
 
 def out_of_place_flow(values, model, dt):
-    """The substep as a chain of new arrays, as written before _flow_in_place."""
+    """The substep as a chain of new arrays, as written before it ran in place."""
     al = model.alpha
     kr, ki = model.kappa.real, model.kappa.imag
     ma = (values.real**2 + values.imag**2) ** (al / 2.0)
@@ -332,7 +331,7 @@ KAPPAS = [0j, complex(0.7, -0.9), complex(1.3, 0.0), complex(0.0, -1.0)]
 def test_in_place_flow_is_bit_equal(alpha, kappa):
     vals, model, dt = flow_data(), ModelParams(1, alpha, kappa), 0.02
     buf = vals.copy()
-    got = _flow_in_place(buf, model, dt)
+    got = nonlinear_flow(buf, model, dt, overwrite_x=True)
     assert got is buf
     assert np.array_equal(bits(got), bits(nonlinear_flow(vals, model, dt)))
     if kappa == 0:
@@ -353,7 +352,7 @@ def test_nonlinear_flow_never_mutates_its_input(kappa):
     real = np.linspace(-1.0, 1.0, 9)  # converted to complex, never written back
     assert nonlinear_flow(real, ModelParams(1, 1.0, kappa), 0.05).dtype == np.complex128
     assert np.array_equal(real, np.linspace(-1.0, 1.0, 9))
-    # overwrite_x hands a complex128 buffer to the in-place flow
+    # overwrite_x advances a complex128 buffer in place
     assert nonlinear_flow(vals, ModelParams(1, 1.0, kappa), 0.05, overwrite_x=True) is vals
 
 
@@ -363,5 +362,5 @@ def test_substep_blowup_leaves_the_buffer_unchanged(kappa):
     vals[-1] = 10.0  # 1 - alpha |u|^alpha dt < 0 here
     buf = vals.copy()
     with pytest.raises(SubstepBlowupError):
-        _flow_in_place(buf, ModelParams(1, 1.0, kappa), 0.5)
+        nonlinear_flow(buf, ModelParams(1, 1.0, kappa), 0.5, overwrite_x=True)
     assert np.array_equal(bits(buf), bits(vals))
