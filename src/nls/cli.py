@@ -48,14 +48,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"nls {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for name in ("simulate", "sweep", "pct-check"):
-        sp = sub.add_parser(name, help=f"run a {name} experiment from a config file")
-        sp.add_argument("--config", required=True, help="experiment config file")
-        if name == "simulate":
-            sp.add_argument(
-                "--gnuplot", action="store_true",
-                help="also emit a ready-to-run gnuplot script next to the CSV",
-            )
+    sp = sub.add_parser("simulate", help="run the experiment a config file's kind names")
+    sp.add_argument("--config", required=True, help="experiment config file")
+    sp.add_argument(
+        "--gnuplot", action="store_true",
+        help="also emit a ready-to-run gnuplot script next to the CSV",
+    )
 
     se = sub.add_parser("exponents", help="print the derived-exponent table")
     se.add_argument("--dim", type=int, required=True)
@@ -154,28 +152,22 @@ def main(argv=None) -> int:
                 print(f"no criteria match filter {args.filter!r}", file=sys.stderr)
                 return EXIT_CONFIG
             return EXIT_OK if all(r.passed for r in results) else EXIT_ACCEPT
-        # config-file commands; simulate runs the kind the file names
+        # simulate runs the kind the config file names
         from .config import ConfigError, ExperimentKind, load_config
 
-        kind = {
-            "simulate": None,
-            "sweep": ExperimentKind.SWEEP,
-            "pct-check": ExperimentKind.PCT_CHECK,
-        }[args.command]
         try:
-            cfg = load_config(args.config, kind=kind)
+            cfg = load_config(args.config)
         except OSError as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        gnuplot = getattr(args, "gnuplot", False)
-        if gnuplot and cfg.kind is not ExperimentKind.SINGLE:
+        if args.gnuplot and cfg.kind is not ExperimentKind.SINGLE:
             raise ConfigError(
                 f"--gnuplot plots a single run's trace; kind = {cfg.kind.value} writes none"
             )
         from .harness import run_experiment
 
         code = run_experiment(cfg)
-        if gnuplot:
+        if args.gnuplot:
             (Path(cfg.output_dir) / "plot_trace.gp").write_text(GNUPLOT_SCRIPT)
         return code
     except ValueError as exc:  # ConfigError and InfeasibleExponentError included

@@ -1,14 +1,14 @@
 """Experiment configuration: a flat key = value file with dotted sections.
 
 Lines are `dotted.key = value`; blank lines and # comments are ignored.
-Values are parsed as booleans, integers, floats, bracketed lists of
-numbers, or bare strings.  ``TABLE`` declares every key once, with its type
-and default, and drives the unknown-key check (typos are hard errors, so
-they cannot silently change an experiment), the defaults and the coercion:
-a bool key takes only true/false, an int key only an integer, a float key
-a finite integer or float (not nan or inf), a list key a list or a bare
-scalar, and a str key its text as written.  A value the program cannot
-use is a ConfigError naming its key or section.
+``TABLE`` declares every key once, with its type and default.  A key not in
+the table is an error on its line (typos are hard errors, so they cannot
+silently change an experiment), and each value is read by its key's type:
+a bool key takes only true/false, an int key only an integer literal, a
+float key a finite number (not nan or inf), a list key `[a, b]` or a bare
+item, and a str key its text as written.  The file's `kind` alone chooses
+the experiment.  A value the program cannot use is a ConfigError naming its
+key or section.
 """
 
 from __future__ import annotations
@@ -57,28 +57,11 @@ SWEEP_AXES = {
 SWEEP_CAP = 512  # most cells one sweep may run
 
 
-def _parse_value(text: str):
-    text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_value(v) for v in inner.split(",")]
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    for number in (int, float):
-        try:
-            return number(text)
-        except ValueError:
-            pass
-    return text
-
-
 def parse_config_text(text: str) -> dict:
-    """Flat dict of dotted keys -> parsed values; syntax errors carry line numbers.
+    """Flat dict of TABLE keys -> values read by their types.
 
-    A str key of TABLE keeps its text, so `output_dir = 007` names 007/.
+    Syntax errors and unknown keys carry line numbers; a bad value is a
+    ConfigError starting `<key>: expected`.
     """
     out: dict = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -91,10 +74,11 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         if not key:
             raise ConfigError(f"line {ln}: empty key")
+        if key not in TABLE:
+            raise ConfigError(f"line {ln}: unknown config key {key!r}")
         if key in out:
             raise ConfigError(f"line {ln}: duplicate key {key!r}")
-        typ = TABLE.get(key, (None,))[0]
-        out[key] = val.strip() if typ is str else _parse_value(val)
+        out[key] = _checked(key, _parse, TABLE[key][0], val.strip())
     return out
 
 
@@ -111,7 +95,7 @@ def _fields(section: str, cls) -> dict:
 
 # key -> (type, default); [t] is a list of t; None: read by some runs only
 TABLE = {
-    "kind": (ExperimentKind, "single"),
+    "kind": (ExperimentKind, ExperimentKind.SINGLE),
     "output_dir": (str, "runs/out"),
     "model.dim": (int, REQUIRED),
     "model.alpha": (float, REQUIRED),
@@ -139,22 +123,24 @@ TABLE = {
 # sweep.<axis> is a list of values of the key the axis sets
 TABLE.update({f"sweep.{a}": ([TABLE[key][0]], None) for a, key in SWEEP_AXES.items()})
 
-# parsed types each table type takes
-_ACCEPTS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
-
-def _coerce(typ, value):
-    """The one coercion rule of each table type; [t] gives a tuple of t."""
-    if isinstance(typ, list):  # a bare scalar is a one-element list
-        items = value if isinstance(value, (list, tuple)) else [value]
-        return tuple(_coerce(typ[0], v) for v in items)
-    # an Enum takes its values; a value already of the key's type is taken again
-    if type(value) is not typ and type(value) not in _ACCEPTS.get(typ, (str,)):
-        raise TypeError(f"expected {typ.__name__}, got {value!r}")
-    out = typ(value)  # an integer beyond double range raises OverflowError
-    if typ is float and not math.isfinite(out):
-        raise ValueError(f"expected a finite float, got {value!r}")
-    return out
+def _parse(typ, text: str):
+    """text read as a value of table type typ; [t] gives a tuple of t."""
+    if isinstance(typ, list):  # [a, b], or a bare item as a one-item list
+        if not (text.startswith("[") and text.endswith("]")):
+            return (_parse(typ[0], text),)
+        inner = text[1:-1].strip()
+        return tuple(_parse(typ[0], v.strip()) for v in inner.split(",")) if inner else ()
+    try:
+        if typ is bool:
+            value = {"true": True, "false": False}[text.lower()]
+        else:  # str keeps its text; int rejects "2.0"; an Enum takes its values
+            value = typ(text)
+    except (KeyError, ValueError):
+        raise ValueError(f"expected {typ.__name__}, got {text!r}") from None
+    if typ is float and not math.isfinite(value):
+        raise ValueError(f"expected a finite float, got {text!r}")
+    return value
 
 
 def _initial(i: dict) -> InitialDataSpec:
@@ -197,8 +183,9 @@ def _sectioned(keys: dict) -> dict:
 class ExperimentConfig:
     """The resolved TABLE keys of one experiment, and typed sections read from them.
 
-    The given keys (a file's, or a sweep cell's) are completed with their
-    defaults, coerced and validated; ``keys`` keeps the result in TABLE order.
+    The given keys (a file's, or a sweep cell's) hold values of their TABLE
+    types; they are completed with their defaults and validated, and
+    ``keys`` keeps the result in TABLE order.
     """
 
     keys: dict
@@ -214,12 +201,10 @@ class ExperimentConfig:
     confinement_times: tuple = field(init=False)
 
     def __post_init__(self):
-        keys = {}
-        for key, (typ, default) in TABLE.items():
-            value = self.keys.get(key, default)
+        keys = {key: self.keys.get(key, default) for key, (_, default) in TABLE.items()}
+        for key, value in keys.items():
             if value is REQUIRED:
                 raise ConfigError(f"missing required key {key!r}")
-            keys[key] = None if value is None else _checked(key, _coerce, typ, value)
         sec = _sectioned(keys)
         m, p, sw = sec["model"], sec["probes"], sec["sweep"]
         kappa = complex(m["kappa_re"], m["kappa_im"])
@@ -235,6 +220,11 @@ class ExperimentConfig:
         axes = {a: sw[a] for a in SWEEP_AXES if sw[a] is not None}
         if sec["kind"] is ExperimentKind.SWEEP and not axes:
             raise ConfigError("kind = sweep requires at least one sweep.<axis>")
+        if sec["kind"] is not ExperimentKind.SWEEP and axes:
+            raise ConfigError(
+                f"sweep.{next(iter(axes))} needs kind = sweep; "
+                f"kind = {sec['kind'].value} runs no sweep"
+            )
         if "amplitude" in axes and not isinstance(initial, Gaussian):
             raise ConfigError("sweep.amplitude requires initial.kind = gaussian")
         for name, vals in axes.items():
@@ -251,7 +241,9 @@ class ExperimentConfig:
             grid=grid,
             solver=_checked("solver", SolverConfig, **sec["solver"]),
             initial=initial,
-            probes=ProbeSet(
+            probes=_checked(
+                "probes",
+                ProbeSet,
                 cutoffs=cutoffs,
                 median_radius=p["median_radius"],
                 weighted_l2=p["weighted_l2"],
@@ -280,22 +272,9 @@ class ExperimentConfig:
         return out
 
 
-def load_config(
-    path: Union[str, Path], kind: Optional[ExperimentKind] = None
-) -> ExperimentConfig:
-    """Parse and validate a config file.
-
-    kind, when given, replaces the file's kind (which must still be valid).
-    """
-    given = parse_config_text(Path(path).read_text())
-    unknown = sorted(set(given) - TABLE.keys())
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    if kind is not None:
-        if "kind" in given:
-            _checked("kind", _coerce, ExperimentKind, given["kind"])
-        given["kind"] = kind
-    return ExperimentConfig(given)
+def load_config(path: Union[str, Path]) -> ExperimentConfig:
+    """Parse and validate a config file."""
+    return ExperimentConfig(parse_config_text(Path(path).read_text()))
 
 
 def resolved_config_dict(cfg: ExperimentConfig) -> dict:

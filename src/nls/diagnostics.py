@@ -245,6 +245,10 @@ class ProbeSet:
     store_states_every: int = 0  # 0 = keep no full-state checkpoints
     store_at_times: tuple = ()  # exact times to checkpoint (the run lands on them)
 
+    def __post_init__(self):
+        if self.store_states_every < 0:
+            raise ValueError(f"checkpoint cadence must be >= 0, got {self.store_states_every}")
+
 
 class TraceRecorder:
     """Accumulates DiagnosticTrace rows, one dict of columns by field name each."""
@@ -437,8 +441,11 @@ def linear_confinement_check(
     psi_M(x) = min(|x|/M, 1) with M = a t and default a = 16 ||grad u0||/||u0||.
     Also reports the mass fraction outside |x| > a t (expected <= 1/4 for
     large t).  The |x| reading of psi_M is the dimension-generic one; the
-    one-dimensional signed variant is not implemented.
+    one-dimensional signed variant is not implemented.  The bound is stated
+    for t >= 0; a negative time is a ValueError.
     """
+    if min(times, default=0.0) < 0:
+        raise ValueError(f"confinement times must be >= 0, got {min(times)}")
     g = u0.grid
     hN = g.spacing**g.dim
     uk = scipy.fft.fftn(u0.values)

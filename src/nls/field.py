@@ -10,7 +10,6 @@ always measured from the box center with no periodic wrapping.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import struct
@@ -384,7 +383,8 @@ def save_checkpoint(
 def load_checkpoint(path: Union[str, Path]):
     """Read a field file; returns (FieldState, ModelParams or None).
 
-    A sidecar whose time or kappa is not finite is a ValueError.
+    A sidecar field that is not a finite number (time, and the model's dim,
+    alpha and kappa parts) is a ValueError naming the sidecar.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -411,17 +411,20 @@ def load_checkpoint(path: Union[str, Path]):
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     if meta_path.exists():
         meta = json.loads(meta_path.read_text())
-        time = float(meta.get("time", 0.0))
+        numbers = {"time": meta.get("time", 0.0)}
         if "model" in meta:
-            mm = meta["model"]
-            model = ModelParams(
-                dim=int(mm["dim"]),
-                alpha=float(mm["alpha"]),
-                kappa=complex(mm["kappa_re"], mm["kappa_im"]),
+            mm = meta["model"] if isinstance(meta["model"], dict) else {}
+            numbers.update(
+                {f"model.{k}": mm.get(k) for k in ("dim", "alpha", "kappa_re", "kappa_im")}
             )
-        kappa = 0j if model is None else model.kappa
-        if not (math.isfinite(time) and cmath.isfinite(kappa)):
-            raise ValueError(
-                f"{meta_path}: time and kappa must be finite, got {time} and {kappa}"
+        for name, value in numbers.items():
+            if type(value) not in (int, float) or not math.isfinite(value):  # not bool or str
+                raise ValueError(f"{meta_path}: {name} must be a finite number, got {value!r}")
+        time = float(numbers["time"])
+        if "model" in meta:
+            model = ModelParams(
+                dim=int(numbers["model.dim"]),
+                alpha=float(numbers["model.alpha"]),
+                kappa=complex(numbers["model.kappa_re"], numbers["model.kappa_im"]),
             )
     return FieldState(grid=grid, values=vals, time=time), model

@@ -55,18 +55,25 @@ def write_config(tmp_path, text, name="exp.cfg"):
 
 def test_parse_values():
     kv = parse_config_text(
-        "a = 1\nb = 2.5\nc = true\nd = hello\ne = [1, 2.5, 3]\nf = -1e-3\n"
+        "grid.points = 256\nmodel.alpha = 2\nprobes.scatter = TRUE\n"
+        "initial.kind = gaussian\nprobes.lambdas = [1, 2.5, 3]\nsolver.dt = -1e-3\n"
+        "kind = sweep\nsweep.points = 64\nconfinement.times = []\n"
     )
     assert kv == {
-        "a": 1, "b": 2.5, "c": True, "d": "hello", "e": [1, 2.5, 3], "f": -1e-3
+        "grid.points": 256, "model.alpha": 2.0, "probes.scatter": True,
+        "initial.kind": "gaussian", "probes.lambdas": (1.0, 2.5, 3.0), "solver.dt": -1e-3,
+        "kind": ExperimentKind.SWEEP, "sweep.points": (64,), "confinement.times": (),
     }
+    assert type(kv["model.alpha"]) is float and type(kv["probes.lambdas"][0]) is float
 
 
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ConfigError, match="line 2"):
-        parse_config_text("a = 1\nnot a pair\n")
+        parse_config_text("model.dim = 1\nnot a pair\n")
     with pytest.raises(ConfigError, match="duplicate"):
-        parse_config_text("a = 1\na = 2\n")
+        parse_config_text("model.dim = 1\nmodel.dim = 2\n")
+    with pytest.raises(ConfigError, match="^line 3: unknown config key 'typo'$"):
+        parse_config_text("model.dim = 1\n\ntypo = 2\n")
 
 
 def test_unknown_keys_are_hard_errors(tmp_path):
@@ -130,7 +137,7 @@ def test_values_are_coerced_by_type(tmp_path, line):
     ("simulate", "solver.blowup_dt_floor = nan"),
     ("simulate", "confinement.times = [nan]"),
     pytest.param("simulate", "model.alpha = 1" + "0" * 400, id="simulate-alpha-overflow"),
-    ("sweep", "sweep.alpha = [1.0, nan]"),
+    ("simulate", "sweep.alpha = [1.0, nan]"),
 ])
 def test_cli_rejects_non_finite_floats(tmp_path, capsys, command, line):
     key = line.split(" = ")[0]
@@ -166,6 +173,27 @@ def test_readme_config_block_matches_the_table(tmp_path):
             assert section == "sweep" and re.search(rf"\b{name}\b", axes), key
 
 
+def test_readme_commands_parse(capsys):
+    # every `nls ...` line of the README's code blocks, optional [parts] included
+    from nls.cli import _build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [
+        line.split("#", 1)[0].replace("[", "").replace("]", "").split()
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+    ]
+    parser = _build_parser()
+    documented = set()
+    for argv in (words[1:] for words in lines if words[:1] == ["nls"]):
+        try:
+            documented.add(parser.parse_args(argv).command)
+        except SystemExit as exc:  # --version exits 0; a usage error exits 2
+            assert exc.code == 0, argv
+    assert documented == {"exponents", "oracle", "simulate", "accept"}
+    capsys.readouterr()
+
+
 def test_plane_wave_and_chirp_initial(tmp_path):
     text = BASE_CONFIG.format(out=tmp_path / "o").replace(
         "initial.kind = gaussian", "initial.kind = plane_wave\ninitial.mode_index = [3]"
@@ -184,7 +212,7 @@ def test_sweep_config_validation(tmp_path):
         load("sweep.alpha = [1.0]\nsweep.dt = []\n")
     with pytest.raises(ConfigError, match="sweep of 600 runs exceeds cap 512"):
         load(f"sweep.alpha = {list(range(1, 31))}\nsweep.dt = {[0.01] * 20}\n")
-    with pytest.raises(ConfigError, match="unknown config keys: sweep.cap"):
+    with pytest.raises(ConfigError, match="unknown config key 'sweep.cap'"):
         load("sweep.alpha = [1.0]\nsweep.cap = 1024\n")
 
 
@@ -276,7 +304,7 @@ def test_echo_reruns_to_the_same_artifacts(tmp_path, capsys):
     text = text.replace("single", "sweep") + (
         "sweep.alpha = [1.0, 3.0]\nsweep.amplitude = [0.25, 0.5]\n"
     )
-    assert main(["sweep", "--config", str(write_config(tmp_path, text))]) == 0
+    assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 0
     runs = [tmp_path / "single", *sorted((tmp_path / "sweep").glob("run_*"))]
     assert len(runs) == 5
     for i, run in enumerate(runs):
@@ -303,7 +331,7 @@ def test_sweep_amplitude_needs_gaussian_data(tmp_path, capsys):
         + "initial.mode_index = [3]\n"
         + "sweep.amplitude = [0.5]\n"
     )
-    assert main(["sweep", "--config", str(write_config(tmp_path, text))]) == 1
+    assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 1
     err = capsys.readouterr().err
     assert err == "configuration error: sweep.amplitude requires initial.kind = gaussian\n"
     assert not (tmp_path / "o").exists()
@@ -472,7 +500,7 @@ def test_cli_pct_check(tmp_path, capsys):
         + "pct.t_star = 0.5\n"
     )
     p = write_config(tmp_path, text)
-    assert main(["pct-check", "--config", str(p)]) == 0
+    assert main(["simulate", "--config", str(p)]) == 0
     report = json.loads((out / "pct_report.json").read_text())
     assert report["l2_discrepancy"] <= 1e-8
     assert report["s_star"] == pytest.approx(1.0)
@@ -500,6 +528,19 @@ def test_cli_linear_confinement_kind(tmp_path, capsys):
     rep = json.loads((out / "confinement.json").read_text())
     assert rep["max_violation"] <= 1e-8
     assert rep["exterior_fraction"][-1] <= 0.25
+
+
+def test_negative_confinement_time_is_config_error(tmp_path, capsys):
+    # the bound holds for t >= 0; a negative t must not pass as the t = 0 case
+    text = (
+        BASE_CONFIG.format(out=tmp_path / "o")
+        .replace("kind = single", "kind = linear-confinement")
+        + "confinement.times = [-8.0, -1.0]\n"
+    )
+    assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 1
+    err = capsys.readouterr().err
+    assert err == "configuration error: confinement times must be >= 0, got -8.0\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_worker_count_env(monkeypatch):
@@ -537,12 +578,14 @@ def test_gnuplot_script_emitted(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["sweep", "pct-check"])
-def test_gnuplot_is_simulate_only(tmp_path, capsys, command):
+def test_simulate_is_the_one_config_command(tmp_path, capsys, command):
+    # the file's kind chooses the experiment; no subcommand overrides it
     p = write_config(tmp_path, BASE_CONFIG.format(out=tmp_path / "o"))
     with pytest.raises(SystemExit) as exc:
-        main([command, "--config", str(p), "--gnuplot"])
+        main([command, "--config", str(p)])
     assert exc.value.code == 2  # argparse usage error
-    assert "unrecognized arguments: --gnuplot" in capsys.readouterr().err
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -632,9 +675,9 @@ def test_initial_from_file_through_config(tmp_path):
     assert summary["status"] in ("ReachedTEnd", "BlowupDetected")
 
 
-@pytest.mark.parametrize("key", ["time", "kappa_re", "kappa_im"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_checkpoint_sidecar_must_be_finite(tmp_path, capsys, key, value):
+def check_sidecar_is_rejected(tmp_path, capsys, edit, message):
+    """A checkpoint whose sidecar JSON edit() changes fails to load with
+    `<sidecar>: <message>`, and a run from it exits 1 with no output."""
     from nls.exponents import ModelParams
     from nls.field import GridSpec, load_checkpoint, make_initial, save_checkpoint
 
@@ -643,17 +686,39 @@ def test_checkpoint_sidecar_must_be_finite(tmp_path, capsys, key, value):
     save_checkpoint(ckpt, state, ModelParams(1, 1.0, -1j))
     meta = tmp_path / "init.nlsf.meta.json"
     data = json.loads(meta.read_text())
-    (data if key == "time" else data["model"])[key] = value
+    edit(data)
     meta.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match=re.escape(f"{meta}: time and kappa must be finite")):
+    with pytest.raises(ValueError, match=re.escape(f"{meta}: {message}")):
         load_checkpoint(ckpt)
     out = tmp_path / "o"
     text = BASE_CONFIG.format(out=out).replace(
         "initial.kind = gaussian", f"initial.kind = file\ninitial.path = {ckpt}"
     )
     assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 1
-    assert capsys.readouterr().err.startswith(f"configuration error: {meta}")
-    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {meta}: {message}")
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("key", ["time", "kappa_re", "kappa_im"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_checkpoint_sidecar_must_be_finite(tmp_path, capsys, key, value):
+    def edit(data):
+        (data if key == "time" else data["model"])[key] = value
+
+    name = key if key == "time" else f"model.{key}"
+    check_sidecar_is_rejected(tmp_path, capsys, edit, f"{name} must be a finite number")
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: d.update(time=None), "time must be a finite number, got None"),
+    (lambda d: d["model"].update(kappa_re="abc"),
+     "model.kappa_re must be a finite number, got 'abc'"),
+    (lambda d: d["model"].pop("alpha"), "model.alpha must be a finite number, got None"),
+    (lambda d: d.update(model=None), "model.dim must be a finite number, got None"),
+], ids=["time-null", "kappa_re-string", "alpha-missing", "model-null"])
+def test_malformed_checkpoint_sidecar_is_a_config_error(tmp_path, capsys, edit, message):
+    check_sidecar_is_rejected(tmp_path, capsys, edit, message)
 
 
 @pytest.mark.parametrize("word", ["1e3", "007", "1_000", "NaN", "Infinity"])
@@ -698,11 +763,33 @@ def test_cfg_sweep_maps_each_axis_to_its_values_in_axis_order(tmp_path):
 
 
 def test_cli_sweep_without_axis_is_config_error(tmp_path, capsys):
-    # the file's kind is single; the sweep subcommand's kind is checked
-    p = write_config(tmp_path, BASE_CONFIG.format(out=tmp_path / "o"))
-    assert main(["sweep", "--config", str(p)]) == 1
+    text = BASE_CONFIG.format(out=tmp_path / "o").replace("kind = single", "kind = sweep")
+    p = write_config(tmp_path, text)
+    assert main(["simulate", "--config", str(p)]) == 1
     err = capsys.readouterr().err
     assert err == "configuration error: kind = sweep requires at least one sweep.<axis>\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind", ["single", "pct-check", "linear-confinement"])
+def test_sweep_keys_need_kind_sweep(tmp_path, capsys, kind):
+    text = (
+        BASE_CONFIG.format(out=tmp_path / "o").replace("kind = single", f"kind = {kind}")
+        + "sweep.alpha = [1.0, 3.0]\n"
+    )
+    assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"configuration error: sweep.alpha needs kind = sweep; kind = {kind} runs no sweep\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+def test_negative_checkpoint_cadence_is_config_error(tmp_path, capsys):
+    text = BASE_CONFIG.format(out=tmp_path / "o") + "probes.checkpoint_every = -1\n"
+    assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 1
+    err = capsys.readouterr().err
+    assert err == "configuration error: probes: checkpoint cadence must be >= 0, got -1\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -802,7 +889,7 @@ def test_cli_sweep_end_to_end(tmp_path, capsys):
         + "sweep.alpha = [1.0, 3.0]\nsweep.dt = [0.01]\n"
     )
     p = write_config(tmp_path, text)
-    assert main(["sweep", "--config", str(p)]) == 0
+    assert main(["simulate", "--config", str(p)]) == 0
     table = (out / "dichotomy.txt").read_text()
     assert "classification" in table
     rows = json.loads((out / "sweep_rows.json").read_text())
