@@ -137,6 +137,10 @@ def _parse(typ, text: str):
         else:  # str keeps its text; int rejects "2.0"; an Enum takes its values
             value = typ(text)
     except (KeyError, ValueError):
+        if issubclass(typ, Enum):
+            raise ValueError(
+                f"expected one of {', '.join(m.value for m in typ)}, got {text!r}"
+            ) from None
         raise ValueError(f"expected {typ.__name__}, got {text!r}") from None
     if typ is float and not math.isfinite(value):
         raise ValueError(f"expected a finite float, got {text!r}")

@@ -20,7 +20,6 @@ from .exponents import ModelParams
 from .field import (
     FieldState,
     GridSpec,
-    abs_lp_norm,
     apply_multiplier,
     free_multiplier,
     radial_shells,
@@ -91,13 +90,9 @@ def default_lambdas(box_length: float, data_width: float) -> tuple:
     return tuple(np.geomspace(lo, hi, 5))
 
 
-def localized_mass(state: FieldState, cutoffs: CutoffFamily) -> np.ndarray:
-    """f_lambda = ||u phi_lambda||_L2 for every lambda in the family."""
-    return _localized_mass(shell_mass(state.values, state.grid), state.grid, cutoffs)
-
-
 def _localized_mass(shells: np.ndarray, grid: GridSpec, cutoffs: CutoffFamily) -> np.ndarray:
-    """f_lambda from the shell masses; the tent is evaluated on shell radii only."""
+    """f_lambda = ||u phi_lambda||_L2 for every lambda, from the shell masses of u;
+    the tent is evaluated on shell radii only."""
     cutoffs.check_support(grid)
     r = np.sqrt(radial_shells(grid)[0])
     lam = np.asarray(cutoffs.lambdas)[:, None]
@@ -280,10 +275,12 @@ class TraceRecorder:
         shells = shell_mass(state.values, g)
         absu = np.abs(state.values)
         linf = float(np.max(absu))
+        q = self.model.alpha + 2.0
+        absu **= q  # in place, once linf has read |u|
         self.rows.append(dict(
             t=state.time,
             mass=math.sqrt(float(np.sum(shells)) * g.spacing**g.dim),
-            lp=abs_lp_norm(absu, self.model.alpha + 2.0, g),  # overwrites absu
+            lp=float(np.sum(absu) * g.spacing**g.dim) ** (1.0 / q),
             grad_l2=grad,
             linf=linf,
             R_t=_median_radius(shells, g) if p.median_radius else math.nan,
@@ -311,7 +308,6 @@ class TraceRecorder:
 @dataclass(frozen=True)
 class MassBalanceReport:
     max_relative_mismatch: float
-    derivative: np.ndarray  # per interior row
 
 
 def mass_balance_check(trace: DiagnosticTrace, model: ModelParams) -> MassBalanceReport:
@@ -334,14 +330,12 @@ def mass_balance_check(trace: DiagnosticTrace, model: ModelParams) -> MassBalanc
         float(np.max(m2)) / span if span > 0 else 0.0,
     )
     rel = float(np.max(np.abs(deriv - rhs))) / scale if scale > 0 else 0.0
-    return MassBalanceReport(rel, deriv)
+    return MassBalanceReport(rel)
 
 
 @dataclass(frozen=True)
 class InequalityLedger:
-    lambdas: tuple
     normalized_min_slack: float  # min over lambdas of min slack / scale
-    dominance_fraction: np.ndarray  # per lambda
 
 
 def differential_inequality_ledger(
@@ -350,9 +344,7 @@ def differential_inequality_ledger(
     """Slack of f_lambda' >= -2 nu lambda K_t - Im(kappa) lambda^(N a/2) f^(a+1).
 
     The inequality holds for true solutions; a normalized slack dipping well
-    below zero flags a solver (or resolution) bug.  Also reports, per lambda,
-    the fraction of rows where the blowup-driving dominance
-    f^(a+1) >= 4 (-Im kappa)^(-1) lambda^((2-N a)/2) nu K_t holds.
+    below zero flags a solver (or resolution) bug.
     """
     if len(trace) < 3:
         raise ValueError("need at least 3 trace rows")
@@ -367,7 +359,6 @@ def differential_inequality_ledger(
     K = trace.K_t
     min_slack = np.empty(len(cutoffs.lambdas))
     scale = np.empty(len(cutoffs.lambdas))
-    dom = np.empty(len(cutoffs.lambdas))
     for j, lam in enumerate(cutoffs.lambdas):
         f = trace.loc_mass[:, j]
         fprime = (f[2:] - f[:-2]) / (t[2:] - t[:-2])
@@ -383,16 +374,13 @@ def differential_inequality_ledger(
                 + np.abs(fprime)
             )
         )
-        thresh = 4.0 / (-ki) * lam ** ((2.0 - n * al) / 2.0) * nu * K
-        dom[j] = float(np.mean(f ** (al + 1.0) >= thresh))
     normalized = float(np.min(min_slack / np.where(scale > 0, scale, 1.0)))
-    return InequalityLedger(cutoffs.lambdas, normalized, dom)
+    return InequalityLedger(normalized)
 
 
 @dataclass(frozen=True)
 class RateFit:
     slope: float
-    r2: float
     theoretical_exponent: float
     verdict: bool
 
@@ -413,14 +401,10 @@ def rate_fit(trace: DiagnosticTrace, model: ModelParams) -> RateFit:
     sel = lt >= cut
     if int(np.sum(sel)) < 10:
         raise ValueError(f"window holds {int(np.sum(sel))} rows, need >= 10")
-    slope, intercept = np.polyfit(lt[sel], lK[sel], 1)
-    pred = slope * lt[sel] + intercept
-    ss_res = float(np.sum((lK[sel] - pred) ** 2))
-    ss_tot = float(np.sum((lK[sel] - np.mean(lK[sel])) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope, _ = np.polyfit(lt[sel], lK[sel], 1)
     theo = (2.0 - model.dim * model.alpha) / (model.dim * model.alpha)
     verdict = slope >= theo - 0.1
-    return RateFit(float(slope), r2, theo, verdict)
+    return RateFit(float(slope), theo, verdict)
 
 
 @dataclass(frozen=True)

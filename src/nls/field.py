@@ -238,18 +238,6 @@ def l2_norm(state: FieldState) -> float:
     )
 
 
-def lp_norm(state: FieldState, p: float) -> float:
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return abs_lp_norm(np.abs(state.values), p, state.grid)
-
-
-def abs_lp_norm(absu: np.ndarray, p: float, grid: GridSpec) -> float:
-    """L^p norm from absu = |u|, which is raised to the p-th power in place."""
-    absu **= p
-    return float(np.sum(absu) * grid.spacing**grid.dim) ** (1.0 / p)
-
-
 # ---------------------------------------------------------------------------
 # initial data
 
@@ -383,8 +371,9 @@ def save_checkpoint(
 def load_checkpoint(path: Union[str, Path]):
     """Read a field file; returns (FieldState, ModelParams or None).
 
-    A sidecar field that is not a finite number (time, and the model's dim,
-    alpha and kappa parts) is a ValueError naming the sidecar.
+    A sidecar that is not a JSON object, or a field of it that is not a
+    finite number (time, and the model's dim, alpha and kappa parts), is a
+    ValueError naming the sidecar.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -410,7 +399,12 @@ def load_checkpoint(path: Union[str, Path]):
     model = None
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     if meta_path.exists():
-        meta = json.loads(meta_path.read_text())
+        try:
+            meta = json.loads(meta_path.read_text())
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"{meta_path}: not valid JSON: {exc}") from None
+        if not isinstance(meta, dict):
+            raise ValueError(f"{meta_path}: must hold a JSON object, got {type(meta).__name__}")
         numbers = {"time": meta.get("time", 0.0)}
         if "model" in meta:
             mm = meta["model"] if isinstance(meta["model"], dict) else {}

@@ -130,12 +130,16 @@ def _classify_run(cfg: ExperimentConfig, outcome: RunOutcome) -> dict:
 def dichotomy_table(rows: list, dim: int) -> str:
     """Text table of sweep verdicts; the Fujita column marks alpha vs 2/N.
 
-    A Failed row prints with dashes and its error on a line below the table.
+    Each swept axis other than alpha has a column of its cell values, so
+    cells that share alpha print apart.  A Failed row prints with dashes and
+    its error on a line below the table.
     """
     fujita = 2.0 / dim
+    axes = [a for a in rows[0]["point"] if a != "alpha"]
     lines = [
-        f"{'alpha':>8}  {'vs 2/N':>6}  {'classification':<18}  "
-        f"{'slope':>8}  {'scat_first':>11}  {'scat_last':>11}"
+        f"{'alpha':>8}  {'vs 2/N':>6}  "
+        + "".join(f"{a:>10}  " for a in axes)
+        + f"{'classification':<18}  {'slope':>8}  {'scat_first':>11}  {'scat_last':>11}"
     ]
     for r in sorted(rows, key=lambda r: (r["alpha"], r.get("kappa_im", 0))):
         mark = "=" if r["alpha"] == fujita else ("<" if r["alpha"] < fujita else ">")
@@ -144,7 +148,9 @@ def dichotomy_table(rows: list, dim: int) -> str:
         sls = "-" if r["scatter_last"] is None else f"{r['scatter_last']:.3e}"
         cls = r["classification"] if mark != "=" else r["classification"] + "*"
         lines.append(
-            f"{r['alpha']:>8.4g}  {mark:>6}  {cls:<18}  {sl:>8}  {sf:>11}  {sls:>11}"
+            f"{r['alpha']:>8.4g}  {mark:>6}  "
+            + "".join(f"{r['point'][a]:>10.6g}  " for a in axes)
+            + f"{cls:<18}  {sl:>8}  {sf:>11}  {sls:>11}"
         )
     if any(r["alpha"] == fujita for r in rows):
         lines.append("* alpha = 2/N exactly: threshold case, no theorem-backed verdict")

@@ -16,11 +16,10 @@ array: the inverse FFT, the nonlinear substep and the forward FFT all
 overwrite it, and it becomes the next p.  The substep adds one real buffer
 (|u|^2, then its powers), and a complex one only when Re(kappa) != 0.
 The physical state ifftn(pending * p) is rebuilt only where it is read:
-trace rows, stored states, store_at_times targets, t_end, the blowup
-return, and step() (a chain of one step).  A trace row also takes the
-spectrum pending * p, so it costs at most that one inverse FFT (plus one
-for the scatter probe).  A rejected step leaves p and the pending
-half-step alone; only dt changes.
+trace rows, stored states, store_at_times targets, t_end and the blowup
+return.  A trace row also takes the spectrum pending * p, so it costs at
+most that one inverse FFT (plus one for the scatter probe).  A rejected
+step leaves p and the pending half-step alone; only dt changes.
 The |k|^2 multipliers are separable (exp(-i|k|^2 t) = prod_d exp(-i k_d^2 t))
 and are never stored as dense N-D arrays.
 
@@ -149,15 +148,6 @@ class _StrangChain:
     def spectrum(self) -> np.ndarray:
         """New array F[u] of the physical state at self.time (no FFT)."""
         return self._times(self.p, self._tau)
-
-
-def step(state: FieldState, model: ModelParams, dt: float) -> FieldState:
-    """One Strang step; raises SubstepBlowupError if the bracket fails."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    chain = _StrangChain(state, scipy.fft.fftn(state.values))
-    chain.advance(model, dt)
-    return chain.state()
 
 
 def run(

@@ -4,17 +4,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.integrate
 
 from nls.diagnostics import (
     CutoffFamily,
     DiagnosticTrace,
     ProbeSet,
+    TraceRecorder,
     cutoff_normalization,
     default_lambdas,
     differential_inequality_ledger,
     linear_confinement_check,
-    localized_mass,
     mass_balance_check,
     median_radius,
     rate_fit,
@@ -95,6 +96,14 @@ def test_default_lambda_ladder():
 
 # ---------------------------------------------------------------------------
 # localized mass
+
+
+def localized_mass(state, cutoffs):
+    """f_lambda = ||u phi_lambda||_L2 per lambda, as one trace row records it."""
+    model = ModelParams(state.grid.dim, 1.0, -1j)
+    rec = TraceRecorder(model, ProbeSet(cutoffs=cutoffs, median_radius=False, weighted_l2=False))
+    rec.record(state, scipy.fft.fftn(state.values))
+    return rec.rows[0]["loc_mass"]
 
 
 def test_localized_mass_uniform_field():
@@ -199,11 +208,12 @@ def test_mass_balance_uniform_closed_form():
     g = GridSpec(1, 1.0, 16)
     model = ModelParams(1, 2.0, -1j)
     out = run_simple(model, PlaneWave(1.0, (0,)), g, 1e-4, 0.4)
-    rep = mass_balance_check(out.trace, model)
-    assert rep.max_relative_mismatch <= 1e-4
-    t = out.trace.t[1:-1]
-    want = 2.0 * (1.0 - 2.0 * t) ** (-2.0) * g.box_length  # 2 m^4 L
-    assert np.allclose(rep.derivative, want, rtol=1e-4)
+    tr = out.trace
+    assert mass_balance_check(tr, model).max_relative_mismatch <= 1e-4
+    m2 = tr.mass**2
+    deriv = (m2[2:] - m2[:-2]) / (tr.t[2:] - tr.t[:-2])
+    want = 2.0 * (1.0 - 2.0 * tr.t[1:-1]) ** (-2.0) * g.box_length  # 2 m^4 L
+    assert np.allclose(deriv, want, rtol=1e-4)
 
 
 def test_mass_balance_sign_dissipative():
@@ -266,8 +276,6 @@ def test_ledger_saturates_for_uniform_data():
     tr = synthetic_uniform_trace(model, g, fam, times)
     led = differential_inequality_ledger(tr, model, fam)
     assert abs(led.normalized_min_slack) <= 1e-6
-    # with zero K_t the dominance condition holds everywhere
-    assert np.all(led.dominance_fraction == 1.0)
 
 
 def test_ledger_on_amplifying_gaussian_run():
@@ -279,7 +287,6 @@ def test_ledger_on_amplifying_gaussian_run():
                      probes=probes)
     led = differential_inequality_ledger(out.trace, model, fam)
     assert led.normalized_min_slack >= -1e-3
-    assert led.lambdas == fam.lambdas
 
 
 def test_ledger_requires_amplifying_sign():
@@ -314,7 +321,6 @@ def test_rate_fit_recovers_power_law():
     assert fit.slope == pytest.approx(1.0, abs=1e-10)
     assert fit.theoretical_exponent == 1.0
     assert fit.verdict
-    assert fit.r2 > 0.999
 
 
 def test_rate_fit_theoretical_exponents():

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
+from nls.diagnostics import ProbeSet, TraceRecorder
 from nls.exponents import ModelParams
 from nls.field import (
     FieldState,
@@ -16,7 +18,6 @@ from nls.field import (
     l2_norm,
     linear_propagate,
     load_checkpoint,
-    lp_norm,
     make_initial,
     save_checkpoint,
     shell_mass,
@@ -186,18 +187,13 @@ def test_l2_of_unit_constant():
 def test_l4_and_weighted_norms_of_gaussian():
     g = GridSpec(1, 40.0, 1024)
     st = make_initial(g, Gaussian(1.0, 1 / math.sqrt(2)))  # exp(-x^2)
-    assert lp_norm(st, 4.0) ** 4 == pytest.approx(math.sqrt(math.pi) / 2, abs=1e-10)
+    rec = TraceRecorder(ModelParams(1, 2.0, -1j), ProbeSet())  # lp is the L^4 norm
+    rec.record(st, scipy.fft.fftn(st.values))
+    assert rec.rows[0]["lp"] ** 4 == pytest.approx(math.sqrt(math.pi) / 2, abs=1e-10)
     assert math.sqrt(weighted_sq(shell_mass(st.values, g), g)) == pytest.approx(
         math.sqrt(math.sqrt(math.pi / 2) / 4), abs=1e-8
     )
     assert np.max(np.abs(st.values)) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_lp_requires_p_at_least_one():
-    g = GridSpec(1, 10.0, 64)
-    st = random_state(g, np.random.default_rng(4))
-    with pytest.raises(ValueError):
-        lp_norm(st, 0.5)
 
 
 def test_parseval_random_fields():

@@ -677,7 +677,10 @@ def test_initial_from_file_through_config(tmp_path):
 
 def check_sidecar_is_rejected(tmp_path, capsys, edit, message):
     """A checkpoint whose sidecar JSON edit() changes fails to load with
-    `<sidecar>: <message>`, and a run from it exits 1 with no output."""
+    `<sidecar>: <message>`, and a run from it exits 1 with no output.
+
+    edit() changes the sidecar's dict in place, or returns the text to write
+    instead."""
     from nls.exponents import ModelParams
     from nls.field import GridSpec, load_checkpoint, make_initial, save_checkpoint
 
@@ -686,8 +689,8 @@ def check_sidecar_is_rejected(tmp_path, capsys, edit, message):
     save_checkpoint(ckpt, state, ModelParams(1, 1.0, -1j))
     meta = tmp_path / "init.nlsf.meta.json"
     data = json.loads(meta.read_text())
-    edit(data)
-    meta.write_text(json.dumps(data))
+    text = edit(data)
+    meta.write_text(text if isinstance(text, str) else json.dumps(data))
     with pytest.raises(ValueError, match=re.escape(f"{meta}: {message}")):
         load_checkpoint(ckpt)
     out = tmp_path / "o"
@@ -716,7 +719,9 @@ def test_checkpoint_sidecar_must_be_finite(tmp_path, capsys, key, value):
      "model.kappa_re must be a finite number, got 'abc'"),
     (lambda d: d["model"].pop("alpha"), "model.alpha must be a finite number, got None"),
     (lambda d: d.update(model=None), "model.dim must be a finite number, got None"),
-], ids=["time-null", "kappa_re-string", "alpha-missing", "model-null"])
+    (lambda d: "{not json", "not valid JSON: Expecting property name"),
+    (lambda d: "[]", "must hold a JSON object, got list"),
+], ids=["time-null", "kappa_re-string", "alpha-missing", "model-null", "not-json", "list"])
 def test_malformed_checkpoint_sidecar_is_a_config_error(tmp_path, capsys, edit, message):
     check_sidecar_is_rejected(tmp_path, capsys, edit, message)
 
@@ -880,6 +885,34 @@ def test_classifier_undetermined_without_signal(tmp_path):
     # no scattering residuals recorded above Fujita
     row2 = classify_with(tmp_path, 3.0, make_trace(t, np.ones(80)), RunStatus.REACHED_T_END)
     assert row2["classification"] == "Undetermined"
+
+
+def test_dichotomy_table_prints_each_swept_axis(tmp_path, capsys):
+    # cells that share alpha differ only in their kappa_im and amplitude
+    out = tmp_path / "kappa_sweep"
+    text = (
+        BASE_CONFIG.format(out=out).replace("kind = single", "kind = sweep")
+        + "sweep.kappa_im = [-1.0, 0.0]\nsweep.amplitude = [0.25, 0.5]\n"
+    )
+    assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 0
+    header, *lines = (out / "dichotomy.txt").read_text().splitlines()
+    assert header.split()[:5] == ["alpha", "vs", "2/N", "kappa_im", "amplitude"]
+    assert len(lines) == len(set(lines)) == 4
+    cells = [line.split()[2:4] for line in lines]
+    assert cells == [["-1", "0.25"], ["-1", "0.5"], ["0", "0.25"], ["0", "0.5"]]
+    capsys.readouterr()
+
+
+def test_cli_bad_kind_lists_the_kinds(tmp_path, capsys):
+    out = tmp_path / "o"
+    text = BASE_CONFIG.format(out=out).replace("kind = single", "kind = nonsense")
+    assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "configuration error: kind: expected one of single, sweep, pct-check, "
+        "linear-confinement, got 'nonsense'\n"
+    )
+    assert not out.exists()
 
 
 def test_cli_sweep_end_to_end(tmp_path, capsys):

@@ -15,14 +15,14 @@ from nls.field import (
     make_initial,
 )
 from nls.oracle import nonlinear_flow
-from nls.solver import (
-    RunStatus,
-    SolverConfig,
-    run,
-    step,
-)
+from nls.solver import RunStatus, SolverConfig, run
 
 QUIET = 10**9  # diagnostics cadence that records only endpoints
+
+
+def one_step(state, model, dt):
+    """The state after a run of one Strang step of size dt."""
+    return run(state, model, SolverConfig(dt=dt, t_end=dt)).final_state
 
 
 def plane_wave_exact(grid, amplitude, mode, model, t):
@@ -38,7 +38,7 @@ def test_step_with_zero_kappa_equals_linear_propagate():
     rng = np.random.default_rng(0)
     st = FieldState(grid=g, values=rng.standard_normal(g.shape) * (1 + 1j))
     model = ModelParams(1, 2.0, 0.0 + 0.0j)
-    a = step(st, model, 0.37)
+    a = one_step(st, model, 0.37)
     b = linear_propagate(st, 0.37)
     assert np.max(np.abs(a.values - b.values)) < 1e-14
     assert a.time == pytest.approx(0.37)
@@ -51,7 +51,7 @@ def test_step_exact_on_plane_waves():
     model = ModelParams(1, 1.3, 0.7 - 0.9j)
     st = make_initial(g, PlaneWave(0.9, (4,)))
     for dt in (1e-3, 5e-4):
-        out = step(st, model, dt)
+        out = one_step(st, model, dt)
         exact = plane_wave_exact(g, 0.9, 4, model, dt)
         assert np.max(np.abs(out.values - exact)) < 1e-14
 
@@ -69,7 +69,7 @@ def test_step_constant_data_blowup_amplitude():
     g = GridSpec(1, 1.0, 16)
     model = ModelParams(1, 2.0, -1j)
     st = make_initial(g, PlaneWave(1.0, (0,)))
-    out = step(st, model, 0.375)
+    out = one_step(st, model, 0.375)
     # Laplacian vanishes on constants: pure pointwise flow, modulus 2
     assert np.allclose(np.abs(out.values), 2.0, atol=1e-13)
     expected = nonlinear_flow(np.array([1.0 + 0.0j]), model, 0.375)[0]
@@ -246,16 +246,9 @@ def test_step_3d_smoke():
     g = GridSpec(3, 10.0, 16)
     model = ModelParams(3, 1.0, -1j)
     st = make_initial(g, Gaussian(0.5, 1.0))
-    out = step(st, model, 1e-2)
+    out = one_step(st, model, 1e-2)
     assert out.values.shape == (16, 16, 16)
     assert l2_norm(out) > l2_norm(st)  # amplifying direction
-
-
-def test_step_rejects_nonpositive_dt():
-    g = GridSpec(1, 10.0, 64)
-    st = make_initial(g, Gaussian(0.5, 1.0))
-    with pytest.raises(ValueError):
-        step(st, ModelParams(1, 1.0, -1j), 0.0)
 
 
 def test_run_rejects_nonfinite_initial_state():
