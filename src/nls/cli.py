@@ -14,12 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .exponents import (
-    ModelParams,
-    critical_exponents,
-    smallest_valid_a,
-    strichartz_indices,
-)
+from .exponents import ModelParams, critical_exponents, strichartz_indices
 from .oracle import SelfSimilarParams, blowup_time, classify, reduced_trajectory
 
 EXIT_OK = 0
@@ -85,10 +80,9 @@ def _cmd_exponents(args) -> int:
         dim=args.dim, alpha=alpha, kappa=complex(args.kappa_re, args.kappa_im)
     )
     report = critical_exponents(model)
-    if args.a_index is not None:  # outside the window this raises
+    in_window = args.alpha is not None and report.flags.alpha_in_scattering_window
+    if args.a_index is not None or in_window:  # a given --a raises outside the window
         report = strichartz_indices(model, args.a_index)
-    elif args.alpha is not None and report.flags.alpha_in_scattering_window:
-        report = strichartz_indices(model, smallest_valid_a(model))
     d = dataclasses.asdict(report)
     if args.alpha is None:  # thresholds only: alpha-dependent entries are moot
         d["alpha"] = None

@@ -237,6 +237,13 @@ class ExperimentConfig:
         total = math.prod(len(v) for v in axes.values())
         if total > SWEEP_CAP:
             raise ConfigError(f"sweep of {total} runs exceeds cap {SWEEP_CAP}")
+        # a cell at alpha >= 2/N is classified from its scatter column alone
+        top = max(axes.get("alpha", (model.alpha,)))
+        if axes and not p["scatter"] and top >= 2.0 / model.dim:
+            raise ConfigError(
+                f"probes.scatter = true is needed to classify a sweep cell with "
+                f"alpha = {top} >= 2/N = {2.0 / model.dim:g}"
+            )
         sections = dict(
             keys=keys,
             kind=sec["kind"],

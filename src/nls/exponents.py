@@ -9,6 +9,7 @@ mu, s) used by the weighted small-data theory.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -29,8 +30,10 @@ class ModelParams:
     def __post_init__(self):
         if int(self.dim) != self.dim or self.dim < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not cmath.isfinite(self.kappa):
+            raise ValueError(f"kappa must be finite, got {self.kappa}")
 
 
 @dataclass(frozen=True)
@@ -114,11 +117,14 @@ def critical_exponents(params: ModelParams) -> ExponentReport:
     )
 
 
-def scattering_window(params: ModelParams) -> ExponentReport:
-    """critical_exponents(params), or InfeasibleExponentError outside the window.
+def strichartz_indices(params: ModelParams, a: Optional[float] = None) -> ExponentReport:
+    """Full index chain rho, gamma, a, a_tilde, mu, s for a given a >= gamma.
 
-    The window is alpha2 < alpha <= 4/N with N >= 3, the range in which the
-    index chain and a valid a exist.
+    The chain exists in the scattering window alpha2 < alpha <= 4/N with
+    N >= 3; outside it this raises InfeasibleExponentError.  With a=None it
+    takes the smallest usable a: gamma when gamma > a*, otherwise 1.05 a*,
+    where a* is the infimum making the strict index condition hold.  a* is
+    finite exactly when N alpha^2 + N alpha > 4, i.e. alpha > alpha2.
     """
     base = critical_exponents(params)
     if not base.flags.alpha_in_scattering_window:
@@ -127,51 +133,31 @@ def scattering_window(params: ModelParams) -> ExponentReport:
             f"window: dim >= 3 and alpha2 = {base.alpha2:.6g} < alpha <= 4/N = "
             f"{base.mass_critical:.6g}"
         )
-    return base
-
-
-def _fdfa_lhs(dim: float, alpha: float, a: float) -> float:
-    # (4 - (N-4) alpha) / (2 (alpha+2)) - alpha/a
-    return (4 - (dim - 4) * alpha) / (2 * (alpha + 2)) - alpha / a
-
-
-def strichartz_indices(params: ModelParams, a: float) -> ExponentReport:
-    """Full index chain rho, gamma, a_tilde, mu, s for a given a >= gamma."""
-    base = scattering_window(params)
-    N, al, av = float(params.dim), float(params.alpha), float(a)
+    N, al = float(params.dim), float(params.alpha)
 
     rho = N * (al + 2) / (N + al)
     gamma = 4 * (al + 2) / (al * (N - 2))
-    if av < gamma * (1 - 1e-12):
+    index = (4 - (N - 4) * al) / (2 * (al + 2))  # 1/mu = index - alpha/a
+    h_order = (4 - N * al) / 2  # h(t) ~ (1-t)^(-h_order)
+    if a is None:
+        gap = index - h_order
+        if gap <= 0:  # equivalent to N alpha^2 + N alpha <= 4
+            raise InfeasibleExponentError(
+                f"index condition infeasible at alpha={params.alpha}, dim={params.dim}"
+            )
+        a_star = al / gap
+        a = gamma if gamma > a_star else a_star * 1.05
+    av = float(a)
+    if not av >= gamma * (1 - 1e-12):  # also rejects a nan
         raise InfeasibleExponentError(f"a={a} below gamma={gamma}")
     a_tilde = 1 / (2 / gamma - 1 / av) if av != gamma else gamma
-    inv_mu = _fdfa_lhs(N, al, av)
+    inv_mu = index - al / av
     mu = 1 / inv_mu
     s = N * 0.5 - N / rho - 2 / av
 
-    fdfa = inv_mu > (4 - N * al) / 2
-    h_lmu = mu * (4 - N * al) / 2 < 1  # integrability of (1-t)^{-mu(4-N alpha)/2}
+    fdfa = inv_mu > h_order
+    h_lmu = mu * h_order < 1  # integrability of (1-t)^(-mu h_order)
     return replace(
         base, rho=rho, gamma=gamma, a=av, a_tilde=a_tilde, mu=mu, s=s,
         flags=replace(base.flags, condition_fDfa_holds=bool(fdfa), h_in_Lmu=bool(h_lmu)),
     )
-
-
-def smallest_valid_a(params: ModelParams) -> float:
-    """Smallest usable a: max(gamma, a*) with a 5% margin on the a* branch.
-
-    a* is the infimum making the strict index condition hold; it is finite
-    exactly when N alpha^2 + N alpha > 4, i.e. alpha > alpha2.
-    """
-    scattering_window(params)
-    n, al = params.dim, params.alpha
-    gap = (4.0 - (n - 4.0) * al) / (2.0 * (al + 2.0)) - (4.0 - n * al) / 2.0
-    if gap <= 0:  # equivalent to N alpha^2 + N alpha <= 4
-        raise InfeasibleExponentError(
-            f"index condition infeasible at alpha={al}, dim={n}"
-        )
-    a_star = al / gap
-    gamma = 4.0 * (al + 2.0) / (al * (n - 2.0))
-    if gamma > a_star:
-        return gamma
-    return a_star * 1.05

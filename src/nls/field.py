@@ -371,12 +371,16 @@ def save_checkpoint(
 def load_checkpoint(path: Union[str, Path]):
     """Read a field file; returns (FieldState, ModelParams or None).
 
-    A sidecar that is not a JSON object, or a field of it that is not a
-    finite number (time, and the model's dim, alpha and kappa parts), is a
-    ValueError naming the sidecar.
+    A field file that cannot be read or has a bad header or size is a
+    ValueError naming it.  So is a sidecar that is not a JSON object, or a
+    field of it that is not a finite number (time, and the model's dim,
+    alpha and kappa parts).
     """
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:  # a missing file is bad input, not a failed run
+        raise ValueError(f"{path}: {exc.strerror}") from None
     if len(raw) < _HEADER.size:
         raise ValueError(f"{path}: truncated header")
     magic, version, dim, m, length = _HEADER.unpack_from(raw)

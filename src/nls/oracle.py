@@ -49,6 +49,8 @@ class SelfSimilarParams:
     def __post_init__(self):
         if not self.t0 > 0:
             raise ValueError(f"t0 must be positive, got {self.t0}")
+        if not cmath.isfinite(self.z0):
+            raise ValueError(f"z0 must be finite, got {self.z0}")
 
 
 def weight_integral(model: ModelParams, t0: float, t: float) -> float:

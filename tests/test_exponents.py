@@ -12,9 +12,9 @@ from nls.exponents import (
     alpha2_threshold,
     critical_exponents,
     gradient_monotone_condition,
-    smallest_valid_a,
     strichartz_indices,
 )
+from nls.oracle import SelfSimilarParams
 
 
 def mp_alpha1(n):
@@ -136,26 +136,32 @@ def test_strichartz_rejections():
 
 def test_smallest_valid_a():
     # gamma already satisfies the strict condition at (3, 1)
-    assert smallest_valid_a(ModelParams(3, 1.0)) == pytest.approx(12.0)
+    assert strichartz_indices(ModelParams(3, 1.0)).a == pytest.approx(12.0)
     # at alpha = alpha2 the condition degenerates and no a exists
     with pytest.raises(InfeasibleExponentError):
-        smallest_valid_a(ModelParams(3, alpha2_threshold(3)))
-    # interior point in dimension 10: finite a and the condition holds there
-    p = ModelParams(10, 0.35)
-    a = smallest_valid_a(p)
-    assert math.isfinite(a)
-    r = strichartz_indices(p, a=a)
-    assert r.flags.condition_fDfa_holds
-    # a* via bisection on the strict condition as an independent check
-    def holds(av):
-        return (4 - 6 * 0.35) / (2 * 2.35) - 0.35 / av > (4 - 3.5) / 2
+        strichartz_indices(ModelParams(3, alpha2_threshold(3)))
+    # interior points: dimension 10, and N = 7 inside (alpha2(7), alpha1(7)],
+    # the range the alpha2 threshold adds; a finite a where the condition holds
+    for n, alpha in [(10, 0.35), (7, 0.407)]:
+        r = strichartz_indices(ModelParams(n, alpha))
+        assert math.isfinite(r.a)
+        assert r.flags.condition_fDfa_holds
+        # a* via bisection on the strict condition as an independent check
+        def holds(av):
+            return (4 - (n - 4) * alpha) / (2 * (alpha + 2)) - alpha / av > (4 - n * alpha) / 2
 
-    lo, hi = 1e-3, 1e3
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
-    gamma10 = 4 * 2.35 / (0.35 * 8)
-    assert a == pytest.approx(max(gamma10, 1.05 * hi), rel=1e-6)
+        lo, hi = 1e-3, 1e3
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+        gamma = 4 * (alpha + 2) / (alpha * (n - 2))
+        assert r.a == pytest.approx(max(gamma, 1.05 * hi), rel=1e-6)
+    # at N = 7 (the last point) the a* branch is taken, far above gamma, and
+    # every flag holds
+    assert alpha2_threshold(7) < 0.407 <= alpha1_threshold(7)
+    assert r.gamma == pytest.approx(4.73, abs=5e-3)
+    assert r.a == pytest.approx(240.81, abs=5e-3)
+    assert all(dataclasses.astuple(r.flags))
 
 
 def test_gradient_monotone_condition():
@@ -180,7 +186,7 @@ def test_scattering_window_flag():
 def test_scattering_window_is_closed_at_mass_critical_power(n):
     model = ModelParams(n, 4.0 / n)
     assert critical_exponents(model).flags.alpha_in_scattering_window
-    r = strichartz_indices(model, smallest_valid_a(model))
+    r = strichartz_indices(model)
     assert all(dataclasses.astuple(r.flags))
     assert r.a == r.gamma
     assert r.s == pytest.approx(0.0, abs=1e-15)
@@ -196,6 +202,15 @@ def test_model_params_validation():
         ModelParams(0, 1.0)
     with pytest.raises(ValueError):
         ModelParams(2, -1.0)
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            ModelParams(2, alpha)
+    for kappa in (complex(math.nan, -1), complex(0, math.nan), complex(math.inf, 0), math.nan):
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            ModelParams(2, 1.0, kappa)
+    for z0 in (complex(math.nan, 0), complex(1, math.inf)):
+        with pytest.raises(ValueError, match="z0 must be finite"):
+            SelfSimilarParams(1.0, z0, ModelParams(2, 1.0, -1j))
 
 
 def test_gamma_two_expressions_agree():

@@ -260,7 +260,7 @@ def test_sweep_runs_and_dichotomy_table(tmp_path):
         BASE_CONFIG.format(out=out)
         .replace("kind = single", "kind = sweep")
         + "sweep.alpha = [1.0, 3.0]\nsweep.amplitude = [0.25]\n"
-        + "sweep.points = [128]\nsweep.dt = [0.02]\n"
+        + "sweep.points = [128]\nsweep.dt = [0.02]\nprobes.scatter = true\n"
     )
     cfg = load_config(write_config(tmp_path, text))
     assert cfg.kind is ExperimentKind.SWEEP
@@ -365,7 +365,8 @@ def test_broken_pool_gives_a_failed_row(tmp_path):
     from nls.harness import _cell_row
 
     text = BASE_CONFIG.format(out=tmp_path).replace("kind = single", "kind = sweep")
-    cfg = load_config(write_config(tmp_path, text + "sweep.alpha = [3.0]\n"))
+    text += "sweep.alpha = [3.0]\nprobes.scatter = true\n"
+    cfg = load_config(write_config(tmp_path, text))
     fut = concurrent.futures.Future()
     fut.set_exception(BrokenProcessPool("worker died"))
     row = _cell_row(cfg, {"alpha": 3.0}, fut)
@@ -436,9 +437,22 @@ def test_cli_exponents_full_chain_at_mass_critical_power(capsys):
 @pytest.mark.parametrize("argv,message", [
     (["--dim", "7", "--alpha", "0.3", "--a", "5"], "alpha=0.3, dim=7 is outside"),
     (["--dim", "7", "--a", "5"], "--a needs --alpha"),
+    (["--dim", "3", "--alpha", "1", "--a", "nan"], "a=nan below gamma=12"),
 ])
 def test_cli_exponents_never_drops_a_given_a(capsys, argv, message):
     assert main(["exponents", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"configuration error: {message}")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["exponents", "--dim", "3", "--alpha", "1", "--kappa-im", "nan"], "kappa must be finite"),
+    (["oracle", "--kappa-im", "-1", "--alpha", "1", "--dim", "2", "--t0", "1", "--z0", "nan"],
+     "z0 must be finite"),
+], ids=["exponents", "oracle"])
+def test_cli_non_finite_model_numbers_are_config_errors(capsys, argv, message):
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"configuration error: {message}")
@@ -597,12 +611,14 @@ def test_simulate_is_the_one_config_command(tmp_path, capsys, command):
     ],
 )
 def test_simulate_gnuplot_needs_a_single_run(tmp_path, capsys, kind, box, extra):
-    # each config runs and exits 0 without --gnuplot, which it would ignore
+    # each config runs and exits 0 without --gnuplot, which it would ignore;
+    # the sweep's alpha = 3 cell needs the scatter probe, the other kinds ignore it
     text = (
         BASE_CONFIG.format(out=tmp_path / "o")
         .replace("kind = single", f"kind = {kind}")
         .replace("grid.box_length = 40.0", f"grid.box_length = {box}")
         + extra
+        + "probes.scatter = true\n"
     )
     p = write_config(tmp_path, text)
     assert main(["simulate", "--config", str(p), "--gnuplot"]) == 1
@@ -726,6 +742,23 @@ def test_malformed_checkpoint_sidecar_is_a_config_error(tmp_path, capsys, edit, 
     check_sidecar_is_rejected(tmp_path, capsys, edit, message)
 
 
+def test_missing_initial_file_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    text = BASE_CONFIG.format(out="o").replace(
+        "initial.kind = gaussian", "initial.kind = file\ninitial.path = nowhere.nlsf"
+    )
+    assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 1
+    err = capsys.readouterr().err
+    assert err == "configuration error: nowhere.nlsf: No such file or directory\n"
+    assert not (tmp_path / "o").exists()
+    # a sweep keeps a Failed row per cell, as with a bad header
+    text = text.replace("kind = single", "kind = sweep") + "sweep.dt = [0.01, 0.02]\n"
+    assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 2
+    rows = json.loads((tmp_path / "o" / "sweep_rows.json").read_text())
+    assert [r["error"] for r in rows] == ["ValueError: nowhere.nlsf: No such file or directory"] * 2
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("word", ["1e3", "007", "1_000", "NaN", "Infinity"])
 @pytest.mark.parametrize("key", ["output_dir", "initial.path"])
 def test_string_keys_keep_their_text(tmp_path, monkeypatch, capsys, key, word):
@@ -757,6 +790,7 @@ def test_cfg_sweep_maps_each_axis_to_its_values_in_axis_order(tmp_path):
     text = (
         BASE_CONFIG.format(out=tmp_path / "o").replace("kind = single", "kind = sweep")
         + "sweep.dt = [0.01, 0.02]\nsweep.amplitude = [0.25]\nsweep.alpha = [1.0, 3.0]\n"
+        + "probes.scatter = true\n"
     )
     cfg = load_config(write_config(tmp_path, text))
     assert cfg.sweep == {"alpha": (1.0, 3.0), "amplitude": (0.25,), "dt": (0.01, 0.02)}
@@ -773,6 +807,24 @@ def test_cli_sweep_without_axis_is_config_error(tmp_path, capsys):
     assert main(["simulate", "--config", str(p)]) == 1
     err = capsys.readouterr().err
     assert err == "configuration error: kind = sweep requires at least one sweep.<axis>\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("axis", ["sweep.alpha = [1.0, 3.0]", "sweep.dt = [0.01]"])
+def test_cli_sweep_above_fujita_needs_the_scatter_probe(tmp_path, capsys, axis):
+    # a cell at alpha >= 2/N is classified from its scatter column alone; the
+    # second sweep takes alpha = 2 from model.alpha
+    text = (
+        BASE_CONFIG.format(out=tmp_path / "o").replace("kind = single", "kind = sweep")
+        .replace("model.alpha = 1.0", "model.alpha = 2.0")
+        + axis + "\n"
+    )
+    assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 1
+    top = "3.0" if "alpha" in axis else "2.0"
+    assert capsys.readouterr().err == (
+        "configuration error: probes.scatter = true is needed to classify a sweep cell "
+        f"with alpha = {top} >= 2/N = 2\n"
+    )
     assert not (tmp_path / "o").exists()
 
 
@@ -919,7 +971,7 @@ def test_cli_sweep_end_to_end(tmp_path, capsys):
     out = tmp_path / "cli_sweep"
     text = (
         BASE_CONFIG.format(out=out).replace("kind = single", "kind = sweep")
-        + "sweep.alpha = [1.0, 3.0]\nsweep.dt = [0.01]\n"
+        + "sweep.alpha = [1.0, 3.0]\nsweep.dt = [0.01]\nprobes.scatter = true\n"
     )
     p = write_config(tmp_path, text)
     assert main(["simulate", "--config", str(p)]) == 0
