@@ -148,7 +148,9 @@ def strichartz_indices(params: ModelParams, a: Optional[float] = None) -> Expone
         a_star = al / gap
         a = gamma if gamma > a_star else a_star * 1.05
     av = float(a)
-    if not av >= gamma * (1 - 1e-12):  # also rejects a nan
+    if math.isnan(av):
+        raise InfeasibleExponentError(f"a={a} is not a number")
+    if av < gamma * (1 - 1e-12):
         raise InfeasibleExponentError(f"a={a} below gamma={gamma}")
     a_tilde = 1 / (2 / gamma - 1 / av) if av != gamma else gamma
     inv_mu = index - al / av

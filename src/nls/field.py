@@ -372,9 +372,9 @@ def load_checkpoint(path: Union[str, Path]):
     """Read a field file; returns (FieldState, ModelParams or None).
 
     A field file that cannot be read or has a bad header or size is a
-    ValueError naming it.  So is a sidecar that is not a JSON object, or a
-    field of it that is not a finite number (time, and the model's dim,
-    alpha and kappa parts).
+    ValueError naming it.  So is a sidecar that cannot be read or is not a
+    JSON object, or a field of it that is not a finite number (time, and the
+    model's dim, alpha and kappa parts).
     """
     path = Path(path)
     try:
@@ -405,6 +405,8 @@ def load_checkpoint(path: Union[str, Path]):
     if meta_path.exists():
         try:
             meta = json.loads(meta_path.read_text())
+        except OSError as exc:  # a directory or an unreadable file
+            raise ValueError(f"{meta_path}: {exc.strerror}") from None
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ValueError(f"{meta_path}: not valid JSON: {exc}") from None
         if not isinstance(meta, dict):

@@ -9,7 +9,9 @@ z = (t+t0)^{N/2} rho, to
 whose modulus obeys |z(t)|^{-alpha} = |z(0)|^{-alpha} + alpha Im(kappa) W(t)
 with W the weight integral below.  The same Bernoulli reduction with constant
 weight solves u_t = i kappa |u|^alpha u exactly; that flow is the solver's
-nonlinear substep.
+nonlinear substep.  With Im(kappa) != 0 the substep skips the nodes where
+its bracket rounds to exactly 1 (the field's tail), which leaves them
+unchanged, as the full evaluation would.
 """
 
 from __future__ import annotations
@@ -134,6 +136,18 @@ def nonlinear_flow(
     Re(kappa) = 0 (the phase increment vanishes) scales by the real modulus
     factor with no log or complex exp.  Otherwise modulus and phase come
     from one complex power of the bracket.
+
+    With Im(kappa) != 0 the powers run only on the active window: the flat
+    C-order range from the first to the last node with |u|^2 >= floor =
+    (2^-56/|c|)^(2/alpha), c = alpha Im(kappa) dt.  Below the floor
+    |c| |u|^alpha <= 2^-56 (1 + rounding) < 2^-54, so the bracket rounds to
+    exactly 1 for either sign of c; its power is 1 and its log 0, and such a
+    node would come back unchanged (up to the sign of a zero part).  Skipping
+    the nodes outside the window is therefore exact.  A non-finite |u|^2 is
+    active, and a floor that overflows is inf (no finite node can move).
+    An Im(kappa) so small that c underflows to 0 takes the Im(kappa) = 0
+    flow, the limit of the phase increment.  The complex power of the
+    Re(kappa) != 0 path is sized to the window.
     """
     values = np.array(values, dtype=np.complex128, copy=None if overwrite_x else True)
     al = model.alpha
@@ -142,12 +156,28 @@ def nonlinear_flow(
         return values
     m = np.square(values.real)
     m += np.square(values.imag)
-    m **= al / 2.0  # |u|^alpha, exactly 0 at u = 0 since alpha > 0
-    if ki == 0.0:
+    c = al * ki * dt  # the bracket is 1 + c |u|^alpha
+    if ki == 0.0 or c == 0.0:  # no bracket, or one that is exactly 1
+        m **= al / 2.0  # |u|^alpha, exactly 0 at u = 0 since alpha > 0
         phase = np.multiply(1j * (kr * dt), m)
         values *= np.exp(phase, out=phase)
         return values
-    m *= al * ki * dt
+    try:
+        floor = (2.0**-56 / abs(c)) ** (2.0 / al)
+    except OverflowError:
+        floor = math.inf
+    flat = values.reshape(-1)  # a copy only if values is N-D and strided
+    m = m.reshape(-1)
+    outside = m < floor  # False at NaN: a non-finite node is active
+    lo = int(np.argmin(outside))
+    if outside[lo]:  # every node is below the floor
+        return values
+    # argmin copies the reversed view, so a last node that is active skips it
+    hi = m.size - (int(np.argmin(outside[::-1])) if outside[-1] else 0)
+    del outside  # not held while the powers run
+    u, m = flat[lo:hi], m[lo:hi]
+    m **= al / 2.0
+    m *= c
     m += 1.0
     if np.min(m) <= 0.0:
         raise SubstepBlowupError(
@@ -155,10 +185,12 @@ def nonlinear_flow(
         )
     if kr != 0.0:
         power = np.multiply(np.log(m, out=m), complex(-1.0 / al, kr / (al * ki)))
-        values *= np.exp(power, out=power)
-        return values
-    m **= -1.0 / al
-    values *= m
+        u *= np.exp(power, out=power)
+    else:
+        m **= -1.0 / al
+        u *= m
+    if not np.may_share_memory(flat, values):  # reshape copied values
+        values[...] = flat.reshape(values.shape)
     return values
 
 

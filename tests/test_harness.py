@@ -437,7 +437,8 @@ def test_cli_exponents_full_chain_at_mass_critical_power(capsys):
 @pytest.mark.parametrize("argv,message", [
     (["--dim", "7", "--alpha", "0.3", "--a", "5"], "alpha=0.3, dim=7 is outside"),
     (["--dim", "7", "--a", "5"], "--a needs --alpha"),
-    (["--dim", "3", "--alpha", "1", "--a", "nan"], "a=nan below gamma=12"),
+    (["--dim", "3", "--alpha", "1", "--a", "nan"], "a=nan is not a number"),
+    (["--dim", "3", "--alpha", "1", "--a", "5"], "a=5.0 below gamma=12"),
 ])
 def test_cli_exponents_never_drops_a_given_a(capsys, argv, message):
     assert main(["exponents", *argv]) == 1
@@ -696,7 +697,7 @@ def check_sidecar_is_rejected(tmp_path, capsys, edit, message):
     `<sidecar>: <message>`, and a run from it exits 1 with no output.
 
     edit() changes the sidecar's dict in place, or returns the text to write
-    instead."""
+    instead, or IsADirectoryError to put a directory in the sidecar's place."""
     from nls.exponents import ModelParams
     from nls.field import GridSpec, load_checkpoint, make_initial, save_checkpoint
 
@@ -706,7 +707,11 @@ def check_sidecar_is_rejected(tmp_path, capsys, edit, message):
     meta = tmp_path / "init.nlsf.meta.json"
     data = json.loads(meta.read_text())
     text = edit(data)
-    meta.write_text(text if isinstance(text, str) else json.dumps(data))
+    if text is IsADirectoryError:
+        meta.unlink()
+        meta.mkdir()
+    else:
+        meta.write_text(text if isinstance(text, str) else json.dumps(data))
     with pytest.raises(ValueError, match=re.escape(f"{meta}: {message}")):
         load_checkpoint(ckpt)
     out = tmp_path / "o"
@@ -737,7 +742,11 @@ def test_checkpoint_sidecar_must_be_finite(tmp_path, capsys, key, value):
     (lambda d: d.update(model=None), "model.dim must be a finite number, got None"),
     (lambda d: "{not json", "not valid JSON: Expecting property name"),
     (lambda d: "[]", "must hold a JSON object, got list"),
-], ids=["time-null", "kappa_re-string", "alpha-missing", "model-null", "not-json", "list"])
+    (lambda d: IsADirectoryError, "Is a directory"),
+], ids=[
+    "time-null", "kappa_re-string", "alpha-missing", "model-null", "not-json", "list",
+    "directory",
+])
 def test_malformed_checkpoint_sidecar_is_a_config_error(tmp_path, capsys, edit, message):
     check_sidecar_is_rejected(tmp_path, capsys, edit, message)
 

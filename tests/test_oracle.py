@@ -334,12 +334,16 @@ def test_in_place_flow_is_bit_equal(alpha, kappa):
     got = nonlinear_flow(buf, model, dt, overwrite_x=True)
     assert got is buf
     assert np.array_equal(bits(got), bits(nonlinear_flow(vals, model, dt)))
-    if kappa == 0:
-        # the identity: the old kernel's exp(0) factor changed at most zero signs
-        assert np.array_equal(bits(got), bits(vals))
-        assert np.array_equal(got, out_of_place_flow(vals, model, dt))
-    else:
-        assert np.array_equal(bits(got), bits(out_of_place_flow(vals, model, dt)))
+    ref = out_of_place_flow(vals, model, dt)
+    assert np.array_equal(got, ref)
+    # kappa = 0 is the identity, and with Im(kappa) != 0 the zeros lie below
+    # the floor and are skipped: the old kernel's factor exp(0) or 1 there
+    # changed at most zero signs, so those nodes are held to their input bits
+    untouched = np.full(vals.shape, kappa == 0)
+    if kappa.imag != 0.0:
+        untouched |= vals == 0
+    assert np.array_equal(bits(got[untouched]), bits(vals[untouched]))
+    assert np.array_equal(bits(got[~untouched]), bits(ref[~untouched]))
 
 
 @pytest.mark.parametrize("kappa", KAPPAS)
@@ -364,3 +368,123 @@ def test_substep_blowup_leaves_the_buffer_unchanged(kappa):
     with pytest.raises(SubstepBlowupError):
         nonlinear_flow(buf, ModelParams(1, 1.0, kappa), 0.5, overwrite_x=True)
     assert np.array_equal(bits(buf), bits(vals))
+
+
+# ---------------------------------------------------------------------------
+# the active window: with Im(kappa) != 0 only the flat range between the first
+# and the last node whose bracket can differ from 1 is evaluated
+
+WINDOW_KAPPAS = [-1j, complex(0.7, -0.9), 0.5j]
+
+
+def field_with_core(dim, lo, hi, points=8, tail=1e-30, seed=0):
+    """Order-one values on the flat C-order range [lo, hi), modulus `tail`
+    (below every floor used here) elsewhere, and one signed zero in each
+    part."""
+    rng = np.random.default_rng(seed)
+    n = points**dim
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    flat = tail * z / np.abs(z)
+    flat[lo:hi] = 0.3 * z[lo:hi]
+    for i in (lo - 1, (lo + hi) // 2, hi):
+        if 0 <= i < n:
+            flat[i] = complex(-0.0, 0.0)
+    return flat.reshape((points,) * dim)
+
+
+def check_window(vals, model, dt, lo, hi):
+    """The windowed kernel against the full-grid reference: equal values,
+    equal bits at every node that is not an exact zero, and input bits at
+    every node outside [lo, hi)."""
+    buf = vals.copy()
+    got = nonlinear_flow(buf, model, dt, overwrite_x=True)
+    assert got is buf
+    ref = out_of_place_flow(vals, model, dt)
+    assert np.array_equal(got, ref, equal_nan=True)
+    nonzero = vals != 0
+    assert np.array_equal(bits(got[nonzero]), bits(ref[nonzero]))
+    outside = np.ones(vals.size, bool)
+    outside[lo:hi] = False
+    outside = outside.reshape(vals.shape)
+    assert np.array_equal(bits(got[outside]), bits(vals[outside]))
+
+
+@pytest.mark.parametrize("window", ["interior", "both-ends", "empty"])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("kappa", WINDOW_KAPPAS)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_windowed_flow_matches_the_full_grid(dim, kappa, alpha, window):
+    n = 8**dim
+    lo, hi = {"interior": (n // 3, n // 2 + 5), "both-ends": (0, n), "empty": (0, 0)}[window]
+    vals = field_with_core(dim, lo, hi)
+    check_window(vals, ModelParams(dim, alpha, kappa), 0.02, lo, hi)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0, 7.0])
+@pytest.mark.parametrize("kappa", WINDOW_KAPPAS)
+@pytest.mark.parametrize("dt", [1e-6, 0.02, 3.0])
+def test_nodes_straddling_the_floor(alpha, kappa, dt):
+    # |u|^2 spread over [floor/8, 8 floor]: the full-grid bracket of every
+    # skipped node rounds to exactly 1, so nonzero nodes keep their bits
+    c = alpha * kappa.imag * dt
+    floor = (2.0**-56 / abs(c)) ** (2.0 / alpha)
+    rng = np.random.default_rng(7)
+    m2 = floor * 8.0 ** rng.uniform(-1.0, 1.0, 200)
+    m2[[0, -1]] = floor / 2.0
+    vals = np.sqrt(m2) * np.exp(1j * rng.uniform(-3, 3, 200))
+    active = np.flatnonzero(~(vals.real**2 + vals.imag**2 < floor))
+    assert 0 < active[0] and active[-1] < 199  # skipped nodes at both ends
+    check_window(vals, ModelParams(1, alpha, kappa), dt, active[0], active[-1] + 1)
+
+
+@pytest.mark.parametrize("kappa", WINDOW_KAPPAS)
+def test_a_nan_node_is_active(kappa):
+    vals = field_with_core(2, 10, 20)
+    vals.reshape(-1)[50] = complex(math.nan, 0.0)
+    check_window(vals, ModelParams(2, 3.0, kappa), 0.02, 10, 51)
+    assert math.isnan(nonlinear_flow(vals, ModelParams(2, 3.0, kappa), 0.02)[6, 2].real)
+
+
+@pytest.mark.parametrize("kr", [0.0, 0.7])
+def test_underflowed_bracket_coefficient_is_the_pure_phase_flow(kr):
+    # alpha Im(kappa) dt underflows to 0: no bracket differs from 1, and the
+    # phase increment's limit is that of Im(kappa) = 0
+    vals = field_with_core(1, 0, 8)
+    model = ModelParams(1, 3.0, complex(kr, 5e-324))
+    assert model.alpha * model.kappa.imag * 0.02 == 0.0
+    got = nonlinear_flow(vals, model, 0.02)
+    want = nonlinear_flow(vals, ModelParams(1, 3.0, complex(kr, 0.0)), 0.02)
+    assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("kappa", WINDOW_KAPPAS)
+def test_overflowing_floor_skips_every_finite_node(kappa):
+    # alpha = 0.01 and |c| < 2^-56: the floor (2^-56/|c|)^200 overflows
+    model, dt = ModelParams(2, 0.01, kappa), 1e-20
+    assert abs(model.alpha * kappa.imag * dt) < 2.0**-56
+    vals = field_with_core(2, 0, 64)
+    check_window(vals, model, dt, 0, 0)
+
+
+def test_failing_bracket_in_a_window_leaves_the_buffer_unchanged():
+    vals = field_with_core(3, 100, 300)
+    vals.reshape(-1)[200] = 10.0
+    buf = vals.copy()
+    with pytest.raises(SubstepBlowupError, match="min bracket -"):
+        nonlinear_flow(buf, ModelParams(3, 1.0, -1j), 0.5, overwrite_x=True)
+    assert np.array_equal(bits(buf), bits(vals))
+
+
+@pytest.mark.parametrize("kappa", WINDOW_KAPPAS)
+@pytest.mark.parametrize("dim", [1, 2], ids=["big[::2]", "big[::2, ::2]"])
+def test_strided_buffer_is_advanced_in_place(kappa, dim):
+    # the 2-D view has no flat view of its own, so the kernel works on a copy
+    big = np.zeros((32,) * dim, complex)
+    buf = big[(slice(None, None, 2),) * dim]
+    vals = field_with_core(dim, 3, 9 * dim, points=16)
+    buf[...] = vals
+    model = ModelParams(dim, 3.0, kappa)
+    got = nonlinear_flow(buf, model, 0.02, overwrite_x=True)
+    assert got is buf
+    assert np.array_equal(got, out_of_place_flow(vals, model, 0.02))
+    assert np.count_nonzero(big) == np.count_nonzero(vals)  # the gaps stay zero
