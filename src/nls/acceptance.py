@@ -352,10 +352,7 @@ def criterion_08_fujita_dichotomy(check: Check) -> str:
 
 
 def criterion_09_non_scattering_floor(check: Check) -> str:
-    growth = _long_run(*_GROWTH_ALPHA1)
-    # residuals only over samples actually reached (the run may blow up after 40)
-    states = [s for s in growth.checkpoints if s.time <= 40.0 + 1e-9]
-    res_alpha1 = scattering_residual(states)
+    res_alpha1 = scattering_residual(_long_run(*_GROWTH_ALPHA1).checkpoints)
     floor_run = _long_run(*_NOISE_FLOOR)
     res_floor = scattering_residual(floor_run.checkpoints)
     floor = max(res_floor)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .exponents import ModelParams, critical_exponents, strichartz_indices
-from .oracle import SelfSimilarParams, blowup_time, classify, reduced_trajectory
+from .oracle import SelfSimilarParams, blowup_time, reduced_trajectory
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -114,9 +114,13 @@ def _cmd_oracle(args) -> int:
         dim=args.dim, alpha=args.alpha, kappa=complex(args.kappa_re, args.kappa_im)
     )
     p = SelfSimilarParams(t0=args.t0, z0=complex(args.z0, 0.0), model=model)
-    print(f"classification: {classify(p).value}")
+    if p.z0 == 0:
+        raise ValueError("z0 = 0 is the trivial solution")
     T = blowup_time(p)
-    if T is not None:
+    if T is None:
+        print("classification: Global")
+    else:
+        print("classification: FiniteTimeBlowup")
         print(f"blowup_time: {T!r}")
     if args.trace:
         # a time beyond double range (inf) gets the global window too

@@ -22,14 +22,7 @@ from typing import Optional, Union, get_type_hints
 
 from .diagnostics import CutoffFamily, ProbeSet, default_lambdas
 from .exponents import ModelParams
-from .field import (
-    FromFile,
-    Gaussian,
-    GridSpec,
-    InitialDataSpec,
-    PlaneWave,
-    QuadraticPhaseGaussian,
-)
+from .field import FromFile, Gaussian, GridSpec, InitialDataSpec, PlaneWave
 from .solver import SolverConfig
 
 
@@ -109,7 +102,6 @@ TABLE = {
     "initial.amplitude_im": (float, 0.0),
     "initial.width": (float, 1.0),
     "initial.mode_index": ([int], None),
-    "initial.chirp_sign": (int, 1),
     "initial.path": (str, None),
     "probes.median_radius": (bool, True),
     "probes.weighted_l2": (bool, True),
@@ -155,8 +147,6 @@ def _initial(i: dict) -> InitialDataSpec:
         if i["mode_index"] is None:
             raise ConfigError("plane_wave requires 'initial.mode_index'")
         return PlaneWave(amp, i["mode_index"])
-    if i["kind"] == "quadratic_phase_gaussian":
-        return QuadraticPhaseGaussian(amp, i["width"], i["chirp_sign"])
     if i["kind"] == "file":
         if i["path"] is None:
             raise ConfigError("file initial data requires 'initial.path'")

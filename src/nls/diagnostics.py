@@ -426,9 +426,11 @@ def linear_confinement_check(
     Also reports the mass fraction outside |x| > a t (expected <= 1/4 for
     large t).  The |x| reading of psi_M is the dimension-generic one; the
     one-dimensional signed variant is not implemented.  The bound is stated
-    for t >= 0; a negative time is a ValueError.
+    for t >= 0; a negative time, or no time, is a ValueError.
     """
-    if min(times, default=0.0) < 0:
+    if len(times) == 0:
+        raise ValueError("confinement times must not be empty")
+    if min(times) < 0:
         raise ValueError(f"confinement times must be >= 0, got {min(times)}")
     g = u0.grid
     hN = g.spacing**g.dim

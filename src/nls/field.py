@@ -82,19 +82,6 @@ def axis_wavenumbers(box_length: float, points: int) -> np.ndarray:
     return k1
 
 
-@lru_cache(maxsize=32)
-def _wavenumbers(box_length: float, points: int) -> np.ndarray:
-    """Derivative wavenumbers of one axis, with the Nyquist mode zeroed.
-
-    The odd derivative multiplier has no real value at the Nyquist mode, so
-    the spectral gradient drops it there.
-    """
-    kd = axis_wavenumbers(box_length, points).copy()
-    kd[points // 2] = 0.0
-    kd.flags.writeable = False
-    return kd
-
-
 @lru_cache(maxsize=4)
 def free_multiplier(grid: GridSpec, t: float) -> tuple:
     """exp(-i |k|^2 t).
@@ -157,7 +144,9 @@ def spectral_sq(uk: np.ndarray, grid: GridSpec) -> tuple:
     """
     power = np.square(uk.real)
     power += np.square(uk.imag)
-    kd2 = _wavenumbers(grid.box_length, grid.points) ** 2
+    kd2 = axis_wavenumbers(grid.box_length, grid.points) ** 2
+    # the odd derivative multiplier has no real value at the Nyquist mode
+    kd2[grid.points // 2] = 0.0
     grad = 0.0
     for d in range(grid.dim):
         marginal = power.sum(axis=tuple(a for a in range(grid.dim) if a != d))
@@ -263,30 +252,11 @@ class PlaneWave:
 
 
 @dataclass(frozen=True)
-class QuadraticPhaseGaussian:
-    """A exp(-|x|^2/(2 sigma^2)) exp(i chirp_sign |x|^2 / 4), centered.
-
-    chirp_sign = -1 builds the initial data of the conformal v-problem from
-    a Gaussian u0 (the sign that inverts the t=0 frame map).
-    """
-
-    amplitude: complex = 1.0
-    width: float = 1.0
-    chirp_sign: int = 1
-
-    def __post_init__(self):
-        if not self.width > 0:
-            raise ValueError("width must be positive")
-        if self.chirp_sign not in (-1, 1):
-            raise ValueError("chirp_sign must be +1 or -1")
-
-
-@dataclass(frozen=True)
 class FromFile:
     path: str
 
 
-InitialDataSpec = Union[Gaussian, PlaneWave, QuadraticPhaseGaussian, FromFile]
+InitialDataSpec = Union[Gaussian, PlaneWave, FromFile]
 
 
 def make_initial(grid: GridSpec, spec: InitialDataSpec) -> FieldState:
@@ -304,13 +274,6 @@ def make_initial(grid: GridSpec, spec: InitialDataSpec) -> FieldState:
         for mi, xd in zip(m, grid.coordinate_arrays()):
             phase = phase + (2 * np.pi * mi / grid.box_length) * xd
         vals = spec.amplitude * np.exp(1j * phase)
-    elif isinstance(spec, QuadraticPhaseGaussian):
-        r2 = grid.radius_squared()
-        vals = (
-            spec.amplitude
-            * np.exp(-r2 / (2 * spec.width**2))
-            * np.exp(1j * spec.chirp_sign * r2 / 4)
-        )
     elif isinstance(spec, FromFile):
         state, _ = load_checkpoint(spec.path)
         if state.grid != grid:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -33,11 +32,6 @@ class SubstepBlowupError(ArithmeticError):
 
 class PastBlowupError(ArithmeticError):
     """Amplitude requested at or beyond the blowup time."""
-
-
-class Classification(Enum):
-    GLOBAL = "Global"
-    FINITE_TIME_BLOWUP = "FiniteTimeBlowup"
 
 
 @dataclass(frozen=True)
@@ -93,8 +87,8 @@ def blowup_time(p: SelfSimilarParams) -> Optional[float]:
     """Finite blowup time of |z|, or None if the reduced flow is global.
 
     Below the critical power the time is finite for every z0 but can exceed
-    double range for tiny amplitudes; such times come back as math.inf while
-    the classification stays FiniteTimeBlowup.
+    double range for tiny amplitudes; such times come back as math.inf, not
+    None.
     """
     ki = p.model.kappa.imag
     if ki >= 0 or p.z0 == 0:
@@ -104,15 +98,6 @@ def blowup_time(p: SelfSimilarParams) -> Optional[float]:
     if c >= total:
         return None
     return _invert_weight_integral(p.model, p.t0, c)
-
-
-def classify(p: SelfSimilarParams) -> Classification:
-    """Global vs finite-time blowup for the self-similar reduced flow."""
-    if p.z0 == 0:
-        raise ValueError("z0 = 0 is the trivial solution")
-    if blowup_time(p) is None:
-        return Classification.GLOBAL
-    return Classification.FINITE_TIME_BLOWUP
 
 
 def nonlinear_flow(

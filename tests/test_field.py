@@ -12,7 +12,6 @@ from nls.field import (
     Gaussian,
     GridSpec,
     PlaneWave,
-    QuadraticPhaseGaussian,
     free_gaussian,
     gradient_norm,
     l2_norm,
@@ -82,23 +81,11 @@ def test_plane_wave_sampling():
         make_initial(g, PlaneWave(1.0, (1, 2)))  # wrong arity
 
 
-def test_quadratic_phase_gaussian_sampling():
-    g = GridSpec(1, 16.0, 64)
-    st = make_initial(g, QuadraticPhaseGaussian(1.0, 1.0))
-    x = g.axis_coordinates()
-    j = int(np.argmin(np.abs(x - 2.0)))
-    assert x[j] == 2.0
-    expected = math.exp(-2.0) * np.exp(1j * 1.0)  # e^{-x^2/2} e^{i x^2/4} at x=2
-    assert st.values[j] == pytest.approx(expected, rel=1e-14)
-    st_neg = make_initial(g, QuadraticPhaseGaussian(1.0, 1.0, chirp_sign=-1))
-    assert st_neg.values[j] == pytest.approx(np.conj(expected), rel=1e-14)
-
-
 def test_gaussian_width_validation():
     with pytest.raises(ValueError):
         Gaussian(1.0, -1.0)
     with pytest.raises(ValueError):
-        QuadraticPhaseGaussian(1.0, 0.0)
+        Gaussian(1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

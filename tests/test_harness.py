@@ -9,6 +9,7 @@ import pytest
 
 from nls.cli import main
 from nls.config import (
+    SWEEP_AXES,
     TABLE,
     ConfigError,
     ExperimentKind,
@@ -118,7 +119,6 @@ def test_load_config_defaults_and_types(tmp_path):
     "model.alpha = true",
     "grid.points = [64, 128]",
     "pct.t_star = abc",
-    "initial.chirp_sign = x",
     "confinement.times = [1.0, x]",
 ])
 def test_values_are_coerced_by_type(tmp_path, line):
@@ -163,14 +163,17 @@ def test_zero_data_runs_with_an_empty_median_radius(tmp_path, capsys):
 
 
 def test_readme_config_block_matches_the_table(tmp_path):
+    # every `key =` line of the sample, commented or not, names a TABLE key, and
+    # every TABLE key appears (a sweep.<axis> key as its axis name)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"## Config file format.*?```ini\n(.*?)```", readme, re.S).group(1)
     assert load_config(write_config(tmp_path, block)).kind is ExperimentKind.SINGLE
+    listed = re.findall(r"^(?:# )?([a-z_][a-z0-9_.]*) +=", block, re.M)
+    assert set(listed) <= set(TABLE), set(listed) - set(TABLE)
+    assert {k for k in TABLE if not k.startswith("sweep.")} <= set(listed)
     axes = next(line for line in block.splitlines() if "# axes:" in line)
-    for key in TABLE:
-        section, _, name = key.rpartition(".")
-        if not re.search(rf"^(# )?{re.escape(key)} +=", block, re.M):
-            assert section == "sweep" and re.search(rf"\b{name}\b", axes), key
+    for name in SWEEP_AXES:
+        assert re.search(rf"\b{name}\b", axes), name
 
 
 def test_readme_commands_parse(capsys):
@@ -558,6 +561,19 @@ def test_negative_confinement_time_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_empty_confinement_times_is_config_error(tmp_path, capsys):
+    # a sweep may leave the key empty; a linear-confinement run has no time to check
+    text = (
+        BASE_CONFIG.format(out=tmp_path / "o")
+        .replace("kind = single", "kind = linear-confinement")
+        + "confinement.times = []\n"
+    )
+    assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 1
+    err = capsys.readouterr().err
+    assert err == "configuration error: confinement times must not be empty\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_worker_count_env(monkeypatch):
     from nls.harness import worker_count
 
@@ -625,6 +641,20 @@ def test_simulate_gnuplot_needs_a_single_run(tmp_path, capsys, kind, box, extra)
     assert main(["simulate", "--config", str(p), "--gnuplot"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: --gnuplot plots a single run's trace; kind = {kind}")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("line,new,message", [
+    ("initial.kind = gaussian", "initial.kind = quadratic_phase_gaussian",
+     "unknown initial.kind 'quadratic_phase_gaussian'"),
+    ("initial.width = 1.0", "initial.width = 1.0\ninitial.chirp_sign = -1",
+     "line 21: unknown config key 'initial.chirp_sign'"),
+], ids=["kind", "key"])
+def test_cli_chirped_initial_data_is_not_a_config_input(tmp_path, capsys, line, new, message):
+    # the chirped v(0) is built only by the pct-check path, which checks its resolution
+    text = BASE_CONFIG.format(out=tmp_path / "o").replace(line, new)
+    assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not (tmp_path / "o").exists()
 
 

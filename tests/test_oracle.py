@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from nls.cli import main
 from nls.exponents import ModelParams
 from nls.oracle import (
-    Classification,
     PastBlowupError,
     SelfSimilarParams,
     SubstepBlowupError,
     blowup_time,
-    classify,
     nonlinear_flow,
     reduced_rhs,
     reduced_trajectory,
@@ -126,32 +125,33 @@ def test_classification_threshold_case():
     # alpha > 2/N: global iff |z0|^-alpha / alpha >= (-Im kappa) W(inf)
     m = ModelParams(2, 2.0, -1j)
     at_threshold = SelfSimilarParams(1.0, (1 / math.sqrt(2)) + 0j, m)
-    assert classify(at_threshold) is Classification.GLOBAL
+    assert blowup_time(at_threshold) is None
     just_above = SelfSimilarParams(1.0, (1 / math.sqrt(2)) * (1 + 1e-6) + 0j, m)
-    assert classify(just_above) is Classification.FINITE_TIME_BLOWUP
+    assert blowup_time(just_above) is not None
     just_below = SelfSimilarParams(1.0, (1 / math.sqrt(2)) * (1 - 1e-6) + 0j, m)
-    assert classify(just_below) is Classification.GLOBAL
+    assert blowup_time(just_below) is None
 
 
 def test_classification_below_fujita_always_blows_up():
     m = ModelParams(2, 1.0, -1j)  # alpha = 2/N
     for amp in (1e-6, 1e-2, 1.0, 100.0):
         p = SelfSimilarParams(1.0, amp + 0j, m)
-        assert classify(p) is Classification.FINITE_TIME_BLOWUP
         assert blowup_time(p) is not None
 
 
 def test_classification_global_for_nonnegative_imaginary_part():
     p = SelfSimilarParams(1.0, 5.0 + 0j, ModelParams(2, 1.0, 1j))
-    assert classify(p) is Classification.GLOBAL
     assert blowup_time(p) is None
     p2 = SelfSimilarParams(1.0, 5.0 + 0j, ModelParams(1, 0.5, 3.0 + 0.0j))
-    assert classify(p2) is Classification.GLOBAL
+    assert blowup_time(p2) is None
 
 
-def test_classify_rejects_trivial_solution():
-    with pytest.raises(ValueError):
-        classify(SelfSimilarParams(1.0, 0.0 + 0.0j, ModelParams(2, 1.0, -1j)))
+def test_cli_oracle_rejects_trivial_solution(capsys):
+    argv = ["oracle", "--kappa-im", "-1", "--alpha", "1", "--dim", "2", "--t0", "1", "--z0", "0"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: z0 = 0 is the trivial solution\n"
 
 
 def test_amplitude_against_integrator_random_draws():

@@ -18,7 +18,6 @@ from nls.field import (
     FieldState,
     Gaussian,
     GridSpec,
-    QuadraticPhaseGaussian,
     axis_wavenumbers,
     make_initial,
     radial_shells,
@@ -147,9 +146,15 @@ CASES = [
 ]
 
 
+def chirped_gaussian(grid):
+    """Gaussian(1.5, 1.0) data times the chirp exp(i|x|^2/4)."""
+    st = make_initial(grid, Gaussian(1.5, 1.0))
+    return st.with_values(st.values * np.exp(1j * grid.radius_squared() / 4))
+
+
 def evolving_states(grid, alpha):
     """A few states of a focusing-dissipative run (Im kappa < 0) from chirped data."""
-    st = make_initial(grid, QuadraticPhaseGaussian(1.5, 1.0, chirp_sign=1))
+    st = chirped_gaussian(grid)
     model = ModelParams(grid.dim, alpha, 0.4 - 1j)
     cfg = SolverConfig(dt=5e-3, t_end=0.1, diagnostics_cadence=10**9)
     out = run(st, model, cfg, probes=ProbeSet(median_radius=False, weighted_l2=False,
@@ -227,7 +232,7 @@ def test_one_fft_per_row(monkeypatch, scatter):
     # FFT).  record runs no forward FFT; the scatter probe adds one inverse
     # FFT per row after the first.
     grid = GridSpec(3, 16.0, 16)
-    st = make_initial(grid, QuadraticPhaseGaussian(1.5, 1.0, chirp_sign=1))
+    st = chirped_gaussian(grid)
     model = ModelParams(3, 0.5, 0.4 - 1j)
     probes = ProbeSet(cutoffs=CutoffFamily.build(3, (0.5, 1.0)), scatter=scatter)
     rec = TraceRecorder(model, probes)
