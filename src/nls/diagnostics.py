@@ -20,8 +20,7 @@ from .exponents import ModelParams
 from .field import (
     FieldState,
     GridSpec,
-    apply_multiplier,
-    free_multiplier,
+    free_flow,
     radial_shells,
     shell_mass,
     spectral_sq,
@@ -138,11 +137,6 @@ def _median_radius(shells: np.ndarray, grid: GridSpec) -> float:
     lo, hi = cum[k - 1], cum[k]
     frac = 0.0 if hi == lo else (half - lo) / (hi - lo)
     return (k - 1 + frac) * h
-
-
-def _free_frame(uk: np.ndarray, state: FieldState) -> np.ndarray:
-    """F[w] for w = e^{-it Lap} u(t), from uk = F[u(t)], in place."""
-    return apply_multiplier(uk, free_multiplier(state.grid, -state.time), out=uk)
 
 
 def _x_norm(dk: np.ndarray, grid: GridSpec) -> float:
@@ -266,7 +260,7 @@ class TraceRecorder:
         grad = math.sqrt(spectral_sq(uk, g)[1])
         scatter = math.nan
         if p.scatter:
-            wk = _free_frame(uk, state)
+            wk = free_flow(uk, g, -state.time, out=uk)  # F[w], w = e^{-it Lap} u
             if self._wk_prev is not None:
                 # the increment overwrites the previous F[w], replaced below
                 scatter = _x_norm(np.subtract(wk, self._wk_prev, out=self._wk_prev), g)
@@ -446,7 +440,7 @@ def linear_confinement_check(
     for i, t in enumerate(times):
         shells_t = shells_0
         if t != u0.time:
-            ut = scipy.fft.ifftn(apply_multiplier(uk, free_multiplier(g, t - u0.time)))
+            ut = scipy.fft.ifftn(free_flow(uk, g, t - u0.time))
             shells_t = shell_mass(ut, g)
         M = a * t
         if M > 0:
@@ -477,5 +471,5 @@ def scattering_residual(states: Sequence[FieldState]) -> list:
     ts = [s.time for s in states]
     if any(b <= a for a, b in zip(ts[:-1], ts[1:])):
         raise ValueError("states must be strictly increasing in time")
-    wks = [_free_frame(scipy.fft.fftn(s.values), s) for s in states]
+    wks = [free_flow(scipy.fft.fftn(s.values), s.grid, -s.time) for s in states]
     return [_x_norm(w1 - w0, states[0].grid) for w0, w1 in zip(wks[:-1], wks[1:])]

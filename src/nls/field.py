@@ -83,13 +83,13 @@ def axis_wavenumbers(box_length: float, points: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def free_multiplier(grid: GridSpec, t: float) -> tuple:
-    """exp(-i |k|^2 t).
+def _free_factors(grid: GridSpec, t: float) -> tuple:
+    """exp(-i |k|^2 t) as (trailing, lead) factors.
 
-    The multiplier is separable (exp(-i|k|^2 t) = prod_d exp(-i k_d^2 t)) and
-    is returned as two factors: one over the trailing N-1 axes (M^(N-1)
-    entries) and a 1D factor broadcast along the first axis.  No dense N-D
-    array is built.  The last four are cached and read-only.
+    The multiplier is separable (exp(-i|k|^2 t) = prod_d exp(-i k_d^2 t)):
+    one factor over the trailing N-1 axes (M^(N-1) entries) and a 1D factor
+    broadcast along the first axis.  No dense N-D array is built.  The last
+    four are cached and read-only.
     """
     f = np.exp(-1j * axis_wavenumbers(grid.box_length, grid.points) ** 2 * t)
     f.flags.writeable = False
@@ -100,9 +100,12 @@ def free_multiplier(grid: GridSpec, t: float) -> tuple:
     return trailing, f.reshape((-1,) + (1,) * (grid.dim - 1))
 
 
-def apply_multiplier(spec: np.ndarray, multiplier: tuple, out=None) -> np.ndarray:
-    """spec times a free_multiplier; in place when out is spec."""
-    trailing, lead = multiplier
+def free_flow(spec: np.ndarray, grid: GridSpec, t: float, out=None) -> np.ndarray:
+    """spec * exp(-i |k|^2 t): the free group e^{it Lap} on a spectrum.
+
+    t may have either sign.  A new array, or spec itself when out is spec.
+    """
+    trailing, lead = _free_factors(grid, t)
     out = np.multiply(spec, trailing, out=out)
     if spec.ndim > 1:
         out *= lead
@@ -187,7 +190,7 @@ def linear_propagate(state: FieldState, dt: float) -> FieldState:
     A group, not a semigroup: dt may be negative.  Unitary on the grid.
     """
     uk = scipy.fft.fftn(state.values)
-    apply_multiplier(uk, free_multiplier(state.grid, dt), out=uk)
+    free_flow(uk, state.grid, dt, out=uk)
     return state.with_values(
         scipy.fft.ifftn(uk, overwrite_x=True), time=state.time + dt
     )

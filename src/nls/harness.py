@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, ExperimentKind, resolved_config_dict
+from .config import ConfigError, ExperimentConfig, ExperimentKind, resolved_config_dict
 from .conformal import equivalence_experiment
 from .diagnostics import linear_confinement_check, rate_fit
 from .field import make_initial, save_checkpoint
@@ -204,8 +204,15 @@ def execute_sweep(cfg: ExperimentConfig, out_root: Path) -> list:
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
-    """Dispatch on experiment kind; returns a process exit code (0 ok, 2 fail)."""
+    """Dispatch on experiment kind; returns a process exit code (0 ok, 2 fail).
+
+    An output_dir that is, or lies under, an existing non-directory is a
+    ConfigError raised before anything runs.
+    """
     out_root = Path(cfg.output_dir)  # created only once there is a result to write
+    for d in (out_root, *out_root.parents):
+        if d.exists() and not d.is_dir():
+            raise ConfigError(f"output_dir {cfg.output_dir!r}: {d} is not a directory")
     if cfg.kind is ExperimentKind.SINGLE:
         summary = _run_single(cfg, out_root, None)
         print(f"status: {summary['status']}  final t = {summary['final_time']:.6g}")

@@ -23,8 +23,8 @@ trace rows, stored states, store_at_times targets, t_end and the blowup
 return.  A trace row also takes the spectrum pending * p, so it costs at
 most that one inverse FFT (plus one for the scatter probe).  A rejected
 step leaves p and the pending half-step alone; only dt changes.
-The |k|^2 multipliers are separable (exp(-i|k|^2 t) = prod_d exp(-i k_d^2 t))
-and are never stored as dense N-D arrays.
+Every half-step is field.free_flow, whose separable |k|^2 multiplier
+(exp(-i|k|^2 t) = prod_d exp(-i k_d^2 t)) is never stored as a dense N-D array.
 
 Blowup of the discrete system is declared by policy, not by a theorem:
 steps are rejected (and dt halved) while the substep bracket fails or the
@@ -49,7 +49,7 @@ import scipy.fft
 
 from .diagnostics import DiagnosticTrace, ProbeSet, TraceRecorder
 from .exponents import ModelParams
-from .field import FieldState, apply_multiplier, free_multiplier
+from .field import FieldState, free_flow
 from .oracle import SubstepBlowupError, nonlinear_flow
 
 # relative margin between the L2 bound and the sup-norm threshold
@@ -107,32 +107,24 @@ class _StrangChain:
         self._tau = 0.0
         self._state: Optional[FieldState] = state0  # physical state, once built
 
-    def _times(self, spec: np.ndarray, tau: float) -> np.ndarray:
-        """New array spec * exp(-i |k|^2 tau)."""
-        return apply_multiplier(spec, free_multiplier(self._grid, tau))
-
-    def advance(
-        self, model: ModelParams, dt: float, linf_max: Optional[float] = None
-    ) -> bool:
+    def advance(self, model: ModelParams, dt: float, linf_max: float) -> bool:
         """One Strang step of size dt.
 
         Returns False, leaving the chain as it was, when the new state's sup
         norm exceeds linf_max; raises SubstepBlowupError (chain unchanged)
         when the nonlinear bracket fails.
         """
-        q = self._times(self.p, dt / 2 + self._tau)
+        q = free_flow(self.p, self._grid, dt / 2 + self._tau)
         w = nonlinear_flow(
             scipy.fft.ifftn(q, overwrite_x=True), model, dt, overwrite_x=True
         )
         # L2 bound on the new sup norm; needs w before the FFT overwrites it
-        bounded = linf_max is None or (
-            np.vdot(w, w).real <= (linf_max * _BOUND_MARGIN) ** 2
-        )
+        bounded = np.vdot(w, w).real <= (linf_max * _BOUND_MARGIN) ** 2
         p = scipy.fft.fftn(w, overwrite_x=True)
         tau = dt / 2
         state = None
         if not bounded:
-            u = scipy.fft.ifftn(self._times(p, tau), overwrite_x=True)
+            u = scipy.fft.ifftn(free_flow(p, self._grid, tau), overwrite_x=True)
             if not float(np.max(np.abs(u))) <= linf_max:
                 return False
             state = FieldState(self._grid, u, self.time + dt)
@@ -150,7 +142,7 @@ class _StrangChain:
 
     def spectrum(self) -> np.ndarray:
         """New array F[u] of the physical state at self.time (no FFT)."""
-        return self._times(self.p, self._tau)
+        return free_flow(self.p, self._grid, self._tau)
 
 
 def run(

@@ -12,6 +12,9 @@ from nls.field import (
     Gaussian,
     GridSpec,
     PlaneWave,
+    _free_factors,
+    axis_wavenumbers,
+    free_flow,
     free_gaussian,
     gradient_norm,
     l2_norm,
@@ -90,6 +93,24 @@ def test_gaussian_width_validation():
 
 # ---------------------------------------------------------------------------
 # linear propagator
+
+
+@pytest.mark.parametrize("dim, m", [(1, 256), (2, 32), (3, 16)])
+@pytest.mark.parametrize("t", [0.3, -0.7])
+def test_free_flow_matches_dense_multiplier(dim, m, t):
+    g = GridSpec(dim, 40.0, m)
+    spec = random_state(g, np.random.default_rng(dim)).values
+    k = np.meshgrid(*[axis_wavenumbers(g.box_length, m)] * dim, indexing="ij")
+    want = spec * np.exp(-1j * sum(kd**2 for kd in k) * t)
+    got = free_flow(spec, g, t)
+    assert got is not spec
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    back = free_flow(got, g, -t)
+    assert np.max(np.abs(back - spec)) <= 1e-14 * np.max(np.abs(spec))
+    copy = spec.copy()
+    assert free_flow(spec, g, t, out=spec) is spec  # in place
+    assert np.array_equal(spec, free_flow(copy, g, t))
+    assert not any(f.flags.writeable for f in _free_factors(g, t))
 
 
 def test_propagate_zero_is_identity():

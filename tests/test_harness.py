@@ -798,6 +798,19 @@ def test_missing_initial_file_is_a_config_error(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_output_dir_under_a_file_is_a_config_error(tmp_path, capsys, monkeypatch, out):
+    # rejected before the run, not after it when the artifacts are written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_bytes(b"keep\n")
+    path = write_config(tmp_path, BASE_CONFIG.format(out=out))
+    assert main(["simulate", "--config", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", f"configuration error: output_dir '{out}': afile is not a directory\n"
+    )
+    assert (tmp_path / "afile").read_bytes() == b"keep\n"
+
+
 @pytest.mark.parametrize("word", ["1e3", "007", "1_000", "NaN", "Infinity"])
 @pytest.mark.parametrize("key", ["output_dir", "initial.path"])
 def test_string_keys_keep_their_text(tmp_path, monkeypatch, capsys, key, word):

@@ -244,15 +244,15 @@ def counted_ffts(monkeypatch):
 
 def test_two_ffts_per_accepted_step(monkeypatch):
     # the step's own FFTs, apart from the run's initial transform and its
-    # state rebuilds: an accepted step makes two, with no sup-norm test or
-    # with one its L2 bound settles; its state costs one inverse FFT, once
+    # state rebuilds: an accepted step makes two when its L2 bound settles
+    # the sup-norm test; its state costs one inverse FFT, once
     grid = GridSpec(1, 40.0, 256)
     st = make_initial(grid, Gaussian(0.5, 1.0))
     model = ModelParams(1, 1.0, -1j)
     chain = nls.solver._StrangChain(st, scipy.fft.fftn(st.values))
     calls = counted_ffts(monkeypatch)
     for n in range(1, 11):
-        assert chain.advance(model, 1e-2, None if n % 2 else 1e6)
+        assert chain.advance(model, 1e-2, 1e6)
         assert calls[-2:] == ["ifftn", "fftn"] and len(calls) == 2 * n
     chain.state()
     chain.state()

@@ -241,7 +241,7 @@ def test_one_fft_per_row(monkeypatch, scatter):
     rec.record(chain.state(), chain.spectrum())
     assert calls == []
     for _ in range(4):
-        assert chain.advance(model, 5e-3)
+        assert chain.advance(model, 5e-3, 1e6)
         calls.clear()
         rec.record(chain.state(), chain.spectrum())
         assert calls == ["ifftn"] * (2 if scatter else 1)

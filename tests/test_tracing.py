@@ -42,3 +42,21 @@ def test_traced_run_emits_every_layer():
     assert m["diagnostics.record_calls"] == rows
     assert m["solver.fft_calls_per_step"] >= 2
     assert m["diagnostics.record_fft_calls"] == 0  # a row reads the chain's spectrum
+
+
+def test_traced_2d_run_sees_the_scatter_frame():
+    # the scatter probe's inverse FFT (the |x| part of the increment of w)
+    # is the only FFT a row makes; it must reach the tracer as one
+    st = make_initial(GridSpec(2, 24.0, 32), Gaussian(0.5, 1.0))
+    cfg = nls.solver.SolverConfig(dt=1e-2, t_end=0.1, diagnostics_cadence=2)
+    tracer = Tracer()
+    with tracer.installed():
+        out = nls.solver.run(
+            st, ModelParams(2, 1.0, -1j), cfg,
+            probes=ProbeSet(median_radius=False, weighted_l2=False, scatter=True),
+        )
+    rows = len(out.trace)
+    assert out.steps_accepted == 10 and out.steps_rejected == 0 and rows == 6
+    m = repetition_metrics(tracer.spans)
+    assert m["diagnostics.record_fft_calls"] == rows - 1
+    assert m["solver.fft_calls_per_step"] >= 2
