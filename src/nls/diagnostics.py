@@ -21,6 +21,7 @@ from .field import (
     FieldState,
     GridSpec,
     free_flow,
+    free_flow_to_space,
     radial_shells,
     shell_mass,
     spectral_sq,
@@ -440,7 +441,7 @@ def linear_confinement_check(
     for i, t in enumerate(times):
         shells_t = shells_0
         if t != u0.time:
-            ut = scipy.fft.ifftn(free_flow(uk, g, t - u0.time))
+            ut = free_flow_to_space(uk, g, t - u0.time)
             shells_t = shell_mass(ut, g)
         M = a * t
         if M > 0:

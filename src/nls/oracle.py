@@ -153,20 +153,22 @@ def nonlinear_flow(
         floor = math.inf
     flat = values.reshape(-1)  # a copy only if values is N-D and strided
     m = m.reshape(-1)
-    outside = m < floor  # False at NaN: a non-finite node is active
-    lo = int(np.argmin(outside))
-    if outside[lo]:  # every node is below the floor
+    # the window's ends are the first and last 0 byte of the mask: bytes
+    # find/rfind scan from either end (argmin of a reversed view copies it)
+    outside = (m < floor).tobytes()  # False at NaN: a non-finite node is active
+    lo = outside.find(0)
+    if lo < 0:  # every node is below the floor
         return values
-    # argmin copies the reversed view, so a last node that is active skips it
-    hi = m.size - (int(np.argmin(outside[::-1])) if outside[-1] else 0)
+    hi = outside.rfind(0) + 1
     del outside  # not held while the powers run
     u, m = flat[lo:hi], m[lo:hi]
     m **= al / 2.0
     m *= c
     m += 1.0
-    if np.min(m) <= 0.0:
+    low = m.min()
+    if low <= 0.0:
         raise SubstepBlowupError(
-            f"nonlinear substep blowup: min bracket {np.min(m):.3e} at dt={dt:.3e}"
+            f"nonlinear substep blowup: min bracket {low:.3e} at dt={dt:.3e}"
         )
     if kr != 0.0:
         power = np.multiply(np.log(m, out=m), complex(-1.0 / al, kr / (al * ki)))
@@ -174,7 +176,8 @@ def nonlinear_flow(
     else:
         m **= -1.0 / al
         u *= m
-    if not np.may_share_memory(flat, values):  # reshape copied values
+    # reshape copied values (a view of an owning values has it as base)
+    if flat.base is not values and not np.may_share_memory(flat, values):
         values[...] = flat.reshape(values.shape)
     return values
 

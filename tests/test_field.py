@@ -111,6 +111,7 @@ def test_free_flow_matches_dense_multiplier(dim, m, t):
     assert free_flow(spec, g, t, out=spec) is spec  # in place
     assert np.array_equal(spec, free_flow(copy, g, t))
     assert not any(f.flags.writeable for f in _free_factors(g, t))
+    assert not any(f.flags.writeable for f in _free_factors(g, t, 0.5))
 
 
 def test_propagate_zero_is_identity():

@@ -192,6 +192,12 @@ def test_solver_config_validation():
         SolverConfig(dt=0.1, t_end=1.0, diagnostics_cadence=0)
     with pytest.raises(ValueError, match="blowup_dt_floor"):
         SolverConfig(dt=1e-13, t_end=1.0)  # below the default floor 1e-12
+    # NaN passes a "<= 0" test: a NaN floor never ends the dt halving, and a
+    # NaN threshold rejects every step
+    with pytest.raises(ValueError, match="positive"):
+        SolverConfig(dt=0.1, t_end=1.0, blowup_dt_floor=math.nan)
+    with pytest.raises(ValueError, match="positive"):
+        SolverConfig(dt=0.1, t_end=1.0, blowup_linf_threshold=math.nan)
 
 
 def test_spectral_tail_resolution_criterion():

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+import nls.diagnostics
 import nls.solver
 from nls.diagnostics import ProbeSet, TraceRecorder
 from nls.exponents import ModelParams
@@ -21,9 +22,11 @@ from nls.field import (
     Gaussian,
     GridSpec,
     axis_wavenumbers,
+    free_flow,
+    linear_propagate,
     make_initial,
 )
-from nls.oracle import SubstepBlowupError
+from nls.oracle import SubstepBlowupError, nonlinear_flow
 from nls.solver import RunStatus, SolverConfig, run
 
 QUIET = 10**9
@@ -296,3 +299,84 @@ def test_step_allocates_one_field_and_one_real_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= 2.1 * st.values.nbytes
+
+
+class DefaultNormChain:
+    """The chain as written before the inverse FFT's 1/M^N moved onto the
+    half-step factor: every inverse FFT is a default-norm ifftn of
+    free_flow(...), and the sup-norm test always rebuilds the state."""
+
+    def __init__(self, st):
+        self.grid, self.time, self.tau = st.grid, st.time, 0.0
+        self.p = scipy.fft.fftn(st.values)
+
+    def advance(self, model, dt, linf_max):
+        u = scipy.fft.ifftn(free_flow(self.p, self.grid, dt / 2 + self.tau))
+        p = scipy.fft.fftn(nonlinear_flow(u, model, dt))
+        if not np.max(np.abs(scipy.fft.ifftn(free_flow(p, self.grid, dt / 2)))) <= linf_max:
+            return False
+        self.p, self.tau, self.time = p, dt / 2, self.time + dt
+        return True
+
+    def state(self):
+        return scipy.fft.ifftn(free_flow(self.p, self.grid, self.tau))
+
+
+FOLD_GRIDS = [GridSpec(1, 40.0, 256), GridSpec(2, 16.0, 32), GridSpec(3, 12.0, 16)]
+
+
+@pytest.mark.parametrize("grid", FOLD_GRIDS, ids=lambda g: f"{g.dim}d")
+def test_normalization_fold_is_bit_identical(grid):
+    # 1/M^N is a power of two, so taking it from the half-step factor and
+    # running the inverse FFT unscaled changes no bit: bounded steps, the
+    # rebuild an unbounded step makes, a rejected step and the rows' state
+    # all equal the default-norm chain exactly
+    st = make_initial(grid, Gaussian(0.8, 1.0))
+    model = ModelParams(grid.dim, 1.0, 0.4 - 1j)
+    chain = nls.solver._StrangChain(st, scipy.fft.fftn(st.values))
+    ref = DefaultNormChain(st)
+    peak = float(np.max(np.abs(st.values)))
+    l2 = math.sqrt(np.vdot(st.values, st.values).real)
+    assert 1.5 * peak < l2  # the L2 bound cannot settle 1.5 peak
+    for dt, linf_max, kind in [
+        (1e-2, 1e6, "bounded"),
+        (2e-2, 1e6, "bounded"),
+        (1e-2, 1.5 * peak, "rebuilt"),
+        (1e-2, 0.5 * peak, "rejected"),
+        (5e-3, 1e6, "bounded"),
+        (5e-3, 1.5 * peak, "rebuilt"),
+    ]:
+        built = chain.advance(model, dt, linf_max)
+        assert built == ref.advance(model, dt, linf_max) == (kind != "rejected")
+        if kind != "rejected":  # a rejected step keeps the state it had
+            assert (chain._state is not None) == (kind == "rebuilt")
+        assert np.array_equal(chain.p, ref.p)
+        assert chain.time == ref.time
+        assert np.array_equal(chain.state().values, ref.state())
+    state, uk = chain.row()
+    assert np.array_equal(state.values, ref.state())
+    assert np.array_equal(uk, free_flow(ref.p, grid, ref.tau))
+
+
+@pytest.mark.parametrize("grid", FOLD_GRIDS, ids=lambda g: f"{g.dim}d")
+def test_linear_propagate_fold_is_bit_identical(grid):
+    st = make_initial(grid, Gaussian(0.8, 1.0))
+    for dt in (0.3, -0.7, 0.0):
+        want = scipy.fft.ifftn(free_flow(scipy.fft.fftn(st.values), grid, dt))
+        assert np.array_equal(linear_propagate(st, dt).values, want)
+
+
+@pytest.mark.parametrize("grid", FOLD_GRIDS[:2], ids=lambda g: f"{g.dim}d")
+def test_confinement_fold_is_bit_identical(grid, monkeypatch):
+    # the report from the default-norm composition, patched in where the
+    # check turns each propagated spectrum back into a state
+    st = make_initial(grid, Gaussian(1.0, 1.0))
+    times = (0.0, 0.1, 0.25)
+    got = nls.diagnostics.linear_confinement_check(st, times, a=8.0)
+    monkeypatch.setattr(
+        nls.diagnostics, "free_flow_to_space",
+        lambda uk, g, t: scipy.fft.ifftn(free_flow(uk, g, t)),
+    )
+    want = nls.diagnostics.linear_confinement_check(st, times, a=8.0)
+    for name in ("lhs", "rhs", "exterior_fraction"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name

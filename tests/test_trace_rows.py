@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+import nls.solver
 from nls.diagnostics import CutoffFamily, ProbeSet, TraceRecorder, tent_profile
 from nls.exponents import ModelParams
 from nls.field import (
@@ -227,10 +228,10 @@ def counted_ffts(monkeypatch):
 
 @pytest.mark.parametrize("scatter", [False, True])
 def test_one_fft_per_row(monkeypatch, scatter):
-    # a row as run() records it: the chain's state (one inverse FFT to
-    # rebuild it; the initial state needs none) and the chain's spectrum (no
-    # FFT).  record runs no forward FFT; the scatter probe adds one inverse
-    # FFT per row after the first.
+    # a row as run() records it: the chain's spectrum (no FFT) and the state
+    # rebuilt from it (one inverse FFT; the initial state needs none).
+    # record runs no forward FFT; the scatter probe adds one inverse FFT per
+    # row after the first.
     grid = GridSpec(3, 16.0, 16)
     st = chirped_gaussian(grid)
     model = ModelParams(3, 0.5, 0.4 - 1j)
@@ -238,14 +239,53 @@ def test_one_fft_per_row(monkeypatch, scatter):
     rec = TraceRecorder(model, probes)
     chain = _StrangChain(st, scipy.fft.fftn(st.values))
     calls = counted_ffts(monkeypatch)
-    rec.record(chain.state(), chain.spectrum())
+    rec.record(*chain.row())
     assert calls == []
     for _ in range(4):
         assert chain.advance(model, 5e-3, 1e6)
         calls.clear()
-        rec.record(chain.state(), chain.spectrum())
+        rec.record(*chain.row())
         assert calls == ["ifftn"] * (2 if scatter else 1)
     assert len(rec.rows) == 5
+
+
+def counted_free_flows(monkeypatch):
+    """Count the free-flow multiplies the solver makes from here on."""
+    calls = []
+    free_flow = nls.solver.free_flow
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return free_flow(*args, **kwargs)
+
+    monkeypatch.setattr(nls.solver, "free_flow", counted)
+    return calls
+
+
+@pytest.mark.parametrize("scatter", [False, True])
+def test_row_makes_one_free_flow_multiply(monkeypatch, scatter):
+    # the row's spectrum pending * p is formed once; the state is its inverse
+    # FFT, and the steps' half-steps (free_flow_to_space) are not rows
+    grid = GridSpec(2, 24.0, 32)
+    st = make_initial(grid, Gaussian(0.5, 1.0))
+    model = ModelParams(2, 1.0, -1j)
+    probes = ProbeSet(median_radius=False, weighted_l2=False, scatter=scatter)
+    rec = TraceRecorder(model, probes)
+    chain = _StrangChain(st, scipy.fft.fftn(st.values))
+    multiplies = counted_free_flows(monkeypatch)
+    ffts = counted_ffts(monkeypatch)
+    for n in range(1, 5):
+        assert chain.advance(model, 1e-2, 1e6)
+        multiplies.clear()
+        ffts.clear()
+        rec.record(*chain.row())
+        assert multiplies == [chain._tau]
+        assert ffts == ["ifftn"] * (2 if scatter and n > 1 else 1)
+    multiplies.clear()
+    cfg = SolverConfig(dt=1e-2, t_end=0.2, diagnostics_cadence=3)
+    out = run(st, model, cfg, probes=probes)
+    assert out.steps_accepted == 20 and len(out.trace) == 8  # rows 0, 3, ..., 18, 20
+    assert len(multiplies) == len(out.trace)
 
 
 def test_shells_built_once_per_grid():
