@@ -211,6 +211,8 @@ class ExperimentConfig:
             lams = p["lambdas"] or default_lambdas(grid.box_length, width)
             cutoffs = _checked("probes.lambdas", CutoffFamily.build, grid.dim, lams)
             keys["probes.lambdas"] = cutoffs.lambdas
+        elif p["lambdas"]:
+            raise ConfigError("probes.lambdas needs probes.localized_mass = true")
         axes = {a: sw[a] for a in SWEEP_AXES if sw[a] is not None}
         if sec["kind"] is ExperimentKind.SWEEP and not axes:
             raise ConfigError("kind = sweep requires at least one sweep.<axis>")

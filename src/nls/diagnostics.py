@@ -55,8 +55,8 @@ class CutoffFamily:
     @classmethod
     def build(cls, dim: int, lambdas: Sequence[float]) -> "CutoffFamily":
         lam = tuple(float(v) for v in lambdas)
-        if any(v <= 0 for v in lam):
-            raise ValueError("lambdas must be positive")
+        if not all(0 < v < math.inf for v in lam):
+            raise ValueError(f"lambdas must be positive and finite, got {lam}")
         return cls(dim=dim, lambdas=lam, nu=cutoff_normalization(dim))
 
     def phi_l2_norm_quadrature(self, lam: float) -> float:
@@ -100,24 +100,17 @@ def _localized_mass(shells: np.ndarray, grid: GridSpec, cutoffs: CutoffFamily) -
     return np.sqrt(phi2 @ shells * grid.spacing**grid.dim)
 
 
-def median_radius(state: FieldState) -> float:
-    """Radius enclosing half the total mass (radial bins of width h).
+def median_radius(shells: np.ndarray, grid: GridSpec) -> float:
+    """Radius enclosing half the total mass, from the shell masses of u
+    (radial bins of width h; all nodes of a shell share a bin).
 
     Cumulative mass at bin boundaries is interpolated linearly; cumulative
     monotonicity guarantees a unique crossing.  Samples landing exactly on a
     bin boundary are split half-and-half between the adjacent bins (the
     trapezoid-consistent convention; on axis-aligned grids every node radius
     is a boundary, and whole-bin assignment would bias R by +h/2).
-    The zero field has none: a ValueError here, NaN (an empty R_t) in a trace.
+    The zero field has none: NaN (an empty R_t in a trace).
     """
-    r = _median_radius(shell_mass(state.values, state.grid), state.grid)
-    if math.isnan(r):
-        raise ValueError("zero field has no median radius")
-    return r
-
-
-def _median_radius(shells: np.ndarray, grid: GridSpec) -> float:
-    """median_radius from the shell masses (all nodes of a shell share a bin)."""
     total = float(np.sum(shells))
     if total <= 0:
         return math.nan  # the zero field has no median radius
@@ -278,7 +271,7 @@ class TraceRecorder:
             lp=float(np.sum(absu) * g.spacing**g.dim) ** (1.0 / q),
             grad_l2=grad,
             linf=linf,
-            R_t=_median_radius(shells, g) if p.median_radius else math.nan,
+            R_t=median_radius(shells, g) if p.median_radius else math.nan,
             weighted_l2=math.sqrt(weighted_sq(shells, g)) if p.weighted_l2 else math.nan,
             scatter_residual=scatter,
             loc_mass=(

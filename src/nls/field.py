@@ -27,6 +27,8 @@ CHECKPOINT_MAGIC = b"NLSF"
 CHECKPOINT_VERSION = 1
 # magic(4) + version(4) + dim(4) + M(4) + L(8) + 8 reserved bytes = 32
 _HEADER = struct.Struct("<4sIIId8x")
+# M^N nodes a grid may hold: a complex field of 2^24 nodes is 256 MiB
+MAX_NODES = 2**24
 
 
 @dataclass(frozen=True)
@@ -40,11 +42,13 @@ class GridSpec:
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if not self.box_length > 0:
-            raise ValueError("box_length must be positive")
+        if not 0 < self.box_length < math.inf:
+            raise ValueError(f"box_length must be positive and finite, got {self.box_length}")
         m = self.points
         if m < 8 or (m & (m - 1)) != 0:
             raise ValueError(f"points must be a power of two >= 8, got {m}")
+        if m**self.dim > MAX_NODES:
+            raise ValueError(f"{m}^{self.dim} grid nodes exceed the cap of {MAX_NODES} (2^24)")
 
     @property
     def spacing(self) -> float:
@@ -378,7 +382,10 @@ def load_checkpoint(path: Union[str, Path]):
         raise ValueError(f"{path}: bad magic {magic!r}")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
-    grid = GridSpec(dim=dim, box_length=length, points=m)
+    try:
+        grid = GridSpec(dim=dim, box_length=length, points=m)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     n = m**dim
     expected = _HEADER.size + 16 * n
     if len(raw) != expected:

@@ -235,10 +235,11 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         (out_root / "pct_report.json").write_text(
             json.dumps(report.as_dict(), indent=2) + "\n"
         )
-        print(
-            f"pct-check: t*={report.t_star:g} s*={report.s_star:g} "
-            f"rel L2 discrepancy {report.l2_discrepancy:.3e}"
-        )
+        head = f"pct-check: t*={report.t_star:g} s*={report.s_star:g} "
+        if report.l2_discrepancy is None:  # a path that stopped early has no u(s*)
+            print(head + f"path A {report.path_a_status}, path B {report.path_b_status}")
+            return 2
+        print(head + f"rel L2 discrepancy {report.l2_discrepancy:.3e}")
         return 0
     if cfg.kind is ExperimentKind.LINEAR_CONFINEMENT:
         state0 = make_initial(cfg.grid, cfg.initial)

@@ -111,9 +111,10 @@ def nonlinear_flow(
     Zero entries are fixed points.  Raises SubstepBlowupError if the bracket
     1 + alpha Im(kappa) m0^alpha dt is nonpositive anywhere.
 
-    Returns a new complex128 array.  With overwrite_x (the scipy.fft idiom)
-    a complex128 values is advanced and returned itself; the split-step
-    chain passes the buffer its inverse FFT returned.
+    Returns a new C-contiguous complex128 array.  With overwrite_x (the
+    scipy.fft idiom) a C-contiguous complex128 values is advanced and
+    returned itself, and any other is copied first; the split-step chain
+    passes the buffer its inverse FFT returned.
 
     One real buffer holds |u|^2, then |u|^alpha, then the bracket, then its
     power; the field is written only after the bracket check, so a
@@ -134,7 +135,9 @@ def nonlinear_flow(
     flow, the limit of the phase increment.  The complex power of the
     Re(kappa) != 0 path is sized to the window.
     """
-    values = np.array(values, dtype=np.complex128, copy=None if overwrite_x else True)
+    values = np.array(
+        values, dtype=np.complex128, order="C", copy=None if overwrite_x else True
+    )
     al = model.alpha
     kr, ki = model.kappa.real, model.kappa.imag
     if kr == 0.0 and ki == 0.0:
@@ -151,7 +154,6 @@ def nonlinear_flow(
         floor = (2.0**-56 / abs(c)) ** (2.0 / al)
     except OverflowError:
         floor = math.inf
-    flat = values.reshape(-1)  # a copy only if values is N-D and strided
     m = m.reshape(-1)
     # the window's ends are the first and last 0 byte of the mask: bytes
     # find/rfind scan from either end (argmin of a reversed view copies it)
@@ -161,7 +163,7 @@ def nonlinear_flow(
         return values
     hi = outside.rfind(0) + 1
     del outside  # not held while the powers run
-    u, m = flat[lo:hi], m[lo:hi]
+    u, m = values.reshape(-1)[lo:hi], m[lo:hi]  # a view: values is C-contiguous
     m **= al / 2.0
     m *= c
     m += 1.0
@@ -176,9 +178,6 @@ def nonlinear_flow(
     else:
         m **= -1.0 / al
         u *= m
-    # reshape copied values (a view of an owning values has it as base)
-    if flat.base is not values and not np.may_share_memory(flat, values):
-        values[...] = flat.reshape(values.shape)
     return values
 
 

@@ -48,7 +48,7 @@ max|u| test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -203,7 +203,8 @@ def run(
             dt_step = min(dt_step, targets[0] - chain.time)
         step_model = model
         if kappa_of_time is not None:
-            step_model = replace(model, kappa=kappa_of_time(chain.time + dt_step / 2))
+            kappa = kappa_of_time(chain.time + dt_step / 2)
+            step_model = ModelParams(model.dim, model.alpha, kappa)
         try:
             ok = chain.advance(step_model, dt_step, cfg.blowup_linf_threshold)
         except SubstepBlowupError:

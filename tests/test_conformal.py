@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+import nls.conformal
 from nls.conformal import (
     check_chirp_resolution,
     effective_kappa,
@@ -20,7 +21,7 @@ from nls.field import (
     linear_propagate,
     make_initial,
 )
-from nls.solver import SolverConfig
+from nls.solver import SolverConfig, run
 
 
 def test_to_u_frame_time_roundtrip():
@@ -187,6 +188,23 @@ def test_equivalence_free_flow():
     assert rep.l2_discrepancy <= 1e-8
     assert rep.s_star == pytest.approx(1.0)
     assert rep.u_grid.box_length == pytest.approx(80.0)
+
+
+def test_equivalence_paths_record_only_their_first_and_last_rows(monkeypatch):
+    # both traces are discarded, so no cadence of the config is reached
+    rows = []
+
+    def counting_run(*args, **kwargs):
+        out = run(*args, **kwargs)
+        rows.append(len(out.trace))
+        return out
+
+    monkeypatch.setattr(nls.conformal, "run", counting_run)
+    g = GridSpec(1, 20.0, 512)
+    cfg = SolverConfig(dt=1e-2, t_end=1.0)  # diagnostics_cadence = 1
+    rep = equivalence_experiment(Gaussian(0.1, 1.0), g, ModelParams(1, 3.0, -1j), cfg, 0.5)
+    assert rows == [2, 2]
+    assert rep.path_a_status == rep.path_b_status == "ReachedTEnd"
 
 
 def test_equivalence_nonlinear_second_order():

@@ -32,6 +32,7 @@ from nls.field import (
     l2_norm,
     linear_propagate,
     make_initial,
+    shell_mass,
 )
 from nls.solver import SolverConfig, run
 
@@ -84,6 +85,12 @@ def test_support_check():
         fam.check_support(GridSpec(1, 40.0, 64))
     fam2 = CutoffFamily.build(1, (0.2,))  # support radius 10 = L/4
     fam2.check_support(GridSpec(1, 40.0, 64))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_cutoff_lambdas_must_be_positive_and_finite(bad):
+    with pytest.raises(ValueError, match="lambdas must be positive and finite"):
+        CutoffFamily.build(1, (bad, 1.0))
 
 
 def test_default_lambda_ladder():
@@ -159,14 +166,13 @@ def test_median_radius_uniform_plateau():
     x = g.axis_coordinates()
     w = 5.0
     vals = np.where(np.abs(x) <= w, 1.0 + 0.0j, 0.0)
-    st = FieldState(grid=g, values=vals)
-    assert median_radius(st) == pytest.approx(w / 2, abs=2 * g.spacing)
+    assert median_radius(shell_mass(vals, g), g) == pytest.approx(w / 2, abs=2 * g.spacing)
 
 
 def test_median_radius_gaussian():
     g = GridSpec(1, 40.0, 2048)
     st = make_initial(g, Gaussian(1.0, math.sqrt(2.0)))  # |u|^2 ~ N(0, 1)
-    assert median_radius(st) == pytest.approx(PROBIT_75, rel=5e-3)
+    assert median_radius(shell_mass(st.values, g), g) == pytest.approx(PROBIT_75, rel=5e-3)
 
 
 def test_median_radius_free_spreading_law():
@@ -174,15 +180,14 @@ def test_median_radius_free_spreading_law():
     st = make_initial(g, Gaussian(1.0, math.sqrt(2.0)))
     for t in (1.0, 2.0, 4.0):
         ut = linear_propagate(st, t)
-        assert median_radius(ut) == pytest.approx(
+        assert median_radius(shell_mass(ut.values, g), g) == pytest.approx(
             PROBIT_75 * math.sqrt(1 + t * t), rel=1e-2
         )
 
 
 def test_median_radius_zero_field():
     g = GridSpec(1, 10.0, 64)
-    with pytest.raises(ValueError):
-        median_radius(FieldState(grid=g, values=np.zeros(g.shape, complex)))
+    assert math.isnan(median_radius(shell_mass(np.zeros(g.shape, complex), g), g))
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +486,8 @@ def test_median_radius_2d_gaussian():
     # |u|^2 = e^{-2|x|^2}: half mass inside R = sqrt(ln(2)/2)
     g = GridSpec(2, 20.0, 1024)
     st = make_initial(g, Gaussian(1.0, 1 / math.sqrt(2)))
-    assert median_radius(st) == pytest.approx(math.sqrt(math.log(2.0) / 2), rel=5e-3)
+    r = median_radius(shell_mass(st.values, g), g)
+    assert r == pytest.approx(math.sqrt(math.log(2.0) / 2), rel=5e-3)
 
 
 def test_localized_mass_uniform_2d():
@@ -501,4 +507,4 @@ def test_median_radius_3d_gaussian():
     g = GridSpec(3, 12.0, 128)
     st = make_initial(g, Gaussian(1.0, 1.0))
     want = math.sqrt(scipy.special.gammaincinv(1.5, 0.5))
-    assert median_radius(st) == pytest.approx(want, rel=1e-2)
+    assert median_radius(shell_mass(st.values, g), g) == pytest.approx(want, rel=1e-2)

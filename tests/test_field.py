@@ -1,4 +1,6 @@
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -48,6 +50,28 @@ def test_grid_validation():
     g = GridSpec(2, 16.0, 32)
     assert g.spacing == 0.5
     assert g.shape == (32, 32)
+
+
+@pytest.mark.parametrize("dim,length,points,message", [
+    (1, math.inf, 8, "box_length must be positive and finite, got inf"),
+    (1, math.nan, 8, "box_length must be positive and finite, got nan"),
+    (1, 10.0, 2**25, "33554432^1 grid nodes exceed the cap of 16777216"),
+    (2, 10.0, 8192, "8192^2 grid nodes exceed the cap"),
+    (3, 10.0, 512, "512^3 grid nodes exceed the cap"),
+])
+def test_grid_bounds(dim, length, points, message):
+    # constructing a GridSpec allocates nothing
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GridSpec(dim, length, points)
+    assert GridSpec(dim, 10.0, min(points, 2 ** (24 // dim))).shape  # the cap is allowed
+
+
+def test_checkpoint_header_grid_rejection_names_the_file(tmp_path):
+    path = tmp_path / "inf.nlsf"
+    path.write_bytes(struct.pack("<4sIIId8x", b"NLSF", 1, 1, 8, math.inf) + bytes(128))
+    message = f"{path}: box_length must be positive and finite, got inf"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_checkpoint(path)
 
 
 def test_grid_coordinates():

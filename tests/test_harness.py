@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nls.conformal
 from nls.cli import main
 from nls.config import (
     SWEEP_AXES,
@@ -18,7 +19,8 @@ from nls.config import (
     resolved_config_dict,
 )
 from nls.diagnostics import default_lambdas
-from nls.field import Gaussian, PlaneWave
+from nls.exponents import ModelParams
+from nls.field import Gaussian, GridSpec, PlaneWave, make_initial, save_checkpoint
 from nls.harness import dichotomy_table, execute_sweep, run_experiment
 
 BASE_CONFIG = """
@@ -524,6 +526,57 @@ def test_cli_pct_check(tmp_path, capsys):
     assert report["s_star"] == pytest.approx(1.0)
 
 
+PCT_CONFIG = (
+    BASE_CONFIG.replace("kind = single", "kind = pct-check")
+    .replace("model.alpha = 1.0", "model.alpha = 2.0")
+    + "pct.t_star = 0.5\n"
+)
+
+
+@pytest.mark.parametrize("kind", ["plane_wave", "file"])
+def test_cli_pct_check_needs_gaussian_data(tmp_path, capsys, monkeypatch, kind):
+    # path B resamples the data on the box L/(1-t*): a plane wave's mode is
+    # tied to its box and a file to its grid, so neither is the same function
+    data = tmp_path / "u0.nlsf"
+    save_checkpoint(data, make_initial(GridSpec(1, 40.0, 256), Gaussian(0.5, 1.0)),
+                    ModelParams(1, 2.0, -1j))
+    initial = {
+        "plane_wave": "initial.kind = plane_wave\ninitial.mode_index = 2",
+        "file": f"initial.kind = file\ninitial.path = {data}",
+    }[kind]
+    runs = []
+    monkeypatch.setattr(nls.conformal, "run", lambda *a, **k: runs.append(a))
+    text = PCT_CONFIG.format(out=tmp_path / "o").replace("initial.kind = gaussian", initial)
+    assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 1
+    name = {"plane_wave": "PlaneWave", "file": "FromFile"}[kind]
+    assert capsys.readouterr().err == (
+        "configuration error: pct-check needs Gaussian initial data, "
+        f"the same function on both boxes; got {name}\n"
+    )
+    assert runs == [] and not (tmp_path / "o").exists()
+
+
+def test_cli_pct_check_after_a_blowup_reports_no_discrepancy(tmp_path, capsys):
+    # alpha = 2 < 4/N, kappa = -i, A = 3: both paths stop long before t*, s*
+    out = tmp_path / "o"
+    text = (
+        PCT_CONFIG.format(out=out)
+        .replace("grid.box_length = 40.0", "grid.box_length = 20.0")
+        .replace("solver.dt = 1e-2", "solver.dt = 1e-3")
+        .replace("solver.t_end = 0.2", "solver.t_end = 1.0")
+        .replace("initial.amplitude_re = 0.5", "initial.amplitude_re = 3.0")
+        + "solver.blowup_dt_floor = 1e-9\n"
+    )
+    assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 2
+    assert capsys.readouterr().out == (
+        "pct-check: t*=0.5 s*=1 path A BlowupDetected, path B BlowupDetected\n"
+    )
+    report = json.loads((out / "pct_report.json").read_text())
+    assert report["l2_discrepancy"] is None
+    assert report["path_a_status"] == report["path_b_status"] == "BlowupDetected"
+    assert '"l2_discrepancy": null' in (out / "pct_report.json").read_text()
+
+
 def test_cli_accept_filter_quick(capsys):
     assert main(["accept", "--filter", "exponent table"]) == 0
     out = capsys.readouterr().out
@@ -890,6 +943,30 @@ def test_sweep_keys_need_kind_sweep(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert err == (
         f"configuration error: sweep.alpha needs kind = sweep; kind = {kind} runs no sweep\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+def test_probes_lambdas_need_localized_mass(tmp_path, capsys):
+    # without the probe no loc_mass column is written, so a ladder is an error
+    text = BASE_CONFIG.format(out=tmp_path / "o") + "probes.lambdas = [0.5, 1.0]\n"
+    assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: probes.lambdas needs probes.localized_mass = true\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+def test_grid_above_the_node_cap_is_config_error(tmp_path, capsys):
+    # 1024^3 = 2^30 nodes: rejected before any field is allocated
+    text = (
+        BASE_CONFIG.format(out=tmp_path / "o")
+        .replace("model.dim = 1", "model.dim = 3")
+        .replace("grid.points = 256", "grid.points = 1024")
+    )
+    assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: grid: 1024^3 grid nodes exceed the cap of 16777216 (2^24)\n"
     )
     assert not (tmp_path / "o").exists()
 
