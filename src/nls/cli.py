@@ -126,7 +126,7 @@ def _cmd_oracle(args) -> int:
         # a time beyond double range (inf) gets the global window too
         t_max = 0.999 * T if T is not None and math.isfinite(T) else 10.0 * args.t0
         ts = [i * t_max / 200 for i in range(201)]
-        with open(args.trace, "w") as f:
+        with open(args.trace, "w", encoding="utf-8") as f:
             f.write("t,abs_z,arg_z\n")
             for t in ts:
                 z = reduced_trajectory(p, t)
@@ -166,7 +166,7 @@ def main(argv=None) -> int:
 
         code = run_experiment(cfg)
         if args.gnuplot:
-            (Path(cfg.output_dir) / "plot_trace.gp").write_text(GNUPLOT_SCRIPT)
+            (Path(cfg.output_dir) / "plot_trace.gp").write_text(GNUPLOT_SCRIPT, encoding="utf-8")
         return code
     except ValueError as exc:  # ConfigError and InfeasibleExponentError included
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -277,7 +277,7 @@ class ExperimentConfig:
 
 def load_config(path: Union[str, Path]) -> ExperimentConfig:
     """Parse and validate a config file."""
-    return ExperimentConfig(parse_config_text(Path(path).read_text()))
+    return ExperimentConfig(parse_config_text(Path(path).read_text(encoding="utf-8")))
 
 
 def resolved_config_dict(cfg: ExperimentConfig) -> dict:

@@ -189,7 +189,7 @@ class DiagnosticTrace:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as f:
+        with open(path, "w", encoding="utf-8") as f:
             f.write(self.to_csv())
 
     @classmethod
@@ -405,12 +405,10 @@ class ConfinementReport:
     exterior_fraction: np.ndarray
 
 
-def linear_confinement_check(
-    u0: FieldState, times: Sequence[float], a: Optional[float] = None
-) -> ConfinementReport:
+def linear_confinement_check(u0: FieldState, times: Sequence[float]) -> ConfinementReport:
     """Free-flow confinement: int psi_M |u~|^2 <= int psi_M |u0|^2 + 2t/M ||u0|| ||grad u0||.
 
-    psi_M(x) = min(|x|/M, 1) with M = a t and default a = 16 ||grad u0||/||u0||.
+    psi_M(x) = min(|x|/M, 1) with M = a t and a = 16 ||grad u0||/||u0||.
     Also reports the mass fraction outside |x| > a t (expected <= 1/4 for
     large t).  The |x| reading of psi_M is the dimension-generic one; the
     one-dimensional signed variant is not implemented.  The bound is stated
@@ -424,8 +422,7 @@ def linear_confinement_check(
     hN = g.spacing**g.dim
     uk = scipy.fft.fftn(u0.values)
     l2, gr = (math.sqrt(v) for v in spectral_sq(uk, g))
-    if a is None:
-        a = 16.0 * gr / l2
+    a = 16.0 * gr / l2
     r = np.sqrt(radial_shells(g)[0])  # psi_M and the exterior set, per shell
     shells_0 = shell_mass(u0.values, g)
     lhs = np.empty(len(times))

@@ -358,7 +358,7 @@ def save_checkpoint(
         },
     }
     path.with_suffix(path.suffix + ".meta.json").write_text(
-        json.dumps(meta, indent=2) + "\n"
+        json.dumps(meta, indent=2) + "\n", encoding="utf-8"
     )
 
 
@@ -401,7 +401,7 @@ def load_checkpoint(path: Union[str, Path]):
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     if meta_path.exists():
         try:
-            meta = json.loads(meta_path.read_text())
+            meta = json.loads(meta_path.read_text(encoding="utf-8"))
         except OSError as exc:  # a directory or an unreadable file
             raise ValueError(f"{meta_path}: {exc.strerror}") from None
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError

@@ -81,7 +81,9 @@ def _run_single(cfg: ExperimentConfig, out_dir: Path, point: Optional[dict]) -> 
     }
     if point is not None:
         summary["verdict"] = {**_classify_run(cfg, outcome), "point": point}
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    (out_dir / "summary.json").write_text(
+        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
+    )
     return summary
 
 
@@ -223,8 +225,10 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         rows = execute_sweep(cfg, out_root)
         table = dichotomy_table(rows, cfg.model.dim)
         out_root.mkdir(parents=True, exist_ok=True)
-        (out_root / "dichotomy.txt").write_text(table + "\n")
-        (out_root / "sweep_rows.json").write_text(json.dumps(rows, indent=2) + "\n")
+        (out_root / "dichotomy.txt").write_text(table + "\n", encoding="utf-8")
+        (out_root / "sweep_rows.json").write_text(
+            json.dumps(rows, indent=2) + "\n", encoding="utf-8"
+        )
         print(table)
         return 2 if any(r["classification"] == "Failed" for r in rows) else 0
     if cfg.kind is ExperimentKind.PCT_CHECK:
@@ -233,7 +237,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         )
         out_root.mkdir(parents=True, exist_ok=True)
         (out_root / "pct_report.json").write_text(
-            json.dumps(report.as_dict(), indent=2) + "\n"
+            json.dumps(report.as_dict(), indent=2) + "\n", encoding="utf-8"
         )
         head = f"pct-check: t*={report.t_star:g} s*={report.s_star:g} "
         if report.l2_discrepancy is None:  # a path that stopped early has no u(s*)
@@ -248,7 +252,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(rep).items()
         }
         out_root.mkdir(parents=True, exist_ok=True)
-        (out_root / "confinement.json").write_text(json.dumps(payload, indent=2) + "\n")
+        (out_root / "confinement.json").write_text(
+            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
+        )
         print(
             f"confinement: max violation {rep.max_violation:.3e}, "
             f"exterior fraction at t={rep.times[-1]:g}: {rep.exterior_fraction[-1]:.4f}"

@@ -4,14 +4,13 @@ pointwise nonlinear flow.
 The self-similar family u(t,x) = rho(t) exp(i|x|^2/(4(t+t0))) reduces, after
 z = (t+t0)^{N/2} rho, to
 
-    z' = -i kappa (t+t0)^{-N alpha/2} |z|^alpha z,
+    z' = i kappa (t+t0)^{-N alpha/2} |z|^alpha z,
 
 whose modulus obeys |z(t)|^{-alpha} = |z(0)|^{-alpha} + alpha Im(kappa) W(t)
 with W the weight integral below.  The same Bernoulli reduction with constant
 weight solves u_t = i kappa |u|^alpha u exactly; that flow is the solver's
-nonlinear substep.  With Im(kappa) != 0 the substep skips the nodes where
-its bracket rounds to exactly 1 (the field's tail), which leaves them
-unchanged, as the full evaluation would.
+nonlinear substep and, at time W(t), the reduced trajectory.  The substep
+skips the nodes it would move by less than rounding (the field's tail).
 """
 
 from __future__ import annotations
@@ -28,10 +27,6 @@ from .exponents import ModelParams
 
 class SubstepBlowupError(ArithmeticError):
     """The exact nonlinear substep left its domain (bracket <= 0)."""
-
-
-class PastBlowupError(ArithmeticError):
-    """Amplitude requested at or beyond the blowup time."""
 
 
 @dataclass(frozen=True)
@@ -105,35 +100,32 @@ def nonlinear_flow(
 ) -> np.ndarray:
     """Exact flow of u_t = i kappa |u|^alpha u over time dt, elementwise.
 
-    Modulus: m(dt) = (m0^-alpha + alpha Im(kappa) dt)^(-1/alpha).
-    Phase increment: Re(kappa)/(alpha Im(kappa)) * log(1 + alpha Im(kappa)
-    m0^alpha dt), degenerating to Re(kappa) m0^alpha dt when Im(kappa) = 0.
-    Zero entries are fixed points.  Raises SubstepBlowupError if the bracket
-    1 + alpha Im(kappa) m0^alpha dt is nonpositive anywhere.
+    With x = c |u|^alpha, c = alpha Im(kappa) dt, u is multiplied by
+    exp(log1p(x) (-1/alpha + i Re(kappa)/(alpha Im(kappa)))): modulus
+    factor (1 + x)^(-1/alpha), the real power taken when Re(kappa) = 0,
+    and phase increment Re(kappa)/(alpha Im(kappa)) log1p(x).  log1p keeps
+    the digits of x that a log of the rounded bracket 1 + x loses.  When c
+    is 0 (Im(kappa) = 0 or underflow) or the rate Re(kappa)/(alpha
+    Im(kappa)) overflows, the factor is the increment's limit exp(i
+    Re(kappa) dt |u|^alpha).  kappa = 0 is the identity and zero entries
+    are fixed points.  Raises SubstepBlowupError, leaving values unchanged,
+    if the bracket is nonpositive (x <= -1) anywhere.
 
     Returns a new C-contiguous complex128 array.  With overwrite_x (the
     scipy.fft idiom) a C-contiguous complex128 values is advanced and
     returned itself, and any other is copied first; the split-step chain
-    passes the buffer its inverse FFT returned.
+    passes the buffer its inverse FFT returned.  One real buffer holds
+    |u|^2, then its powers; the complex exp's buffer is the window's size.
 
-    One real buffer holds |u|^2, then |u|^alpha, then the bracket, then its
-    power; the field is written only after the bracket check, so a
-    SubstepBlowupError leaves values unchanged.  kappa = 0 is the identity.
-    Re(kappa) = 0 (the phase increment vanishes) scales by the real modulus
-    factor with no log or complex exp.  Otherwise modulus and phase come
-    from one complex power of the bracket.
-
-    With Im(kappa) != 0 the powers run only on the active window: the flat
-    C-order range from the first to the last node with |u|^2 >= floor =
-    (2^-56/|c|)^(2/alpha), c = alpha Im(kappa) dt.  Below the floor
-    |c| |u|^alpha <= 2^-56 (1 + rounding) < 2^-54, so the bracket rounds to
-    exactly 1 for either sign of c; its power is 1 and its log 0, and such a
-    node would come back unchanged (up to the sign of a zero part).  Skipping
-    the nodes outside the window is therefore exact.  A non-finite |u|^2 is
-    active, and a floor that overflows is inf (no finite node can move).
-    An Im(kappa) so small that c underflows to 0 takes the Im(kappa) = 0
-    flow, the limit of the phase increment.  The complex power of the
-    Re(kappa) != 0 path is sized to the window.
+    The flow runs only on the active window: the flat C-order range from
+    the first to the last node with |u|^2 >= floor = (2^-56/s)^(2/alpha),
+    s = |c| when Re(kappa) = 0 and max(|c|, |kappa| dt) otherwise.  Below
+    the floor |x| <= 2^-56 (1 + rounding) < 2^-54, so the bracket rounds
+    to exactly 1: at Re(kappa) = 0 the skip gives the full-grid result bit
+    for bit, up to the sign of a zero part.  Otherwise the modulus and
+    phase exponents Im(kappa) dt |u|^alpha and Re(kappa) dt |u|^alpha are
+    at most 2^-56 too, and the skip is exact to rounding.  A non-finite
+    |u|^2 is active, and a floor that overflows (or s = 0) is inf.
     """
     values = np.array(
         values, dtype=np.complex128, order="C", copy=None if overwrite_x else True
@@ -142,18 +134,19 @@ def nonlinear_flow(
     kr, ki = model.kappa.real, model.kappa.imag
     if kr == 0.0 and ki == 0.0:
         return values
+    c = al * ki * dt  # x = c |u|^alpha
+    # c == 0 is the phase increment's limit, and so is a rate
+    # Re(kappa)/(alpha Im(kappa)) past double range: there |x| is below
+    # 2^-1024 of the phase increment
+    pure_phase = c == 0.0 or math.isinf(kr / (al * ki))
+    # a Python float, so that 1/0 and overflow raise for any type of dt
+    s = float(abs(c) if kr == 0.0 else max(abs(c), abs(model.kappa * dt)))
+    try:
+        floor = (2.0**-56 / s) ** (2.0 / al)
+    except (OverflowError, ZeroDivisionError):
+        floor = math.inf
     m = np.square(values.real)
     m += np.square(values.imag)
-    c = al * ki * dt  # the bracket is 1 + c |u|^alpha
-    if ki == 0.0 or c == 0.0:  # no bracket, or one that is exactly 1
-        m **= al / 2.0  # |u|^alpha, exactly 0 at u = 0 since alpha > 0
-        phase = np.multiply(1j * (kr * dt), m)
-        values *= np.exp(phase, out=phase)
-        return values
-    try:
-        floor = (2.0**-56 / abs(c)) ** (2.0 / al)
-    except OverflowError:
-        floor = math.inf
     m = m.reshape(-1)
     # the window's ends are the first and last 0 byte of the mask: bytes
     # find/rfind scan from either end (argmin of a reversed view copies it)
@@ -164,18 +157,22 @@ def nonlinear_flow(
     hi = outside.rfind(0) + 1
     del outside  # not held while the powers run
     u, m = values.reshape(-1)[lo:hi], m[lo:hi]  # a view: values is C-contiguous
-    m **= al / 2.0
+    m **= al / 2.0  # |u|^alpha, exactly 0 at u = 0 since alpha > 0
+    if pure_phase:
+        phase = np.multiply(1j * (kr * dt), m)
+        u *= np.exp(phase, out=phase)
+        return values
     m *= c
-    m += 1.0
     low = m.min()
-    if low <= 0.0:
+    if low <= -1.0:
         raise SubstepBlowupError(
-            f"nonlinear substep blowup: min bracket {low:.3e} at dt={dt:.3e}"
+            f"nonlinear substep blowup: min bracket {1.0 + low:.3e} at dt={dt:.3e}"
         )
     if kr != 0.0:
-        power = np.multiply(np.log(m, out=m), complex(-1.0 / al, kr / (al * ki)))
+        power = np.multiply(np.log1p(m, out=m), complex(-1.0 / al, kr / (al * ki)))
         u *= np.exp(power, out=power)
     else:
+        m += 1.0
         m **= -1.0 / al
         u *= m
     return values
@@ -196,26 +193,10 @@ def reduced_rhs(t: float, z: np.ndarray, p: SelfSimilarParams) -> np.ndarray:
 
 
 def reduced_trajectory(p: SelfSimilarParams, t: float) -> complex:
-    """Full complex z(t): closed-form modulus plus the derived phase.
+    """Full complex z(t): the exact pointwise flow of u_t = i kappa |u|^alpha u
+    from z0 over the reparametrized time W(t) = weight_integral(t).
 
-    z(t) is the exact pointwise flow of u_t = i kappa |u|^alpha u evaluated
-    at the reparametrized time W(t) = weight_integral(t), so modulus and
-    phase share one closed form.  The modulus law is the primary object;
-    the phase is a derived companion, and comparison tests treat the
-    modulus as authoritative.
+    At or past the blowup time the flow's bracket fails: SubstepBlowupError.
     """
-    m0 = abs(p.z0)
-    if m0 == 0:
-        return 0.0 + 0.0j
     W = weight_integral(p.model, p.t0, t)
-    al = p.model.alpha
-    kr, ki = p.model.kappa.real, p.model.kappa.imag
-    bracket = 1.0 + al * ki * m0**al * W
-    if bracket <= 0:
-        raise PastBlowupError(f"t={t} is at or past the blowup time")
-    m = m0 * bracket ** (-1.0 / al)
-    if ki != 0.0:
-        dtheta = (kr / (al * ki)) * math.log(bracket)
-    else:
-        dtheta = kr * m0**al * W
-    return m * cmath.exp(1j * (cmath.phase(p.z0) + dtheta))
+    return complex(nonlinear_flow(np.array([p.z0]), p.model, W)[0])

@@ -15,9 +15,9 @@ FFTs per step instead of four.  That product q is the step's one new field
 array: the inverse FFT, the nonlinear substep and the forward FFT all
 overwrite it, and it becomes the next p.  The substep adds one real buffer
 (|u|^2, then its powers), and a complex one only when Re(kappa) != 0.
-With Im(kappa) != 0 it evaluates its powers only on the active window, the
-flat range of nodes whose Bernoulli bracket does not round to exactly 1,
-and the complex buffer is the window's size (see oracle.nonlinear_flow).
+It evaluates its powers only on the active window, the flat range of
+nodes it can move by more than rounding, and the complex buffer is the
+window's size (see oracle.nonlinear_flow).
 The physical state ifftn(pending * p) is rebuilt only where it is read:
 trace rows, stored states, store_at_times targets, t_end and the blowup
 return.  A trace row forms its spectrum pending * p once: a copy of it is

@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "nls"
 PERFBENCH = ROOT / "perfbench"
 
-# ROADMAP item 1 gives spectral_tail_fraction its run path (the resolution
+# ROADMAP item 2 gives spectral_tail_fraction its run path (the resolution
 # certificate); until then only the README and a test read it
 EXEMPT = {"spectral_tail_fraction"}
 

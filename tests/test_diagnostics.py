@@ -367,10 +367,10 @@ def test_confinement_matches_dense_reference():
     # the dense formula: |x| and psi_M on every node, one free propagation per time
     g = GridSpec(2, 60.0, 128)
     u0 = make_initial(g, Gaussian(1.0 + 0.5j, 1.5))
-    times = (0.0, 0.5, 1.0, 1.5)
+    times = (0.0, 0.04, 0.08, 0.12)  # a t <= 1.3 against a ~ 10.7: mass outside
     l2, gr = l2_norm(u0), gradient_norm(u0)
-    assert linear_confinement_check(u0, times).a == pytest.approx(16.0 * gr / l2, rel=1e-13)
-    rep = linear_confinement_check(u0, times, a=2.0)  # M = a t small: mass outside
+    rep = linear_confinement_check(u0, times)
+    assert rep.a == pytest.approx(16.0 * gr / l2, rel=1e-13)
     r, hN = np.sqrt(g.radius_squared()), g.spacing**g.dim
     m2_0 = np.abs(u0.values) ** 2
     for i, t in enumerate(times[1:], start=1):

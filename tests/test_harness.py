@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -1109,3 +1111,22 @@ def test_cli_sweep_end_to_end(tmp_path, capsys):
     rows = json.loads((out / "sweep_rows.json").read_text())
     assert len(rows) == 2
     capsys.readouterr()
+
+
+def test_text_io_is_utf8_in_an_ascii_locale(tmp_path):
+    # LC_ALL=C with UTF-8 mode off makes the locale's encoding ASCII: the
+    # config's comment holds a λ, and the trace header names loc_mass_λ=...
+    out = tmp_path / "o"
+    text = "# cutoffs φ_λ\n" + BASE_CONFIG.format(out=out) + "probes.localized_mass = true\n"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "nls.cli", "simulate", "--config", str(cfg)],
+        env={**os.environ, "LC_ALL": "C", "PYTHONPATH": str(src)},
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    header = (out / "trace.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert ",loc_mass_λ=" in header

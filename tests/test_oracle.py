@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -8,7 +9,6 @@ import scipy.integrate
 from nls.cli import main
 from nls.exponents import ModelParams
 from nls.oracle import (
-    PastBlowupError,
     SelfSimilarParams,
     SubstepBlowupError,
     blowup_time,
@@ -17,6 +17,8 @@ from nls.oracle import (
     reduced_trajectory,
     weight_integral,
 )
+
+from conftest import bits, reference_flow
 
 
 def integrate_reduced(p, t_eval):
@@ -87,7 +89,7 @@ def test_blowup_time_log_branch():
     p = SelfSimilarParams(1.0, 1.0 + 0.0j, ModelParams(2, 1.0, -1j))
     T = blowup_time(p)
     assert T == pytest.approx(math.e - 1.0, rel=1e-12)
-    with pytest.raises(PastBlowupError):
+    with pytest.raises(SubstepBlowupError):
         reduced_trajectory(p, T + 1e-9)
 
 
@@ -295,24 +297,52 @@ def test_flow_branches_match_closed_form(alpha, kappa):
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
 
 
-def out_of_place_flow(values, model, dt):
-    """The substep as a chain of new arrays, as written before it ran in place."""
-    al = model.alpha
-    kr, ki = model.kappa.real, model.kappa.imag
-    ma = (values.real**2 + values.imag**2) ** (al / 2.0)
-    if ki == 0.0:
-        return values * np.exp(1j * (kr * dt) * ma)
-    bracket = ma * (al * ki * dt)
-    bracket += 1.0
-    if np.min(bracket) <= 0.0:
-        raise SubstepBlowupError("bracket")
-    if kr != 0.0:
-        return values * np.exp(np.log(bracket) * complex(-1.0 / al, kr / (al * ki)))
-    return values * bracket ** (-1.0 / al)
+# the grid of ROADMAP item 6: every kappa from Re(kappa) = 0 to real, with
+# |Re(kappa)/Im(kappa)| up to 1e16, where a log of the rounded bracket
+# 1 + x loses the digits of x
+EXACT_MODULI = [1e-3, 1e-2, 0.36, 1.0, 2.2]
+EXACT_KAPPAS = [
+    -1j, 0.7 - 0.9j, 1 - 1e-4j, 1 - 1e-8j, -1 - 1e-10j,
+    1 - 1e-12j, 1 + 1e-12j, 1 - 1e-16j, 1.3 + 0j,
+]
 
 
-def bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
+def exact_flow(u, alpha, kappa, dt):
+    """u_t = i kappa |u|^alpha u over dt from the double u, at 50 digits."""
+    with mpmath.workdps(50):
+        u = mpmath.mpc(u.real, u.imag)
+        a, kr, ki = mpmath.mpf(alpha), mpmath.mpf(kappa.real), mpmath.mpf(kappa.imag)
+        ma = abs(u) ** a
+        if ki == 0:
+            return u * mpmath.expj(kr * dt * ma)
+        return u * mpmath.exp(mpmath.log1p(a * ki * dt * ma) * mpmath.mpc(-1 / a, kr / (a * ki)))
+
+
+@pytest.mark.parametrize("kappa", EXACT_KAPPAS)
+def test_flow_matches_mpmath_at_50_digits(kappa):
+    vals = np.array([cmath.rect(r, 0.3 + i) for i, r in enumerate(EXACT_MODULI)])
+    worst = 0.0
+    for alpha in (0.5, 1.0, 3.0):
+        for dt in (1e-4, 1e-3, 1e-2):
+            got = nonlinear_flow(vals, ModelParams(1, alpha, kappa), dt)
+            for u, g in zip(vals, got):
+                want = exact_flow(u, alpha, kappa, dt)
+                with mpmath.workdps(50):
+                    worst = max(worst, float(abs(mpmath.mpc(g.real, g.imag) - want) / abs(want)))
+    assert worst <= 1e-15
+
+
+def test_every_node_gets_its_phase_at_tiny_imaginary_part():
+    # kappa = 1 - 1e-16i: the bracket of every node rounds to 1, but the
+    # phase increment dt |u|^alpha is up to 0.11 rad, and no node is skipped
+    rng = np.random.default_rng(4)
+    vals = 10.0 ** rng.uniform(-3, np.log10(2.2), 500) * np.exp(1j * rng.uniform(-3, 3, 500))
+    alpha, dt = 3.0, 1e-2
+    got = nonlinear_flow(vals, ModelParams(1, alpha, 1 - 1e-16j), dt)
+    dtheta = dt * np.abs(vals) ** alpha
+    np.testing.assert_allclose(got, vals * np.exp(1j * dtheta), rtol=1e-15, atol=0.0)
+    # every node moved by its phase, |u| dtheta >= 1e-11 |u|
+    assert np.all(np.abs(got - vals) > 0.99 * np.abs(vals) * dtheta)
 
 
 def flow_data():
@@ -334,14 +364,12 @@ def test_in_place_flow_is_bit_equal(alpha, kappa):
     got = nonlinear_flow(buf, model, dt, overwrite_x=True)
     assert got is buf
     assert np.array_equal(bits(got), bits(nonlinear_flow(vals, model, dt)))
-    ref = out_of_place_flow(vals, model, dt)
+    ref = reference_flow(vals, model, dt)
     assert np.array_equal(got, ref)
-    # kappa = 0 is the identity, and with Im(kappa) != 0 the zeros lie below
-    # the floor and are skipped: the old kernel's factor exp(0) or 1 there
-    # changed at most zero signs, so those nodes are held to their input bits
-    untouched = np.full(vals.shape, kappa == 0)
-    if kappa.imag != 0.0:
-        untouched |= vals == 0
+    # kappa = 0 is the identity, and the zeros lie below the floor and are
+    # skipped: the full-grid factor there changes at most zero signs, so
+    # those nodes are held to their input bits
+    untouched = np.full(vals.shape, kappa == 0) | (vals == 0)
     assert np.array_equal(bits(got[untouched]), bits(vals[untouched]))
     assert np.array_equal(bits(got[~untouched]), bits(ref[~untouched]))
 
@@ -371,13 +399,21 @@ def test_substep_blowup_leaves_the_buffer_unchanged(kappa):
 
 
 # ---------------------------------------------------------------------------
-# the active window: with Im(kappa) != 0 only the flat range between the first
-# and the last node whose bracket can differ from 1 is evaluated
+# the active window: only the flat range between the first and the last node
+# that the flow can move by more than rounding is evaluated
 
 WINDOW_KAPPAS = [-1j, complex(0.7, -0.9), 0.5j]
 
 
-def field_with_core(dim, lo, hi, points=8, tail=1e-30, seed=0):
+def window_floor(model, dt):
+    """The kernel's floor on |u|^2: (2^-56/s)^(2/alpha), s = |c| at
+    Re(kappa) = 0 and max(|c|, |kappa| dt) otherwise."""
+    c = model.alpha * model.kappa.imag * dt
+    s = abs(c) if model.kappa.real == 0.0 else max(abs(c), abs(model.kappa * dt))
+    return (2.0**-56 / s) ** (2.0 / model.alpha)
+
+
+def field_with_core(dim, lo, hi, points=8, tail=1e-40, seed=0):
     """Order-one values on the flat C-order range [lo, hi), modulus `tail`
     (below every floor used here) elsewhere, and one signed zero in each
     part."""
@@ -393,20 +429,24 @@ def field_with_core(dim, lo, hi, points=8, tail=1e-30, seed=0):
 
 
 def check_window(vals, model, dt, lo, hi):
-    """The windowed kernel against the full-grid reference: equal values,
-    equal bits at every node that is not an exact zero, and input bits at
-    every node outside [lo, hi)."""
+    """The windowed kernel against the full-grid reference: equal bits at
+    every node of [lo, hi) that is not an exact zero, input bits at every
+    node outside it, and there a reference equal to the input at
+    Re(kappa) = 0 and within rounding of it otherwise."""
     buf = vals.copy()
     got = nonlinear_flow(buf, model, dt, overwrite_x=True)
     assert got is buf
-    ref = out_of_place_flow(vals, model, dt)
-    assert np.array_equal(got, ref, equal_nan=True)
-    nonzero = vals != 0
-    assert np.array_equal(bits(got[nonzero]), bits(ref[nonzero]))
+    ref = reference_flow(vals, model, dt)
     outside = np.ones(vals.size, bool)
     outside[lo:hi] = False
     outside = outside.reshape(vals.shape)
+    computed = ~outside & (vals != 0)
+    assert np.array_equal(bits(got[computed]), bits(ref[computed]))
     assert np.array_equal(bits(got[outside]), bits(vals[outside]))
+    if model.kappa.real == 0.0:
+        assert np.array_equal(got, ref, equal_nan=True)
+    else:  # a skipped node's phase increment is below 2^-56
+        np.testing.assert_allclose(got, ref, rtol=2.0**-52, atol=0.0)
 
 
 @pytest.mark.parametrize("window", ["interior", "both-ends", "empty"])
@@ -424,17 +464,17 @@ def test_windowed_flow_matches_the_full_grid(dim, kappa, alpha, window):
 @pytest.mark.parametrize("kappa", WINDOW_KAPPAS)
 @pytest.mark.parametrize("dt", [1e-6, 0.02, 3.0])
 def test_nodes_straddling_the_floor(alpha, kappa, dt):
-    # |u|^2 spread over [floor/8, 8 floor]: the full-grid bracket of every
-    # skipped node rounds to exactly 1, so nonzero nodes keep their bits
-    c = alpha * kappa.imag * dt
-    floor = (2.0**-56 / abs(c)) ** (2.0 / alpha)
+    # |u|^2 spread over [floor/8, 8 floor]: the full-grid flow moves every
+    # skipped node by less than rounding (at Re(kappa) = 0 not at all)
+    model = ModelParams(1, alpha, kappa)
+    floor = window_floor(model, dt)
     rng = np.random.default_rng(7)
     m2 = floor * 8.0 ** rng.uniform(-1.0, 1.0, 200)
     m2[[0, -1]] = floor / 2.0
     vals = np.sqrt(m2) * np.exp(1j * rng.uniform(-3, 3, 200))
     active = np.flatnonzero(~(vals.real**2 + vals.imag**2 < floor))
     assert 0 < active[0] and active[-1] < 199  # skipped nodes at both ends
-    check_window(vals, ModelParams(1, alpha, kappa), dt, active[0], active[-1] + 1)
+    check_window(vals, model, dt, active[0], active[-1] + 1)
 
 
 @pytest.mark.parametrize("kappa", WINDOW_KAPPAS)
@@ -455,6 +495,38 @@ def test_underflowed_bracket_coefficient_is_the_pure_phase_flow(kr):
     got = nonlinear_flow(vals, model, 0.02)
     want = nonlinear_flow(vals, ModelParams(1, 3.0, complex(kr, 0.0)), 0.02)
     assert np.array_equal(bits(got), bits(want))
+
+
+def test_overflowing_phase_rate_is_the_pure_phase_flow():
+    # Im(kappa) subnormal: c = alpha Im(kappa) dt is not 0, but the phase
+    # rate Re(kappa)/(alpha Im(kappa)) overflows; |x| is then below 2^-1024
+    # of the phase increment, whose limit is that of Im(kappa) = 0
+    vals = field_with_core(1, 0, 8)
+    model = ModelParams(1, 3.0, complex(0.7, 1e-310))
+    assert model.alpha * model.kappa.imag * 0.02 != 0.0
+    assert math.isinf(0.7 / (model.alpha * model.kappa.imag))
+    got = nonlinear_flow(vals, model, 0.02)
+    want = nonlinear_flow(vals, ModelParams(1, 3.0, 0.7 + 0j), 0.02)
+    assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("kappa", [1.3 + 0j, 0.7 - 0.9j])
+def test_kappa_with_real_part_evaluates_only_its_window(kappa, monkeypatch):
+    # a localized field: the one complex exp runs on the window alone
+    vals = field_with_core(3, 100, 300)
+    model = ModelParams(3, 3.0, kappa)
+    sizes = []
+    exp = np.exp
+
+    def spy(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", spy)
+    nonlinear_flow(vals, model, 0.02)
+    monkeypatch.undo()
+    assert sizes == [200]
+    check_window(vals, model, 0.02, 100, 300)
 
 
 @pytest.mark.parametrize("kappa", WINDOW_KAPPAS)
@@ -487,6 +559,6 @@ def test_strided_buffer_is_advanced_in_place(kappa, dim):
     model = ModelParams(dim, 3.0, kappa)
     got = nonlinear_flow(buf, model, 0.02, overwrite_x=True)
     assert got is not buf and got.flags.c_contiguous
-    assert np.array_equal(got, out_of_place_flow(vals, model, 0.02))
+    assert np.array_equal(got, reference_flow(vals, model, 0.02))
     assert np.array_equal(bits(buf), bits(vals))  # the input is left as it was
     assert np.count_nonzero(big) == np.count_nonzero(vals)  # the gaps stay zero

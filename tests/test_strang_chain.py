@@ -2,7 +2,7 @@
 
 reference_run below is the textbook composition, kept here only as a test
 oracle: every step goes to Fourier space and back twice, with dense N-D
-multipliers and the general log/exp form of the nonlinear substep.  The
+multipliers and the full-grid nonlinear substep of conftest.py.  The
 solver's run() must match it to rounding, with the same step control.
 """
 
@@ -29,20 +29,9 @@ from nls.field import (
 from nls.oracle import SubstepBlowupError, nonlinear_flow
 from nls.solver import RunStatus, SolverConfig, run
 
+from conftest import counted_ffts, reference_flow
+
 QUIET = 10**9
-
-
-def reference_flow(values, alpha, kappa, dt):
-    m2 = values.real**2 + values.imag**2
-    ma = m2 ** (alpha / 2.0)
-    kr, ki = kappa.real, kappa.imag
-    if ki == 0.0:
-        return values * np.exp(1j * kr * ma * dt)
-    bracket = 1.0 + alpha * ki * ma * dt
-    if np.min(bracket) <= 0.0:
-        raise SubstepBlowupError("bracket")
-    factor = bracket ** (-1.0 / alpha)
-    return values * (factor * np.exp(1j * (kr / (alpha * ki)) * np.log(bracket)))
 
 
 def dense_k2(grid):
@@ -77,7 +66,7 @@ def reference_run(state0, model, cfg, probes=None, kappa_of_time=None):
         half = np.exp(-1j * k2 * (dt_step / 2))
         try:
             u = scipy.fft.ifftn(half * scipy.fft.fftn(state.values))
-            u = reference_flow(u, model.alpha, kappa, dt_step)
+            u = reference_flow(u, ModelParams(g.dim, model.alpha, kappa), dt_step)
             u = scipy.fft.ifftn(half * scipy.fft.fftn(u))
             ok = float(np.max(np.abs(u))) <= cfg.blowup_linf_threshold
         except SubstepBlowupError:
@@ -230,21 +219,6 @@ def test_sup_norm_decision_matches_exact_test(threshold):
         assert np.max(np.abs(got.final_state.values)) <= threshold
 
 
-def counted_ffts(monkeypatch):
-    """Record the name of every scipy.fft.fftn / ifftn call from here on."""
-    calls = []
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(scipy.fft, "fftn", counted(scipy.fft.fftn))
-    monkeypatch.setattr(scipy.fft, "ifftn", counted(scipy.fft.ifftn))
-    return calls
-
-
 def test_two_ffts_per_accepted_step(monkeypatch):
     # the step's own FFTs, apart from the run's initial transform and its
     # state rebuilds: an accepted step makes two when its L2 bound settles
@@ -372,11 +346,11 @@ def test_confinement_fold_is_bit_identical(grid, monkeypatch):
     # check turns each propagated spectrum back into a state
     st = make_initial(grid, Gaussian(1.0, 1.0))
     times = (0.0, 0.1, 0.25)
-    got = nls.diagnostics.linear_confinement_check(st, times, a=8.0)
+    got = nls.diagnostics.linear_confinement_check(st, times)
     monkeypatch.setattr(
         nls.diagnostics, "free_flow_to_space",
         lambda uk, g, t: scipy.fft.ifftn(free_flow(uk, g, t)),
     )
-    want = nls.diagnostics.linear_confinement_check(st, times, a=8.0)
+    want = nls.diagnostics.linear_confinement_check(st, times)
     for name in ("lhs", "rhs", "exterior_fraction"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name

@@ -25,6 +25,8 @@ from nls.field import (
 )
 from nls.solver import SolverConfig, _StrangChain, run
 
+from conftest import counted_ffts
+
 
 def dense_k(grid):
     """(|k|^2, per-axis derivative wavenumbers with the Nyquist mode zeroed)."""
@@ -210,20 +212,6 @@ def test_row_norms_are_bit_equal_to_lp_norm_and_max(grid, alpha):
         q, h = alpha + 2.0, grid.spacing**grid.dim
         assert lp == float(np.sum(np.abs(s.values) ** q) * h) ** (1.0 / q)
         assert linf == float(np.max(np.abs(s.values)))
-
-
-def counted_ffts(monkeypatch):
-    calls = []
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(scipy.fft, "fftn", counted(scipy.fft.fftn))
-    monkeypatch.setattr(scipy.fft, "ifftn", counted(scipy.fft.ifftn))
-    return calls
 
 
 @pytest.mark.parametrize("scatter", [False, True])
