@@ -131,9 +131,10 @@ def equivalence_experiment(
 
     Only a Gaussian is the same function on both boxes (a plane wave's
     wavenumber is tied to its box, a file to its grid): other data are a
-    ValueError, raised before anything runs.  The discrepancy is None when
-    either path ends short of its time (a blowup).  Neither path records
-    trace rows beyond its first and last: no cadence can be reached.
+    ValueError, raised before anything runs, and so is a grid too coarse
+    for the chirp of path A's end map (scale 1 - t*).  The discrepancy is
+    None when either path ends short of its time (a blowup).  Neither path
+    records trace rows beyond its first and last: no cadence can be reached.
     """
     if not isinstance(initial, Gaussian):
         raise ValueError(
@@ -142,13 +143,13 @@ def equivalence_experiment(
         )
     if not 0 <= t_star < 1:
         raise ValueError("t_star must be in [0, 1)")
-    s_star = t_star / (1.0 - t_star)
-    u0_v = make_initial(grid, initial)
     if t_star == 0.0:
         return EquivalenceReport(
             0.0, 0.0, 0.0, grid, grid, cfg.dt, "ReachedTEnd", "ReachedTEnd"
         )
-    v0 = initial_v_data(u0_v)
+    check_chirp_resolution(grid, 1.0 - t_star)  # path A's end map: the strictest chirp
+    s_star = t_star / (1.0 - t_star)
+    v0 = initial_v_data(make_initial(grid, initial))
     cfg = replace(cfg, diagnostics_cadence=sys.maxsize)  # both traces are discarded
     cfg_a = replace(cfg, t_end=t_star)
     out_a = solve_v_problem(v0, model, cfg_a)

@@ -350,18 +350,11 @@ def differential_inequality_ledger(
     for j, lam in enumerate(cutoffs.lambdas):
         f = trace.loc_mass[:, j]
         fprime = (f[2:] - f[:-2]) / (t[2:] - t[:-2])
-        rhs = -2.0 * nu * lam * K[1:-1] - ki * lam ** (n * al / 2.0) * f[1:-1] ** (
-            al + 1.0
-        )
-        slack = fprime - rhs
-        min_slack[j] = float(np.min(slack))
-        scale[j] = float(
-            np.max(
-                2.0 * nu * lam * K[1:-1]
-                + np.abs(ki) * lam ** (n * al / 2.0) * f[1:-1] ** (al + 1.0)
-                + np.abs(fprime)
-            )
-        )
+        # f' >= gain - leak, both terms >= 0 (Im kappa < 0): scale sums magnitudes
+        leak = 2.0 * nu * lam * K[1:-1]
+        gain = -(ki * lam ** (n * al / 2.0) * f[1:-1] ** (al + 1.0))
+        min_slack[j] = float(np.min(fprime - (gain - leak)))
+        scale[j] = float(np.max(leak + gain + np.abs(fprime)))
     normalized = float(np.min(min_slack / np.where(scale > 0, scale, 1.0)))
     return InequalityLedger(normalized)
 
@@ -412,7 +405,8 @@ def linear_confinement_check(u0: FieldState, times: Sequence[float]) -> Confinem
     Also reports the mass fraction outside |x| > a t (expected <= 1/4 for
     large t).  The |x| reading of psi_M is the dimension-generic one; the
     one-dimensional signed variant is not implemented.  The bound is stated
-    for t >= 0; a negative time, or no time, is a ValueError.
+    for t >= 0; a negative time, no time, or a radius a t past half the box
+    is a ValueError, raised before any free flow.
     """
     if len(times) == 0:
         raise ValueError("confinement times must not be empty")
@@ -423,6 +417,11 @@ def linear_confinement_check(u0: FieldState, times: Sequence[float]) -> Confinem
     uk = scipy.fft.fftn(u0.values)
     l2, gr = (math.sqrt(v) for v in spectral_sq(uk, g))
     a = 16.0 * gr / l2
+    outside = [t for t in times if a * t > g.box_length / 2]
+    if outside:  # the first such t names the radius
+        raise ValueError(
+            f"confinement radius a t = {a * outside[0]:.4g} exceeds box half-length"
+        )
     r = np.sqrt(radial_shells(g)[0])  # psi_M and the exterior set, per shell
     shells_0 = shell_mass(u0.values, g)
     lhs = np.empty(len(times))
@@ -435,10 +434,6 @@ def linear_confinement_check(u0: FieldState, times: Sequence[float]) -> Confinem
             shells_t = shell_mass(ut, g)
         M = a * t
         if M > 0:
-            if M > g.box_length / 2:
-                raise ValueError(
-                    f"confinement radius a t = {M:.4g} exceeds box half-length"
-                )
             psi = np.minimum(r / M, 1.0)
         else:
             psi = np.ones_like(r)  # t = 0: limits agree, both sides equal

@@ -126,18 +126,15 @@ def free_flow(spec: np.ndarray, grid: GridSpec, t: float, out=None) -> np.ndarra
     return _apply_factors(spec, _free_factors(grid, t), out)
 
 
-def free_flow_to_space(
-    spec: np.ndarray, grid: GridSpec, t: float, overwrite_x: bool = False
-) -> np.ndarray:
+def free_flow_to_space(spec: np.ndarray, grid: GridSpec, t: float) -> np.ndarray:
     """ifftn(free_flow(spec, grid, t)), bit for bit, with one pass fewer.
 
     The inverse FFT's 1/M^N rides on the cached factor applied last and the
     transform runs with norm="forward" (unscaled); M^N is a power of two,
-    so moving the scale changes no bit.  A new array, or spec's buffer
-    reused with overwrite_x (the scipy.fft idiom).
+    so moving the scale changes no bit.  A new array; spec is not changed.
     """
     factors = _free_factors(grid, t, 1.0 / grid.points**grid.dim)
-    q = _apply_factors(spec, factors, spec if overwrite_x else None)
+    q = _apply_factors(spec, factors, None)
     return scipy.fft.ifftn(q, overwrite_x=True, norm="forward")
 
 
@@ -219,9 +216,7 @@ def linear_propagate(state: FieldState, dt: float) -> FieldState:
     A group, not a semigroup: dt may be negative.  Unitary on the grid.
     """
     uk = scipy.fft.fftn(state.values)
-    return state.with_values(
-        free_flow_to_space(uk, state.grid, dt, overwrite_x=True), time=state.time + dt
-    )
+    return state.with_values(free_flow_to_space(uk, state.grid, dt), time=state.time + dt)
 
 
 def spectral_tail_fraction(state: FieldState) -> float:

@@ -80,52 +80,58 @@ def _run_single(cfg: ExperimentConfig, out_dir: Path, point: Optional[dict]) -> 
         "wall_seconds": wall,
     }
     if point is not None:
-        summary["verdict"] = {**_classify_run(cfg, outcome), "point": point}
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-    )
+        summary["verdict"] = _sweep_row(point, **_classify_run(cfg, outcome))
+    _write_json(out_dir / "summary.json", summary)
     return summary
 
 
-_VERDICT_KEYS = (
-    "status", "fitted_slope", "theoretical_exponent",
-    "scatter_first", "scatter_last", "h1_final",
+def _write_json(path: Path, obj) -> None:
+    """obj as indent-2 JSON with a trailing newline; makes path's directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+
+
+_ROW_KEYS = (
+    "alpha", "kappa_im", "status", "fitted_slope", "theoretical_exponent",
+    "scatter_first", "scatter_last", "h1_final", "classification",
 )
+
+
+def _sweep_row(point: dict, **fields) -> dict:
+    """A sweep row in the one key order: keys not given are None, and a
+    Failed row's error comes just before the point."""
+    return {**dict.fromkeys(_ROW_KEYS), **fields, "point": point}
 
 
 def _classify_run(cfg: ExperimentConfig, outcome: RunOutcome) -> dict:
     """Scalar verdicts for one sweep cell of the blowup/scattering dichotomy."""
+    tr = outcome.trace
     row: dict = {
         "alpha": cfg.model.alpha,
         "kappa_im": cfg.model.kappa.imag,
-        **dict.fromkeys(_VERDICT_KEYS),
         "status": outcome.status.value,
+        "h1_final": float(np.hypot(tr.mass[-1], tr.grad_l2[-1])),
+        "classification": "Undetermined",
     }
-    tr = outcome.trace
-    row["h1_final"] = float(np.hypot(tr.mass[-1], tr.grad_l2[-1]))
     if outcome.status is RunStatus.BLOWUP_DETECTED:
         row["classification"] = "BlowupDetected"
+    elif cfg.model.alpha < 2.0 / cfg.model.dim:
+        try:
+            fit = rate_fit(tr, cfg.model)
+            row["fitted_slope"] = fit.slope
+            row["theoretical_exponent"] = fit.theoretical_exponent
+            if fit.verdict:
+                row["classification"] = "GrowthConfirmed"
+        except ValueError:
+            pass
     else:
-        classification = "Undetermined"
-        fujita = 2.0 / cfg.model.dim
-        if cfg.model.alpha < fujita:
-            try:
-                fit = rate_fit(tr, cfg.model)
-                row["fitted_slope"] = fit.slope
-                row["theoretical_exponent"] = fit.theoretical_exponent
-                if fit.verdict:
-                    classification = "GrowthConfirmed"
-            except ValueError:
-                pass
-        else:
-            res = tr.scatter_residual[~np.isnan(tr.scatter_residual)]
-            if len(res) >= 2:
-                row["scatter_first"] = float(res[0])
-                row["scatter_last"] = float(res[-1])
-                h1_bounded = tr.grad_l2[-1] <= 10.0 * max(tr.grad_l2[0], 1e-30)
-                if res[-1] < res[0] and h1_bounded:
-                    classification = "BoundedScattering"
-        row["classification"] = classification
+        res = tr.scatter_residual[~np.isnan(tr.scatter_residual)]
+        if len(res) >= 2:
+            row["scatter_first"] = float(res[0])
+            row["scatter_last"] = float(res[-1])
+            h1_bounded = tr.grad_l2[-1] <= 10.0 * max(tr.grad_l2[0], 1e-30)
+            if res[-1] < res[0] and h1_bounded:
+                row["classification"] = "BoundedScattering"
     return row
 
 
@@ -174,14 +180,13 @@ def _cell_row(
     try:
         return fut.result()
     except Exception as exc:  # includes BrokenProcessPool: a killed worker
-        return {
-            "alpha": float(point.get("alpha", cfg.model.alpha)),
-            "kappa_im": float(point.get("kappa_im", cfg.model.kappa.imag)),
-            **dict.fromkeys(_VERDICT_KEYS),
-            "classification": "Failed",
-            "error": f"{type(exc).__name__}: {exc}",
-            "point": point,
-        }
+        return _sweep_row(
+            point,
+            alpha=float(point.get("alpha", cfg.model.alpha)),
+            kappa_im=float(point.get("kappa_im", cfg.model.kappa.imag)),
+            classification="Failed",
+            error=f"{type(exc).__name__}: {exc}",
+        )
 
 
 def execute_sweep(cfg: ExperimentConfig, out_root: Path) -> list:
@@ -224,40 +229,29 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     if cfg.kind is ExperimentKind.SWEEP:
         rows = execute_sweep(cfg, out_root)
         table = dichotomy_table(rows, cfg.model.dim)
-        out_root.mkdir(parents=True, exist_ok=True)
+        _write_json(out_root / "sweep_rows.json", rows)
         (out_root / "dichotomy.txt").write_text(table + "\n", encoding="utf-8")
-        (out_root / "sweep_rows.json").write_text(
-            json.dumps(rows, indent=2) + "\n", encoding="utf-8"
-        )
         print(table)
         return 2 if any(r["classification"] == "Failed" for r in rows) else 0
     if cfg.kind is ExperimentKind.PCT_CHECK:
         report = equivalence_experiment(
             cfg.initial, cfg.grid, cfg.model, cfg.solver, cfg.pct_t_star
         )
-        out_root.mkdir(parents=True, exist_ok=True)
-        (out_root / "pct_report.json").write_text(
-            json.dumps(report.as_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        _write_json(out_root / "pct_report.json", report.as_dict())
         head = f"pct-check: t*={report.t_star:g} s*={report.s_star:g} "
         if report.l2_discrepancy is None:  # a path that stopped early has no u(s*)
             print(head + f"path A {report.path_a_status}, path B {report.path_b_status}")
             return 2
         print(head + f"rel L2 discrepancy {report.l2_discrepancy:.3e}")
         return 0
-    if cfg.kind is ExperimentKind.LINEAR_CONFINEMENT:
-        state0 = make_initial(cfg.grid, cfg.initial)
-        rep = linear_confinement_check(state0, cfg.confinement_times)
-        payload = {
-            k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(rep).items()
-        }
-        out_root.mkdir(parents=True, exist_ok=True)
-        (out_root / "confinement.json").write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
-        print(
-            f"confinement: max violation {rep.max_violation:.3e}, "
-            f"exterior fraction at t={rep.times[-1]:g}: {rep.exterior_fraction[-1]:.4f}"
-        )
-        return 0
-    raise ValueError(f"unhandled experiment kind {cfg.kind}")
+    state0 = make_initial(cfg.grid, cfg.initial)  # the last kind: linear-confinement
+    rep = linear_confinement_check(state0, cfg.confinement_times)
+    _write_json(
+        out_root / "confinement.json",
+        {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(rep).items()},
+    )
+    print(
+        f"confinement: max violation {rep.max_violation:.3e}, "
+        f"exterior fraction at t={rep.times[-1]:g}: {rep.exterior_fraction[-1]:.4f}"
+    )
+    return 0

@@ -119,13 +119,13 @@ def nonlinear_flow(
 
     The flow runs only on the active window: the flat C-order range from
     the first to the last node with |u|^2 >= floor = (2^-56/s)^(2/alpha),
-    s = |c| when Re(kappa) = 0 and max(|c|, |kappa| dt) otherwise.  Below
-    the floor |x| <= 2^-56 (1 + rounding) < 2^-54, so the bracket rounds
-    to exactly 1: at Re(kappa) = 0 the skip gives the full-grid result bit
-    for bit, up to the sign of a zero part.  Otherwise the modulus and
-    phase exponents Im(kappa) dt |u|^alpha and Re(kappa) dt |u|^alpha are
-    at most 2^-56 too, and the skip is exact to rounding.  A non-finite
-    |u|^2 is active, and a floor that overflows (or s = 0) is inf.
+    s = max(|c|, |kappa| dt).  Below the floor |x| <= 2^-56 (1 + rounding)
+    < 2^-54, so the bracket rounds to exactly 1: at Re(kappa) = 0 the skip
+    gives the full-grid result bit for bit, up to the sign of a zero part.
+    Otherwise the modulus and phase exponents Im(kappa) dt |u|^alpha and
+    Re(kappa) dt |u|^alpha are at most 2^-56 too, and the skip is exact to
+    rounding.  A non-finite |u|^2 is active, and a floor that overflows (or
+    s = 0) is inf.
     """
     values = np.array(
         values, dtype=np.complex128, order="C", copy=None if overwrite_x else True
@@ -140,7 +140,7 @@ def nonlinear_flow(
     # 2^-1024 of the phase increment
     pure_phase = c == 0.0 or math.isinf(kr / (al * ki))
     # a Python float, so that 1/0 and overflow raise for any type of dt
-    s = float(abs(c) if kr == 0.0 else max(abs(c), abs(model.kappa * dt)))
+    s = float(max(abs(c), abs(model.kappa * dt)))
     try:
         floor = (2.0**-56 / s) ** (2.0 / al)
     except (OverflowError, ZeroDivisionError):
@@ -171,7 +171,7 @@ def nonlinear_flow(
     if kr != 0.0:
         power = np.multiply(np.log1p(m, out=m), complex(-1.0 / al, kr / (al * ki)))
         u *= np.exp(power, out=power)
-    else:
+    else:  # kept real power: at alpha = 1 numpy's x**-1 fast path beats exp(-log1p(x))
         m += 1.0
         m **= -1.0 / al
         u *= m

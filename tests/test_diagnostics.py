@@ -36,6 +36,8 @@ from nls.field import (
 )
 from nls.solver import SolverConfig, run
 
+from conftest import counted_ffts
+
 PROBIT_75 = 0.6744897501960817
 
 
@@ -389,6 +391,17 @@ def test_confinement_box_too_small():
     u0 = make_initial(g, Gaussian(1.0, math.sqrt(2.0)))
     with pytest.raises(ValueError, match="box"):
         linear_confinement_check(u0, (8.0,))  # a t = 64 > L/2
+
+
+def test_confinement_rejects_a_far_time_before_any_free_flow(monkeypatch):
+    # criterion 10's grid, where a = 8: a t = 800 > L/2 at t = 100, and the
+    # forward FFT that gives a is the only transform
+    g = GridSpec(1, 400.0, 4096)
+    u0 = make_initial(g, Gaussian(1.0, math.sqrt(2.0)))
+    calls = counted_ffts(monkeypatch)
+    with pytest.raises(ValueError, match="a t = 800 exceeds box half-length"):
+        linear_confinement_check(u0, (1.0, 2.0, 4.0, 100.0))
+    assert calls == ["fftn"]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import nls.conformal
+import nls.solver
 from nls.cli import main
 from nls.config import (
     SWEEP_AXES,
@@ -383,6 +384,28 @@ def test_broken_pool_gives_a_failed_row(tmp_path):
     assert row["point"] == {"alpha": 3.0} and row["status"] is None
 
 
+def test_verdict_and_failed_rows_share_one_key_sequence(tmp_path, capsys):
+    # sweep_rows.json and the cell's summary.json hold the same verdict row; a
+    # Failed row has the same keys, with its error just before the point
+    out = tmp_path / "sweep_rows"
+    text = (
+        BASE_CONFIG.format(out=out).replace("kind = single", "kind = sweep")
+        + "sweep.points = [64, 100]\n"
+    )
+    assert run_experiment(load_config(write_config(tmp_path, text))) == 2
+    good, bad = json.loads((out / "sweep_rows.json").read_text())
+    keys = [
+        "alpha", "kappa_im", "status", "fitted_slope", "theoretical_exponent",
+        "scatter_first", "scatter_last", "h1_final", "classification", "point",
+    ]
+    assert list(good) == keys and bad["classification"] == "Failed"
+    assert list(bad) == keys[:-1] + ["error", "point"]
+    summary = json.loads((out / "run_0000" / "summary.json").read_text())
+    assert list(summary)[-1] == "verdict" and summary["verdict"] == good
+    assert list(summary["verdict"]) == keys
+    capsys.readouterr()
+
+
 def test_sweep_pool_size_leaves_artifacts_unchanged(tmp_path, monkeypatch):
     # cells of 40, 20 and 10 steps: with two workers they finish out of order
     text = (
@@ -556,6 +579,31 @@ def test_cli_pct_check_needs_gaussian_data(tmp_path, capsys, monkeypatch, kind):
         f"the same function on both boxes; got {name}\n"
     )
     assert runs == [] and not (tmp_path / "o").exists()
+
+
+def test_cli_pct_check_checks_the_end_chirp_before_path_a(tmp_path, capsys, monkeypatch):
+    # conformal_1d's grid resolves the chirp at t = 0 (scale 1) but not that
+    # of the map at t* = 0.6 (scale 0.4): no step runs and nothing is written
+    steps = []
+    advance = nls.solver._StrangChain.advance
+
+    def counted(self, *args, **kwargs):
+        steps.append(self)
+        return advance(self, *args, **kwargs)
+
+    monkeypatch.setattr(nls.solver._StrangChain, "advance", counted)
+    text = (
+        PCT_CONFIG.format(out=tmp_path / "o")
+        .replace("grid.box_length = 40.0", "grid.box_length = 80.0")
+        .replace("grid.points = 256", "grid.points = 4096")
+        .replace("pct.t_star = 0.5", "pct.t_star = 0.6")
+    )
+    assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 1
+    assert capsys.readouterr().err.startswith(
+        "configuration error: quadratic phase under-resolved: "
+        "|x| h / (2 scale) = 0.9766 at the box edge"
+    )
+    assert steps == [] and not (tmp_path / "o").exists()
 
 
 def test_cli_pct_check_after_a_blowup_reports_no_discrepancy(tmp_path, capsys):

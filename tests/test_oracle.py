@@ -406,10 +406,8 @@ WINDOW_KAPPAS = [-1j, complex(0.7, -0.9), 0.5j]
 
 
 def window_floor(model, dt):
-    """The kernel's floor on |u|^2: (2^-56/s)^(2/alpha), s = |c| at
-    Re(kappa) = 0 and max(|c|, |kappa| dt) otherwise."""
-    c = model.alpha * model.kappa.imag * dt
-    s = abs(c) if model.kappa.real == 0.0 else max(abs(c), abs(model.kappa * dt))
+    """The kernel's floor on |u|^2: (2^-56/s)^(2/alpha), s = max(|c|, |kappa| dt)."""
+    s = max(abs(model.alpha * model.kappa.imag * dt), abs(model.kappa * dt))
     return (2.0**-56 / s) ** (2.0 / model.alpha)
 
 
