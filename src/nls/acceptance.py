@@ -48,7 +48,6 @@ from .field import (
     GridSpec,
     PlaneWave,
     free_gaussian,
-    gradient_norm,
     l2_norm,
     linear_propagate,
     make_initial,
@@ -386,7 +385,7 @@ def criterion_11_median_radius_law(check: Check) -> str:
     grid = GridSpec(1, 80.0, 2048)
     spec = Gaussian(1.0, math.sqrt(2.0))
     u0 = make_initial(grid, spec)
-    a = 16.0 * gradient_norm(u0) / l2_norm(u0)
+    a = linear_confinement_check(u0, (2.0, 4.0)).a  # the times R(t) <= a t is checked at
     probit75 = 0.6744897501960817  # half-mass quantile of the unit Gaussian
     rows = []
     for t in (0.0, 1.0, 2.0, 4.0):

@@ -144,9 +144,8 @@ def equivalence_experiment(
     if not 0 <= t_star < 1:
         raise ValueError("t_star must be in [0, 1)")
     if t_star == 0.0:
-        return EquivalenceReport(
-            0.0, 0.0, 0.0, grid, grid, cfg.dt, "ReachedTEnd", "ReachedTEnd"
-        )
+        reached = RunStatus.REACHED_T_END.value
+        return EquivalenceReport(0.0, 0.0, 0.0, grid, grid, cfg.dt, reached, reached)
     check_chirp_resolution(grid, 1.0 - t_star)  # path A's end map: the strictest chirp
     s_star = t_star / (1.0 - t_star)
     v0 = initial_v_data(make_initial(grid, initial))

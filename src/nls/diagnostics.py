@@ -340,21 +340,15 @@ def differential_inequality_ledger(
         raise ValueError("ledger applies to Im(kappa) < 0")
     if trace.loc_mass.shape[1] != len(cutoffs.lambdas):
         raise ValueError("trace was recorded without this cutoff family")
-    ki = model.kappa.imag
-    nu = cutoffs.nu
-    n, al = model.dim, model.alpha
-    t = trace.t
-    K = trace.K_t
-    min_slack = np.empty(len(cutoffs.lambdas))
-    scale = np.empty(len(cutoffs.lambdas))
-    for j, lam in enumerate(cutoffs.lambdas):
-        f = trace.loc_mass[:, j]
-        fprime = (f[2:] - f[:-2]) / (t[2:] - t[:-2])
-        # f' >= gain - leak, both terms >= 0 (Im kappa < 0): scale sums magnitudes
-        leak = 2.0 * nu * lam * K[1:-1]
-        gain = -(ki * lam ** (n * al / 2.0) * f[1:-1] ** (al + 1.0))
-        min_slack[j] = float(np.min(fprime - (gain - leak)))
-        scale[j] = float(np.max(leak + gain + np.abs(fprime)))
+    al = model.alpha
+    t, f = trace.t, trace.loc_mass  # rows x lambdas
+    lam = np.asarray(cutoffs.lambdas)
+    fprime = (f[2:] - f[:-2]) / (t[2:] - t[:-2])[:, None]
+    # f' >= gain - leak, both terms >= 0 (Im kappa < 0): scale sums magnitudes
+    leak = 2.0 * cutoffs.nu * lam * trace.K_t[1:-1, None]
+    gain = -(model.kappa.imag * lam ** (model.dim * al / 2.0) * f[1:-1] ** (al + 1.0))
+    min_slack = np.min(fprime - (gain - leak), axis=0)
+    scale = np.max(leak + gain + np.abs(fprime), axis=0)
     normalized = float(np.min(min_slack / np.where(scale > 0, scale, 1.0)))
     return InequalityLedger(normalized)
 

@@ -240,11 +240,6 @@ def spectral_tail_fraction(state: FieldState) -> float:
     return float(np.sum(power[mask])) / total if total > 0 else 0.0
 
 
-def gradient_norm(state: FieldState) -> float:
-    """L2 norm of the gradient, evaluated spectrally (Parseval-consistent)."""
-    return math.sqrt(spectral_sq(scipy.fft.fftn(state.values), state.grid)[1])
-
-
 def l2_norm(state: FieldState) -> float:
     g = state.grid
     return math.sqrt(
@@ -363,7 +358,8 @@ def load_checkpoint(path: Union[str, Path]):
     A field file that cannot be read or has a bad header or size is a
     ValueError naming it.  So is a sidecar that cannot be read or is not a
     JSON object, or a field of it that is not a finite number (time, and the
-    model's dim, alpha and kappa parts).
+    model's dim, alpha and kappa parts), or a model ModelParams rejects or
+    whose dim is not an integer.
     """
     path = Path(path)
     try:
@@ -414,9 +410,15 @@ def load_checkpoint(path: Union[str, Path]):
                 raise ValueError(f"{meta_path}: {name} must be a finite number, got {value!r}")
         time = float(numbers["time"])
         if "model" in meta:
-            model = ModelParams(
-                dim=int(numbers["model.dim"]),
-                alpha=float(numbers["model.alpha"]),
-                kappa=complex(numbers["model.kappa_re"], numbers["model.kappa_im"]),
-            )
+            model_dim = numbers["model.dim"]
+            try:
+                if model_dim != int(model_dim):  # int() alone would truncate 1.5 to 1
+                    raise ValueError(f"dim must be a positive integer, got {model_dim!r}")
+                model = ModelParams(
+                    dim=int(model_dim),
+                    alpha=float(numbers["model.alpha"]),
+                    kappa=complex(numbers["model.kappa_re"], numbers["model.kappa_im"]),
+                )
+            except ValueError as exc:  # the messages name dim, alpha or kappa
+                raise ValueError(f"{meta_path}: model.{exc}") from None
     return FieldState(grid=grid, values=vals, time=time), model

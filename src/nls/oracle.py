@@ -38,8 +38,8 @@ class SelfSimilarParams:
     model: ModelParams
 
     def __post_init__(self):
-        if not self.t0 > 0:
-            raise ValueError(f"t0 must be positive, got {self.t0}")
+        if not 0 < self.t0 < math.inf:
+            raise ValueError(f"t0 must be positive and finite, got {self.t0}")
         if not cmath.isfinite(self.z0):
             raise ValueError(f"z0 must be finite, got {self.z0}")
 
@@ -50,30 +50,38 @@ def weight_integral(model: ModelParams, t0: float, t: float) -> float:
         raise ValueError("t0 must be positive")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    beta = model.dim * model.alpha / 2.0
+    g = 1.0 - model.dim * model.alpha / 2.0
     if math.isinf(t):
-        if beta <= 1.0:
+        if g >= 0.0:
             return math.inf
-        return t0 ** (1.0 - beta) / (beta - 1.0)
-    if beta == 1.0:
-        return math.log((t + t0) / t0)
-    return ((t + t0) ** (1.0 - beta) - t0 ** (1.0 - beta)) / (1.0 - beta)
+        return t0**g / -g
+    if g == 0.0:
+        return math.log1p(t / t0)
+    a = g * math.log1p(t / t0)
+    if a <= 1.0:  # (t+t0)^g - t0^g would cancel: expm1 keeps the digits
+        return t0**g * math.expm1(a) / g
+    return ((t + t0) ** g - t0**g) / g  # no overflow where t/t0 or e^a would
 
 
 def _invert_weight_integral(model: ModelParams, t0: float, value: float) -> float:
     """Solve weight_integral(t) = value for t (value < weight_integral(inf)).
 
     Inversion is algebraic for every exponent; times beyond double range
-    come back as math.inf.
+    come back as math.inf.  With g = 1 - N alpha/2 the time is
+    (t0^g + g value)^(1/g) - t0 = t0 expm1(y), y = log1p(g value t0^-g)/g;
+    the second form keeps its digits where the first cancels (t <= (e-1) t0).
     """
-    beta = model.dim * model.alpha / 2.0
+    g = 1.0 - model.dim * model.alpha / 2.0
     try:
-        if beta == 1.0:
+        if g == 0.0:
             return t0 * math.expm1(value)
-        base = t0 ** (1.0 - beta) + (1.0 - beta) * value
-        if base <= 0:
+        x = g * value * t0**-g
+        if x <= -1.0:
             raise ValueError("value beyond the range of the weight integral")
-        return base ** (1.0 / (1.0 - beta)) - t0
+        y = math.log1p(x) / g
+        if y <= 1.0:
+            return t0 * math.expm1(y)
+        return (t0**g + g * value) ** (1.0 / g) - t0  # no overflow where e^y would
     except OverflowError:
         return math.inf
 

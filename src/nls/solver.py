@@ -192,11 +192,11 @@ def run(
     checkpoints = []
     chain = _StrangChain(state0, scipy.fft.fftn(state0.values))
     rec.record(*chain.row())
-    targets = sorted({t for t in probes.store_at_times if t > state0.time + 1e-15})
+    eps = 1e-12 * max(1.0, abs(t_end))  # times closer than eps are one time
+    targets = sorted({t for t in probes.store_at_times if t > state0.time + eps})
     if probes.store_states_every or probes.store_at_times:
         checkpoints.append(state0)
     status = RunStatus.REACHED_T_END
-    eps = 1e-12 * max(1.0, abs(t_end))
     while chain.time < t_end - eps:
         dt_step = min(dt, t_end - chain.time)
         if targets:

@@ -481,7 +481,9 @@ def test_cli_exponents_never_drops_a_given_a(capsys, argv, message):
     (["exponents", "--dim", "3", "--alpha", "1", "--kappa-im", "nan"], "kappa must be finite"),
     (["oracle", "--kappa-im", "-1", "--alpha", "1", "--dim", "2", "--t0", "1", "--z0", "nan"],
      "z0 must be finite"),
-], ids=["exponents", "oracle"])
+    (["oracle", "--kappa-im", "-1", "--alpha", "1", "--dim", "2", "--t0", "inf", "--z0", "1"],
+     "t0 must be positive and finite, got inf"),
+], ids=["exponents", "oracle", "oracle-t0"])
 def test_cli_non_finite_model_numbers_are_config_errors(capsys, argv, message):
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -876,9 +878,14 @@ def test_checkpoint_sidecar_must_be_finite(tmp_path, capsys, key, value):
     (lambda d: "{not json", "not valid JSON: Expecting property name"),
     (lambda d: "[]", "must hold a JSON object, got list"),
     (lambda d: IsADirectoryError, "Is a directory"),
+    # int() would read 1.5 as 1; ModelParams' own errors name the sidecar too
+    (lambda d: d["model"].update(dim=1.5), "model.dim must be a positive integer, got 1.5"),
+    (lambda d: d["model"].update(dim=0), "model.dim must be a positive integer, got 0"),
+    (lambda d: d["model"].update(alpha=-1),
+     "model.alpha must be positive and finite, got -1.0"),
 ], ids=[
     "time-null", "kappa_re-string", "alpha-missing", "model-null", "not-json", "list",
-    "directory",
+    "directory", "dim-fraction", "dim-zero", "alpha-negative",
 ])
 def test_malformed_checkpoint_sidecar_is_a_config_error(tmp_path, capsys, edit, message):
     check_sidecar_is_rejected(tmp_path, capsys, edit, message)

@@ -46,6 +46,8 @@ def test_weight_integral_log_branch():
     # N alpha / 2 = 1: logarithmic branch, ln(e) = 1
     m = ModelParams(2, 1.0, -1j)
     assert weight_integral(m, 1.0, math.e - 1.0) == pytest.approx(1.0, rel=1e-14)
+    # log1p(t/t0) at t << t0, where log((t+t0)/t0) keeps about 6 digits
+    assert weight_integral(m, 1e8, 1e-2) == pytest.approx(1e-10 - 5e-21, rel=1e-15, abs=0)
 
 
 def test_weight_integral_tail():
@@ -96,6 +98,27 @@ def test_blowup_time_log_branch():
 def test_blowup_time_algebraic_branch():
     p = SelfSimilarParams(1.0, 1.0 + 0.0j, ModelParams(2, 2.0, -1j))
     assert blowup_time(p) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim,alpha", [(1, 0.5), (1, 1.0), (3, 1.0), (2, 2.0)])
+def test_closed_forms_keep_their_digits_for_every_t0(dim, alpha):
+    # against mpmath with the digits of t0 and of the answer both carried:
+    # (t+t0)^g - t0^g, g = 1 - N alpha/2, cancels when t << t0, and at
+    # t0 = 1e-300 with small data T/t0 and e^(log1p(x)/g) overflow
+    model = ModelParams(dim, alpha, -1j)
+    g = mpmath.mpf(1) - mpmath.mpf(dim) * alpha / 2
+    for t0, z0 in ((1e4, 1.0), (1e8, 1.0), (1e12, 1.0), (1e16, 1.0), (1e300, 1.0),
+                   (1e-300, 1e-8)):
+        total = weight_integral(model, t0, math.inf)
+        if total < math.inf:  # beyond the critical power: c = 1e-6 W(inf) blows up
+            z0 = (alpha * 1e-6 * total) ** (-1 / alpha)
+        T = blowup_time(SelfSimilarParams(t0, complex(z0), model))
+        with mpmath.workdps(700):
+            c = mpmath.mpf(z0) ** -alpha / alpha
+            T_ref = (mpmath.mpf(t0) ** g + g * c) ** (1 / g) - t0
+            assert abs(T - T_ref) / T_ref <= 1e-14, (t0, T, T_ref)
+            W = weight_integral(model, t0, float(T_ref))  # W(T) = c
+            assert abs(W - c) / c <= 1e-14, (t0, W, c)
 
 
 def test_blowup_times_against_adaptive_integrator():

@@ -183,6 +183,18 @@ def test_run_with_checkpoints_lands_on_times():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+def test_a_target_within_eps_of_the_start_is_the_start():
+    # run() treats times within 1e-12 max(1, |t_end|) as one time; a target
+    # that close to the start costs no sub-eps step, row or checkpoint
+    g = GridSpec(1, 40.0, 256)
+    st = make_initial(g, Gaussian(0.5, 1.0))
+    cfg = SolverConfig(dt=1e-3, t_end=0.01)
+    out = run(st, ModelParams(1, 1.0, -1j), cfg, probes=ProbeSet(store_at_times=(5e-14,)))
+    assert out.steps_accepted == 10
+    assert [s.time for s in out.checkpoints] == [0.0]
+    assert len(out.trace) == 11
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(dt=0.0, t_end=1.0)

@@ -53,7 +53,7 @@ def reference_run(state0, model, cfg, probes=None, kappa_of_time=None):
     eps = 1e-12 * max(1.0, abs(t_end))
     accepted = rejected = 0
     rec.record(state, scipy.fft.fftn(state.values))
-    targets = sorted(t for t in probes.store_at_times if t > state0.time + 1e-15)
+    targets = sorted(t for t in probes.store_at_times if t > state0.time + eps)
     checkpoints = [state] if probes.store_states_every or probes.store_at_times else []
     status = RunStatus.REACHED_T_END
     while state.time < t_end - eps:
