@@ -64,18 +64,11 @@ class GridSpec:
 
     def coordinate_arrays(self) -> tuple:
         """Per-axis coordinate arrays broadcastable to the field shape."""
-        x = self.axis_coordinates()
-        return tuple(
-            x.reshape((1,) * d + (-1,) + (1,) * (self.dim - 1 - d))
-            for d in range(self.dim)
-        )
+        return np.ix_(*[self.axis_coordinates()] * self.dim)
 
     def radius_squared(self) -> np.ndarray:
         """|x|^2 from the box center, shape = field shape."""
-        r2 = np.zeros(self.shape)
-        for xd in self.coordinate_arrays():
-            r2 = r2 + xd**2
-        return r2
+        return sum(xd**2 for xd in self.coordinate_arrays())
 
 
 @lru_cache(maxsize=32)
@@ -104,8 +97,7 @@ def _free_factors(grid: GridSpec, t: float, scale: float = 1.0) -> tuple:
     factors = (trailing,)
     if grid.dim > 1:
         factors += (f.reshape((-1,) + (1,) * (grid.dim - 1)),)
-    if scale != 1.0:
-        factors = factors[:-1] + (factors[-1] * scale,)
+    factors = factors[:-1] + (factors[-1] * scale,)
     for factor in factors:
         factor.flags.writeable = False
     return factors
@@ -291,9 +283,8 @@ def make_initial(grid: GridSpec, spec: InitialDataSpec) -> FieldState:
         half = grid.points // 2
         if any(not (-half <= mi < half) for mi in m):
             raise ValueError(f"mode index {m} outside [-M/2, M/2)")
-        phase = np.zeros(grid.shape)
-        for mi, xd in zip(m, grid.coordinate_arrays()):
-            phase = phase + (2 * np.pi * mi / grid.box_length) * xd
+        k = [2 * np.pi * mi / grid.box_length for mi in m]
+        phase = sum(kd * xd for kd, xd in zip(k, grid.coordinate_arrays()))
         vals = spec.amplitude * np.exp(1j * phase)
     elif isinstance(spec, FromFile):
         state, _ = load_checkpoint(spec.path)

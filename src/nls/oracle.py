@@ -16,13 +16,24 @@ skips the nodes it would move by less than rounding (the field's tail).
 from __future__ import annotations
 
 import cmath
+import decimal
 import math
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Optional
 
 import numpy as np
 
 from .exponents import ModelParams
+
+
+# 40-digit decimal arithmetic over an exponent range that no quantity of
+# the closed forms leaves: a result formed here is rounded to a double once.
+# Below _TINY, log1p and expm1 take two terms of their series.
+_WIDE = decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                        traps=[decimal.InvalidOperation, decimal.DivisionByZero])
+_TINY = Decimal("1e-20")
 
 
 class SubstepBlowupError(ArithmeticError):
@@ -44,63 +55,77 @@ class SelfSimilarParams:
             raise ValueError(f"z0 must be finite, got {self.z0}")
 
 
+def _log1p(x: Decimal) -> Decimal:
+    """log(1 + x); two series terms where 1 + x would drop digits of x."""
+    return x - x * x / 2 if abs(x) < _TINY else (1 + x).ln()
+
+
+def _expm1(y: Decimal) -> Decimal:
+    """exp(y) - 1; two series terms where exp(y) - 1 would cancel."""
+    return y + y * y / 2 if abs(y) < _TINY else y.exp() - 1
+
+
 def weight_integral(model: ModelParams, t0: float, t: float) -> float:
-    """Integral of (s+t0)^(-N alpha/2) over s in [0, t]; t may be math.inf."""
+    """Integral of (s+t0)^(-N alpha/2) over s in [0, t]; t may be math.inf.
+
+    It is t0^g expm1(g log1p(t/t0))/g with g = 1 - N alpha/2 (the double),
+    and log1p(t/t0) at g = 0, formed in _WIDE from t0**g (an exp of
+    logarithms where that is not a normal double) and rounded once: inf
+    only past double range, and W(0) = 0.
+    """
     if not t0 > 0:
         raise ValueError("t0 must be positive")
     if t < 0:
         raise ValueError("t must be nonnegative")
     g = 1.0 - model.dim * model.alpha / 2.0
-    if math.isinf(t):
-        if g >= 0.0:
-            return math.inf
-        return t0**g / -g
-    if g == 0.0:
-        return math.log1p(t / t0)
-    a = g * math.log1p(t / t0)
-    if a <= 1.0:  # (t+t0)^g - t0^g would cancel: expm1 keeps the digits
-        return t0**g * math.expm1(a) / g
-    return ((t + t0) ** g - t0**g) / g  # no overflow where t/t0 or e^a would
-
-
-def _invert_weight_integral(model: ModelParams, t0: float, value: float) -> float:
-    """Solve weight_integral(t) = value for t (value < weight_integral(inf)).
-
-    Inversion is algebraic for every exponent; times beyond double range
-    come back as math.inf.  With g = 1 - N alpha/2 the time is
-    (t0^g + g value)^(1/g) - t0 = t0 expm1(y), y = log1p(g value t0^-g)/g;
-    the second form keeps its digits where the first cancels (t <= (e-1) t0).
-    """
-    g = 1.0 - model.dim * model.alpha / 2.0
-    try:
-        if g == 0.0:
-            return t0 * math.expm1(value)
-        x = g * value * t0**-g
-        if x <= -1.0:
-            raise ValueError("value beyond the range of the weight integral")
-        y = math.log1p(x) / g
-        if y <= 1.0:
-            return t0 * math.expm1(y)
-        return (t0**g + g * value) ** (1.0 / g) - t0  # no overflow where e^y would
-    except OverflowError:
-        return math.inf
+    with decimal.localcontext(_WIDE):
+        w = _log1p(Decimal(t) / Decimal(t0))
+        if g != 0.0:
+            try:
+                scale = t0**g
+            except OverflowError:
+                scale = math.inf
+            if sys.float_info.min <= scale < math.inf:  # W(inf) is t0**g / -g to the bit
+                scale = Decimal(scale)
+            else:  # past double range, or subnormal with digits lost
+                scale = (Decimal(g) * Decimal(t0).ln()).exp()
+            w = scale * _expm1(Decimal(g) * w) / Decimal(g)
+        return float(abs(w))  # W >= 0: abs gives W(0) the sign of +0.0
 
 
 def blowup_time(p: SelfSimilarParams) -> Optional[float]:
     """Finite blowup time of |z|, or None if the reduced flow is global.
 
-    Below the critical power the time is finite for every z0 but can exceed
-    double range for tiny amplitudes; such times come back as math.inf, not
-    None.
+    The time T solves W(T) = c, c = |z0|^-alpha/(alpha (-Im kappa)): with
+    g = 1 - N alpha/2, (1 + T/t0)^g = 1 + x for x = g c t0^-g, and
+    T = t0 expm1(y), y = log1p(x)/g (y = c at g = 0).  The flow is global
+    iff 1 + x <= 0, that is c >= W(inf), which needs g < 0 (above the
+    critical power).  g, x, the verdict and T are formed in _WIDE, x as one
+    exp of a sum of logarithms: the verdict is exact unless c and W(inf)
+    agree to about 38 digits, and T is the time to a few ulps, inf past
+    double range and 0.0 below it.
     """
     ki = p.model.kappa.imag
     if ki >= 0 or p.z0 == 0:
         return None
-    c = abs(p.z0) ** (-p.model.alpha) / (p.model.alpha * (-ki))
-    total = weight_integral(p.model, p.t0, math.inf)
-    if c >= total:
-        return None
-    return _invert_weight_integral(p.model, p.t0, c)
+    al, t0 = p.model.alpha, p.t0
+    with decimal.localcontext(_WIDE):
+        g = 1 - Decimal(p.model.dim) * Decimal(al) / 2
+        rate = Decimal(al) * Decimal(-ki)
+        log_z = -Decimal(al) * Decimal(abs(p.z0)).ln()  # log |z0|^-alpha
+        if g == 0:
+            y = (log_z - rate.ln()).exp()
+        else:
+            # the two powers first: exact data on the threshold (alpha = -g,
+            # |z0| = t0, |g| = alpha |Im kappa|) cancels to x = -1 exactly
+            x = ((log_z - g * Decimal(t0).ln()) + (abs(g) / rate).ln()).exp()
+            x = x.copy_sign(g)
+            if x <= -1:
+                return None
+            y = _log1p(x) / g
+        if _TINY <= y <= 1:  # the double expm1: T = e - 1 stays 0x1.b7e151628aed2p+0
+            return t0 * math.expm1(float(y))
+        return float(Decimal(t0) * _expm1(y))
 
 
 def nonlinear_flow(

@@ -194,7 +194,8 @@ def run(
     rec.record(*chain.row())
     eps = 1e-12 * max(1.0, abs(t_end))  # times closer than eps are one time
     targets = sorted({t for t in probes.store_at_times if t > state0.time + eps})
-    if probes.store_states_every or probes.store_at_times:
+    every = probes.store_states_every
+    if every or probes.store_at_times:
         checkpoints.append(state0)
     status = RunStatus.REACHED_T_END
     while chain.time < t_end - eps:
@@ -219,18 +220,17 @@ def run(
         accepted += 1
         if accepted % cfg.diagnostics_cadence == 0:
             rec.record(*chain.row())
-        if probes.store_states_every and accepted % probes.store_states_every == 0:
+        take = every and accepted % every == 0
+        while targets and chain.time >= targets[0] - eps:
+            targets.pop(0)
+            take = True
+        if take:
             checkpoints.append(chain.state())
-        if targets and chain.time >= targets[0] - eps:
-            while targets and chain.time >= targets[0] - eps:
-                targets.pop(0)
-            if checkpoints[-1] is not chain.state():
-                checkpoints.append(chain.state())
 
     if accepted % cfg.diagnostics_cadence != 0:  # the last accepted step has no row
         rec.record(*chain.row())
     state = chain.state()
-    if probes.store_states_every and checkpoints[-1] is not state:
+    if every and checkpoints[-1] is not state:
         checkpoints.append(state)
     estimate = state.time if status is RunStatus.BLOWUP_DETECTED else None
     return RunOutcome(

@@ -83,6 +83,37 @@ def test_grid_coordinates():
     assert r2[4, 4] == 0.0  # center
 
 
+def reshaped_axes(grid):
+    """Per-axis coordinates reshaped by hand to (M,1,1), (1,M,1), (1,1,M)."""
+    x = grid.axis_coordinates()
+    return [x.reshape((1,) * d + (-1,) + (1,) * (grid.dim - 1 - d)) for d in range(grid.dim)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_axis_broadcasts_equal_hand_reshapes_bit_for_bit(dim):
+    g = GridSpec(dim, 7.3, 16)
+    want = reshaped_axes(g)
+    got = g.coordinate_arrays()
+    assert [a.shape for a in got] == [w.shape for w in want]
+    assert all(np.array_equal(a, w) for a, w in zip(got, want))
+    r2 = np.zeros(g.shape)
+    for xd in want:
+        r2 = r2 + xd**2
+    assert g.radius_squared().shape == g.shape
+    assert g.radius_squared().tobytes() == r2.tobytes()
+
+
+@pytest.mark.parametrize("dim,mode", [(1, (-3,)), (2, (0, -5)), (3, (2, 0, -8))])
+def test_plane_wave_phase_equals_the_hand_reshaped_sum(dim, mode):
+    # a zero mode gives -0.0 phases on the left half, which both sums make +0.0
+    g = GridSpec(dim, 2 * math.pi, 16)
+    phase = np.zeros(g.shape)
+    for mi, xd in zip(mode, reshaped_axes(g)):
+        phase = phase + (2 * np.pi * mi / g.box_length) * xd
+    want = (0.5 - 0.25j) * np.exp(1j * phase)
+    assert make_initial(g, PlaneWave(0.5 - 0.25j, mode)).values.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # initial data
 

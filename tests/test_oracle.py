@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -169,6 +170,169 @@ def test_classification_global_for_nonnegative_imaginary_part():
     assert blowup_time(p) is None
     p2 = SelfSimilarParams(1.0, 5.0 + 0j, ModelParams(1, 0.5, 3.0 + 0.0j))
     assert blowup_time(p2) is None
+
+
+def exact_weight_integral(model, t0, t):
+    """W(t) at 700 digits from the double inputs and the double g."""
+    with mpmath.workdps(700):
+        g = mpmath.mpf(1.0 - model.dim * model.alpha / 2.0)
+        t0 = mpmath.mpf(t0)
+        log1p = mpmath.inf if t == math.inf else mpmath.log1p(mpmath.mpf(t) / t0)
+        return log1p if g == 0 else t0**g * mpmath.expm1(g * log1p) / g
+
+
+def exact_blowup_time(t0, z0, dim, alpha, kappa_im):
+    """T at 700 digits from the double inputs, or None if the flow is global."""
+    with mpmath.workdps(700):
+        t0, z0, al, ki = (mpmath.mpf(v) for v in (t0, z0, alpha, kappa_im))
+        g = 1 - dim * al / 2
+        c = z0**-al / (al * -ki)
+        if g == 0:
+            return t0 * mpmath.expm1(c)
+        x = g * c * t0**-g
+        return None if x <= -1 else t0 * mpmath.expm1(mpmath.log1p(x) / g)
+
+
+def assert_within_ulps(got, exact, ulps=2):
+    want = float(exact)  # the nearest double: inf or 0.0 past double range
+    if math.isinf(want) or want == 0.0:
+        assert got == want, (got, exact)
+    else:
+        assert abs(got - want) <= ulps * math.ulp(want), (got, want)
+
+
+TAIL_GRID = [
+    (ModelParams(dim, alpha, -1j), t0)
+    for dim in (1, 2, 3, 5, 7)
+    for alpha in (0.1, 0.3, 0.5, 2 / 3, 1.0, 1.5, 2.0, 3.0, 5.0)
+    for t0 in (1e-300, 1e-100, 1e-10, 0.3, 1.0, 7.0, 1e10, 1e300)
+]
+
+
+def test_weight_integral_at_infinity_is_the_tail_formula():
+    # what a separate t = inf branch returned, bit for bit: t0^g/(-g) for
+    # g < 0 and inf otherwise, wherever t0^g is a double
+    for model, t0 in TAIL_GRID:
+        g = 1.0 - model.dim * model.alpha / 2.0
+        try:
+            want = math.inf if g >= 0 else t0**g / -g
+        except OverflowError:
+            continue  # test_weight_integral_past_double_range
+        assert weight_integral(model, t0, math.inf).hex() == want.hex(), (model, t0)
+
+
+def test_weight_integral_past_double_range():
+    # t0^g overflows (g = -3.5), t0^g/(-g) = 9.47e307 does not
+    model = ModelParams(3, 3.0, -1j)
+    assert weight_integral(model, 7.1e-89, math.inf) < math.inf
+    for m, t0 in [(model, 7.1e-89)] + TAIL_GRID:
+        if (1 - m.dim * m.alpha / 2) * math.log(t0) > 709:  # t0**g overflows
+            assert_within_ulps(weight_integral(m, t0, math.inf),
+                               exact_weight_integral(m, t0, math.inf))
+    # W(0) = +0.0 for every t0 and g, t0^g in range or not
+    for m in (model, ModelParams(1, 0.5, -1j), ModelParams(2, 1.0, -1j)):
+        for t0 in (5e-324, 1e-300, 1.0, 1e300):
+            assert weight_integral(m, t0, 0.0).hex() == "0x0.0p+0"
+    # t/t0 past double range (g = 0: log t - log t0) and below it
+    # (W = t t0^(g-1) to rounding), against 700 digits
+    for m, t0, t in ((ModelParams(2, 1.0, -1j), 1e-300, 1e10),
+                     (ModelParams(1, 0.5, -1j), 1e-300, 1e300),
+                     (ModelParams(2, 0.0433775, -1j), 7.5e160, 1.4e-233),
+                     (ModelParams(1, 0.023, -1j), 1.3e214, 4.8e-320),
+                     (ModelParams(1, 0.05, -1j), 1e-320, 1.0),  # t0^g is subnormal
+                     (model, 7.1e-89, 1e-95)):
+        assert_within_ulps(weight_integral(m, t0, t), exact_weight_integral(m, t0, t))
+
+
+def test_weight_integral_and_blowup_time_against_700_digits():
+    # random models and data over the whole double range: W to 2 ulps with
+    # the double g, T to 2 ulps with the exact g, or inf / 0.0 past range
+    rng = random.Random(5)
+    for _ in range(60):
+        dim = rng.choice((1, 2, 3))
+        alpha = rng.choice((0.05, 0.5, 1.0, 2 / dim, 1.5, 3.0, 10 ** rng.uniform(-2, 1.5)))
+        t0, t = 10 ** rng.uniform(-320, 308), 10 ** rng.uniform(-320, 308)
+        z0, ki = 10 ** rng.uniform(-20, 20), -(10 ** rng.uniform(-300, 300))
+        model = ModelParams(dim, alpha, complex(0.0, ki))
+        assert_within_ulps(weight_integral(model, t0, t), exact_weight_integral(model, t0, t))
+        T = blowup_time(SelfSimilarParams(t0, complex(z0), model))
+        exact = exact_blowup_time(t0, z0, dim, alpha, ki)
+        assert (T is None) == (exact is None)
+        if T is not None:
+            assert_within_ulps(T, exact)
+
+
+ORACLE_CASES = {
+    # t0^g overflows (g = -3.5): T ~ 3.3e-1351 underflows to 0.0
+    "t0-pow-overflow": (1e-300, 3.0, 3, -1.0, 1.0),
+    # t0^-g overflows (g = 0.975): T = 21.04...
+    "inverse-pow-overflow": (1e-320, 0.05, 1, -1.0, 1.0),
+    # c = 2e309 overflows below the critical power: T ~ 1.7e412, not global
+    "c-overflow": (1.0, 0.5, 1, -1e-309, 1.0),
+    "c-large": (1.0, 0.5, 1, -1e-300, 1.0),
+    # c below W(inf) by 3.6e-17 and 3.1e-17 relative: T = 1.05e9 and 3.6e30
+    "threshold-g2": (6.303337652588446, 3.0, 2, -1.0, 2.980917533042697),
+    "threshold-g05": (0.0035537776964359035, 1.5, 2, -1.0, 0.07336392912783453),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_blowup_time_past_double_range_and_at_the_threshold(name):
+    t0, alpha, dim, ki, z0 = ORACLE_CASES[name]
+    T = blowup_time(SelfSimilarParams(t0, complex(z0), ModelParams(dim, alpha, complex(0.0, ki))))
+    exact = exact_blowup_time(t0, z0, dim, alpha, ki)
+    assert exact is not None and T is not None
+    assert_within_ulps(T, exact)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_cli_oracle_past_double_range_and_at_the_threshold(name, capsys):
+    t0, alpha, dim, ki, z0 = ORACLE_CASES[name]
+    argv = ["oracle", "--t0", repr(t0), "--alpha", repr(alpha), "--dim", str(dim),
+            f"--kappa-im={ki!r}", "--z0", repr(z0)]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "classification: FiniteTimeBlowup"
+    assert lines[1].startswith("blowup_time: ")
+    assert_within_ulps(float(lines[1].split()[1]), exact_blowup_time(t0, z0, dim, alpha, ki))
+
+
+def test_cli_oracle_trace_at_an_underflowing_blowup_time(tmp_path, capsys):
+    # T underflows to 0.0: every row is W(0) = 0, the initial amplitude
+    trace = tmp_path / "z.csv"
+    argv = ["oracle", "--t0", "1e-300", "--alpha", "3", "--dim", "3",
+            "--kappa-im", "-1", "--z0", "1", "--trace", str(trace)]
+    assert main(argv) == 0
+    assert "blowup_time: 0.0" in capsys.readouterr().out
+    assert trace.read_text().splitlines()[1:] == ["0.0,1.0,0.0"] * 201
+
+
+def test_criterion_2_times_keep_their_bits():
+    # e - 1 is the double expm1(1.0), one ulp below the nearest double
+    model = ModelParams(2, 1.0, -1j)
+    assert blowup_time(SelfSimilarParams(1.0, 1 + 0j, model)).hex() == "0x1.b7e151628aed2p+0"
+    model = ModelParams(2, 2.0, -1j)
+    assert blowup_time(SelfSimilarParams(1.0, 1 + 0j, model)).hex() == "0x1.0000000000000p+0"
+
+
+def test_blowup_time_at_the_threshold_never_raises():
+    # c one ulp below, at and above the double t0^g/(-g) above the critical
+    # power: the verdict is c >= W(inf) for the double inputs, and a blowup
+    # carries a time >= 0
+    rng = random.Random(1)
+    for dim, alpha in ((2, 1.5), (2, 2.0), (2, 3.0), (3, 1.0), (3, 1.5), (3, 2.0), (3, 3.0)):
+        model = ModelParams(dim, alpha, -1j)
+        g = 1.0 - dim * alpha / 2.0  # exact for these alpha
+        for _ in range(100):
+            t0 = 10 ** rng.uniform(-5, 5)
+            total = t0**g / -g
+            for c in (math.nextafter(total, 0.0), total, math.nextafter(total, math.inf)):
+                z0 = (alpha * c) ** (-1.0 / alpha)
+                T = blowup_time(SelfSimilarParams(t0, complex(z0), model))
+                with mpmath.workdps(60):
+                    is_global = mpmath.mpf(z0) ** -alpha / alpha >= mpmath.mpf(t0) ** g / -g
+                assert (T is None) == is_global, (dim, alpha, t0, z0)
+                assert T is None or (isinstance(T, float) and T >= 0.0)
 
 
 def test_cli_oracle_rejects_trivial_solution(capsys):

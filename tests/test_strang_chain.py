@@ -129,6 +129,13 @@ CASES = {
                  store_at_times=(0.25, 0.5, 0.9)),
         None,
     ),
+    "1d_cadence_meets_target": (
+        GridSpec(1, 40.0, 256), ModelParams(1, 1.0, -1j), 0.8,
+        dict(dt=1e-2, t_end=0.4, diagnostics_cadence=5),
+        ProbeSet(median_radius=False, weighted_l2=False, store_states_every=5,
+                 store_at_times=(0.1, 0.123, 0.3)),
+        None,
+    ),
     "1d_real_kappa_part": (
         GridSpec(1, 40.0, 256), ModelParams(1, 1.3, 0.7 - 0.9j), 1.0,
         dict(dt=1e-2, t_end=0.6, diagnostics_cadence=7),
@@ -171,6 +178,16 @@ def test_fused_run_matches_reference_strang(name):
     want = reference_run(st, model, cfg, probes=probes, kappa_of_time=kappa_of_time)
     assert got.steps_accepted > 10
     assert_same_run(got, want)
+
+
+def test_a_cadence_checkpoint_on_a_target_is_taken_once():
+    # step 10 ends at t = 0.1, both the fifth-step cadence and a target
+    grid, model, amp, kw, probes, _ = CASES["1d_cadence_meets_target"]
+    out = run(make_initial(grid, Gaussian(amp, 1.0)), model, SolverConfig(**kw), probes=probes)
+    times = [s.time for s in out.checkpoints]
+    assert times[:5] == pytest.approx([0.0, 0.05, 0.1, 0.123, 0.143], abs=1e-12)
+    assert len(times) == len(set(times))
+    assert sum(abs(t - 0.1) < 1e-12 for t in times) == 1
 
 
 def test_rejection_rollback_matches_reference():
