@@ -53,7 +53,13 @@ from .field import (
     make_initial,
     shell_mass,
 )
-from .oracle import SelfSimilarParams, blowup_time, nonlinear_flow, reduced_rhs
+from .oracle import (
+    SelfSimilarParams,
+    blowup_time,
+    nonlinear_flow,
+    reduced_rhs,
+    weight_integral,
+)
 from .solver import RunStatus, SolverConfig, run
 
 Check = Callable[[bool, str], None]  # check(ok, msg) records msg when not ok
@@ -178,6 +184,9 @@ def criterion_02_oracle_closed_forms(check: Check) -> str:
             abs(t_int - t_exact) / t_exact < 1e-6,
             f"integrator T={t_int} vs {t_exact}",
         )
+        c = 1.0 / model.alpha  # |z0|^-alpha / (alpha |Im kappa|): W(T) = c
+        w = weight_integral(model, 1.0, t_closed)
+        check(abs(w - c) / c < 1e-10, f"closed-form W(T)={w} vs {c}")
         details.append(f"alpha={model.alpha:g}: T={t_closed:.10g} (ivp {t_int:.8g})")
     return "; ".join(details)
 

@@ -62,9 +62,10 @@ class GridSpec:
         """Grid nodes along one axis: -L/2 + j h, j = 0..M-1."""
         return -self.box_length / 2 + self.spacing * np.arange(self.points)
 
-    def coordinate_arrays(self) -> tuple:
+    def coordinate_arrays(self) -> list:
         """Per-axis coordinate arrays broadcastable to the field shape."""
-        return np.ix_(*[self.axis_coordinates()] * self.dim)
+        x = self.axis_coordinates()
+        return np.meshgrid(*[x] * self.dim, indexing="ij", sparse=True, copy=False)
 
     def radius_squared(self) -> np.ndarray:
         """|x|^2 from the box center, shape = field shape."""

@@ -10,7 +10,8 @@ whose modulus obeys |z(t)|^{-alpha} = |z(0)|^{-alpha} + alpha Im(kappa) W(t)
 with W the weight integral below.  The same Bernoulli reduction with constant
 weight solves u_t = i kappa |u|^alpha u exactly; that flow is the solver's
 nonlinear substep and, at time W(t), the reduced trajectory.  The substep
-skips the nodes it would move by less than rounding (the field's tail).
+skips the nodes it would move by less than rounding (the field's tail); the
+closed forms of the reduced flow are formed in 40-digit decimal arithmetic.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import cmath
 import decimal
 import math
-import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Optional
@@ -37,7 +37,8 @@ _TINY = Decimal("1e-20")
 
 
 class SubstepBlowupError(ArithmeticError):
-    """The exact nonlinear substep left its domain (bracket <= 0)."""
+    """The exact nonlinear flow left its domain (bracket <= 0): the substep,
+    or the reduced trajectory past its blowup time."""
 
 
 @dataclass(frozen=True)
@@ -65,32 +66,32 @@ def _expm1(y: Decimal) -> Decimal:
     return y + y * y / 2 if abs(y) < _TINY else y.exp() - 1
 
 
+def _exponent(model: ModelParams) -> Decimal:
+    """g = 1 - N alpha/2 in the caller's context (_WIDE): exact to 40 digits."""
+    return 1 - Decimal(model.dim) * Decimal(model.alpha) / 2
+
+
+def _weight(model: ModelParams, t0: float, t: float) -> Decimal:
+    """W(t) in the caller's context (_WIDE): t0^g expm1(g log1p(t/t0))/g,
+    and log1p(t/t0) at g = 0, with t0^g an exp of logarithms."""
+    g = _exponent(model)
+    w = _log1p(Decimal(t) / Decimal(t0))
+    if g != 0:
+        w = (g * Decimal(t0).ln()).exp() * _expm1(g * w) / g
+    return w
+
+
 def weight_integral(model: ModelParams, t0: float, t: float) -> float:
     """Integral of (s+t0)^(-N alpha/2) over s in [0, t]; t may be math.inf.
 
-    It is t0^g expm1(g log1p(t/t0))/g with g = 1 - N alpha/2 (the double),
-    and log1p(t/t0) at g = 0, formed in _WIDE from t0**g (an exp of
-    logarithms where that is not a normal double) and rounded once: inf
-    only past double range, and W(0) = 0.
+    Formed in _WIDE and rounded once: inf only past double range, W(0) = 0.
     """
     if not t0 > 0:
         raise ValueError("t0 must be positive")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    g = 1.0 - model.dim * model.alpha / 2.0
     with decimal.localcontext(_WIDE):
-        w = _log1p(Decimal(t) / Decimal(t0))
-        if g != 0.0:
-            try:
-                scale = t0**g
-            except OverflowError:
-                scale = math.inf
-            if sys.float_info.min <= scale < math.inf:  # W(inf) is t0**g / -g to the bit
-                scale = Decimal(scale)
-            else:  # past double range, or subnormal with digits lost
-                scale = (Decimal(g) * Decimal(t0).ln()).exp()
-            w = scale * _expm1(Decimal(g) * w) / Decimal(g)
-        return float(abs(w))  # W >= 0: abs gives W(0) the sign of +0.0
+        return float(abs(_weight(model, t0, t)))  # W >= 0: abs gives W(0) +0.0
 
 
 def blowup_time(p: SelfSimilarParams) -> Optional[float]:
@@ -100,17 +101,17 @@ def blowup_time(p: SelfSimilarParams) -> Optional[float]:
     g = 1 - N alpha/2, (1 + T/t0)^g = 1 + x for x = g c t0^-g, and
     T = t0 expm1(y), y = log1p(x)/g (y = c at g = 0).  The flow is global
     iff 1 + x <= 0, that is c >= W(inf), which needs g < 0 (above the
-    critical power).  g, x, the verdict and T are formed in _WIDE, x as one
+    critical power).  x, the verdict and T are formed in _WIDE, x as one
     exp of a sum of logarithms: the verdict is exact unless c and W(inf)
-    agree to about 38 digits, and T is the time to a few ulps, inf past
-    double range and 0.0 below it.
+    agree to about 38 digits, and T is rounded once, inf past double range
+    and 0.0 below it.
     """
     ki = p.model.kappa.imag
     if ki >= 0 or p.z0 == 0:
         return None
     al, t0 = p.model.alpha, p.t0
     with decimal.localcontext(_WIDE):
-        g = 1 - Decimal(p.model.dim) * Decimal(al) / 2
+        g = _exponent(p.model)
         rate = Decimal(al) * Decimal(-ki)
         log_z = -Decimal(al) * Decimal(abs(p.z0)).ln()  # log |z0|^-alpha
         if g == 0:
@@ -123,8 +124,6 @@ def blowup_time(p: SelfSimilarParams) -> Optional[float]:
             if x <= -1:
                 return None
             y = _log1p(x) / g
-        if _TINY <= y <= 1:  # the double expm1: T = e - 1 stays 0x1.b7e151628aed2p+0
-            return t0 * math.expm1(float(y))
         return float(Decimal(t0) * _expm1(y))
 
 
@@ -227,9 +226,28 @@ def reduced_rhs(t: float, z: np.ndarray, p: SelfSimilarParams) -> np.ndarray:
 
 def reduced_trajectory(p: SelfSimilarParams, t: float) -> complex:
     """Full complex z(t): the exact pointwise flow of u_t = i kappa |u|^alpha u
-    from z0 over the reparametrized time W(t) = weight_integral(t).
+    (nonlinear_flow's law) from z0 over the reparametrized time W(t).
 
-    At or past the blowup time the flow's bracket fails: SubstepBlowupError.
+    With x = alpha Im(kappa) |z0|^alpha W(t), z = z0 (1 + x)^(-1/alpha +
+    i Re(kappa)/(alpha Im(kappa))), and z0 exp(i Re(kappa) |z0|^alpha W(t))
+    at Im(kappa) = 0.  log1p(x) is formed in _WIDE from the unrounded W(t),
+    the verdict's arithmetic, so the trace keeps its digits where 1 + x is
+    below double resolution (c near W(inf)).  At or past the blowup time
+    (1 + x <= 0) it raises SubstepBlowupError.
     """
-    W = weight_integral(p.model, p.t0, t)
-    return complex(nonlinear_flow(np.array([p.z0]), p.model, W)[0])
+    al, kr, ki = (Decimal(v) for v in (p.model.alpha, p.model.kappa.real, p.model.kappa.imag))
+    with decimal.localcontext(_WIDE):
+        log_r = Decimal(abs(p.z0)).ln()  # log |z0|
+        h = (al * log_r).exp() * _weight(p.model, p.t0, t)  # |z0|^alpha W(t)
+        if ki == 0:
+            log_b, phase = Decimal(0), kr * h
+        else:
+            x = al * ki * h
+            if x <= -1:
+                raise SubstepBlowupError(
+                    f"reduced flow at t={t!r} is past its blowup time: bracket {float(1 + x):.3e}"
+                )
+            log_b = _log1p(x)
+            phase = kr / (al * ki) * log_b
+        modulus = float((log_r - log_b / al).exp())
+        return cmath.rect(modulus, cmath.phase(p.z0) + float(phase))

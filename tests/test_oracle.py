@@ -173,9 +173,9 @@ def test_classification_global_for_nonnegative_imaginary_part():
 
 
 def exact_weight_integral(model, t0, t):
-    """W(t) at 700 digits from the double inputs and the double g."""
+    """W(t) at 700 digits from the double inputs."""
     with mpmath.workdps(700):
-        g = mpmath.mpf(1.0 - model.dim * model.alpha / 2.0)
+        g = 1 - model.dim * mpmath.mpf(model.alpha) / 2
         t0 = mpmath.mpf(t0)
         log1p = mpmath.inf if t == math.inf else mpmath.log1p(mpmath.mpf(t) / t0)
         return log1p if g == 0 else t0**g * mpmath.expm1(g * log1p) / g
@@ -210,15 +210,11 @@ TAIL_GRID = [
 
 
 def test_weight_integral_at_infinity_is_the_tail_formula():
-    # what a separate t = inf branch returned, bit for bit: t0^g/(-g) for
-    # g < 0 and inf otherwise, wherever t0^g is a double
+    # what a separate t = inf branch returned: t0^g/(-g) for g < 0 and inf
+    # otherwise, here to 2 ulps of 700 digits with the exact g
     for model, t0 in TAIL_GRID:
-        g = 1.0 - model.dim * model.alpha / 2.0
-        try:
-            want = math.inf if g >= 0 else t0**g / -g
-        except OverflowError:
-            continue  # test_weight_integral_past_double_range
-        assert weight_integral(model, t0, math.inf).hex() == want.hex(), (model, t0)
+        assert_within_ulps(weight_integral(model, t0, math.inf),
+                           exact_weight_integral(model, t0, math.inf))
 
 
 def test_weight_integral_past_double_range():
@@ -245,8 +241,8 @@ def test_weight_integral_past_double_range():
 
 
 def test_weight_integral_and_blowup_time_against_700_digits():
-    # random models and data over the whole double range: W to 2 ulps with
-    # the double g, T to 2 ulps with the exact g, or inf / 0.0 past range
+    # random models and data over the whole double range: W and T to 2 ulps,
+    # or inf / 0.0 past range
     rng = random.Random(5)
     for _ in range(60):
         dim = rng.choice((1, 2, 3))
@@ -307,10 +303,31 @@ def test_cli_oracle_trace_at_an_underflowing_blowup_time(tmp_path, capsys):
     assert trace.read_text().splitlines()[1:] == ["0.0,1.0,0.0"] * 201
 
 
-def test_criterion_2_times_keep_their_bits():
-    # e - 1 is the double expm1(1.0), one ulp below the nearest double
+@pytest.mark.parametrize("name", ["threshold-g2", "threshold-g05"])
+def test_cli_oracle_trace_at_the_threshold(name, tmp_path):
+    # at 0.999 T the bracket 1 + x is far below double resolution: the
+    # trace still follows |z0| (1 + x)^(-1/alpha) against 700 digits
+    t0, alpha, dim, ki, z0 = ORACLE_CASES[name]
+    model = ModelParams(dim, alpha, complex(0.0, ki))
+    trace = tmp_path / "z.csv"
+    argv = ["oracle", "--t0", repr(t0), "--alpha", repr(alpha), "--dim", str(dim),
+            f"--kappa-im={ki!r}", "--z0", repr(z0), "--trace", str(trace)]
+    assert main(argv) == 0
+    rows = [[float(v) for v in line.split(",")] for line in trace.read_text().splitlines()[1:]]
+    assert len(rows) == 201
+    assert all(b[1] > a[1] for a, b in zip(rows, rows[1:]))
+    for t, abs_z, arg_z in rows[::50] + rows[-1:]:
+        with mpmath.workdps(700):
+            x = alpha * ki * mpmath.mpf(z0) ** alpha * exact_weight_integral(model, t0, t)
+            want = z0 * (1 + x) ** (-1 / mpmath.mpf(alpha))
+        assert abs_z == pytest.approx(float(want), rel=1e-13)
+        assert arg_z == 0.0
+
+
+def test_criterion_2_times_are_the_nearest_doubles():
+    # the doubles nearest e - 1 (math.expm1(1.0) is one ulp below) and 1
     model = ModelParams(2, 1.0, -1j)
-    assert blowup_time(SelfSimilarParams(1.0, 1 + 0j, model)).hex() == "0x1.b7e151628aed2p+0"
+    assert blowup_time(SelfSimilarParams(1.0, 1 + 0j, model)).hex() == "0x1.b7e151628aed3p+0"
     model = ModelParams(2, 2.0, -1j)
     assert blowup_time(SelfSimilarParams(1.0, 1 + 0j, model)).hex() == "0x1.0000000000000p+0"
 
