@@ -210,6 +210,7 @@ class ExperimentConfig:
             width = getattr(initial, "width", 1.0)
             lams = p["lambdas"] or default_lambdas(grid.box_length, width)
             cutoffs = _checked("probes.lambdas", CutoffFamily.build, grid.dim, lams)
+            _checked("probes.lambdas", cutoffs.check_support, grid)
             keys["probes.lambdas"] = cutoffs.lambdas
         elif p["lambdas"]:
             raise ConfigError("probes.lambdas needs probes.localized_mass = true")

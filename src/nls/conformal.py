@@ -29,13 +29,12 @@ from .field import FieldState, Gaussian, GridSpec, InitialDataSpec, l2_norm, mak
 from .solver import RunOutcome, RunStatus, SolverConfig, run
 
 
-def effective_kappa(model: ModelParams, t: float) -> complex:
-    """Nonlinear coefficient of the differential v-equation at time t.
-
-    i times it is the Duhamel kernel h(t) = i kappa (1-t)^{-(4 - N alpha)/2}.
-    """
+def step_weight(model: ModelParams, t: float, dt: float) -> float:
+    """h(t + dt/2) dt, h(t) = (1-t)^{-(4 - N alpha)/2}: the time the v-step
+    [t, t + dt] runs the flow of kappa |v|^alpha v for, by the midpoint rule
+    for the integral of h over the step (h only reparametrizes time)."""
     expo = (4.0 - model.dim * model.alpha) / 2.0
-    return model.kappa * (1.0 - t) ** (-expo)
+    return (1.0 - (t + dt / 2)) ** (-expo) * dt
 
 
 def check_chirp_resolution(grid: GridSpec, scale: float) -> None:
@@ -81,13 +80,11 @@ def to_u_frame(v: FieldState, t: float) -> FieldState:
 def solve_v_problem(
     v0: FieldState, model: ModelParams, cfg: SolverConfig
 ) -> RunOutcome:
-    """Split-step solve of the v-equation with the coefficient frozen at each
-    step midpoint (second-order consistent with the Strang composition)."""
+    """Split-step solve of the v-equation, each nonlinear substep over its
+    step_weight (second-order consistent with the Strang composition)."""
     if v0.time + cfg.t_end >= 1.0:
         raise ValueError("v-problem runs on [0, 1); t_end too large")
-    return run(
-        v0, model, cfg, kappa_of_time=lambda t: effective_kappa(model, t)
-    )
+    return run(v0, model, cfg, step_weight=lambda t, dt: step_weight(model, t, dt))
 
 
 @dataclass(frozen=True)

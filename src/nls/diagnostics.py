@@ -93,7 +93,6 @@ def default_lambdas(box_length: float, data_width: float) -> tuple:
 def _localized_mass(shells: np.ndarray, grid: GridSpec, cutoffs: CutoffFamily) -> np.ndarray:
     """f_lambda = ||u phi_lambda||_L2 for every lambda, from the shell masses of u;
     the tent is evaluated on shell radii only."""
-    cutoffs.check_support(grid)
     r = np.sqrt(radial_shells(grid)[0])
     lam = np.asarray(cutoffs.lambdas)[:, None]
     phi2 = (cutoffs.nu * tent_profile(lam * r)) ** 2

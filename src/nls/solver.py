@@ -115,15 +115,15 @@ class _StrangChain:
         self._tau = 0.0
         self._state: Optional[FieldState] = state0  # physical state, once built
 
-    def advance(self, model: ModelParams, dt: float, linf_max: float) -> bool:
-        """One Strang step of size dt.
+    def advance(self, model: ModelParams, dt: float, weight: float, linf_max: float) -> bool:
+        """One Strang step of size dt; its nonlinear substep runs for time weight.
 
         Returns False, leaving the chain as it was, when the new state's sup
         norm exceeds linf_max; raises SubstepBlowupError (chain unchanged)
         when the nonlinear bracket fails.
         """
         u = free_flow_to_space(self.p, self._grid, dt / 2 + self._tau)
-        w = nonlinear_flow(u, model, dt, overwrite_x=True)
+        w = nonlinear_flow(u, model, weight, overwrite_x=True)
         # L2 bound on the new sup norm; needs w before the FFT overwrites it.
         # sum |w_j|^2 is the real dot product of the interleaved parts: one
         # BLAS call, about half the time of vdot's complex one
@@ -174,17 +174,19 @@ def run(
     model: ModelParams,
     cfg: SolverConfig,
     probes: Optional[ProbeSet] = None,
-    kappa_of_time: Optional[Callable[[float], complex]] = None,
+    step_weight: Optional[Callable[[float, float], float]] = None,
 ) -> RunOutcome:
     """Advance state0 to t_end with halving-only step control.
 
-    kappa_of_time, when given, replaces the nonlinear coefficient per step
-    by its value at the step midpoint (used by the conformal v-problem);
-    the substep itself stays exact for the frozen coefficient.
+    The nonlinear substep of the step [t, t + dt] runs the flow of
+    model.kappa for step_weight(t, dt), and for dt without it (the conformal
+    v-problem's coefficient kappa h(t) only reparametrizes time).
     """
     if not state0.is_finite():
         raise ValueError("initial state contains non-finite values")
     probes = probes or ProbeSet()
+    if probes.cutoffs is not None:
+        probes.cutoffs.check_support(state0.grid)
     rec = TraceRecorder(model, probes)
     t_end = state0.time + cfg.t_end
     dt = cfg.dt
@@ -202,12 +204,9 @@ def run(
         dt_step = min(dt, t_end - chain.time)
         if targets:
             dt_step = min(dt_step, targets[0] - chain.time)
-        step_model = model
-        if kappa_of_time is not None:
-            kappa = kappa_of_time(chain.time + dt_step / 2)
-            step_model = ModelParams(model.dim, model.alpha, kappa)
+        weight = dt_step if step_weight is None else step_weight(chain.time, dt_step)
         try:
-            ok = chain.advance(step_model, dt_step, cfg.blowup_linf_threshold)
+            ok = chain.advance(model, dt_step, weight, cfg.blowup_linf_threshold)
         except SubstepBlowupError:
             ok = False
         if not ok:

@@ -5,10 +5,10 @@ import scipy.integrate
 import nls.conformal
 from nls.conformal import (
     check_chirp_resolution,
-    effective_kappa,
     equivalence_experiment,
     initial_v_data,
     solve_v_problem,
+    step_weight,
     to_u_frame,
 )
 from nls.exponents import ModelParams
@@ -16,11 +16,13 @@ from nls.field import (
     FieldState,
     Gaussian,
     GridSpec,
+    PlaneWave,
     free_gaussian,
     l2_norm,
     linear_propagate,
     make_initial,
 )
+from nls.oracle import SelfSimilarParams, reduced_trajectory
 from nls.solver import SolverConfig, run
 
 
@@ -35,26 +37,31 @@ def test_to_u_frame_time_roundtrip():
             to_u_frame(v, t)
 
 
-# the Duhamel kernel h(t) = i kappa (1-t)^{-(4 - N alpha)/2} is i effective_kappa
+# the Duhamel kernel i kappa h(t), h(t) = (1-t)^{-(4 - N alpha)/2}, with h read
+# from step_weight: the unit step [t - 1/2, t + 1/2] has its midpoint at t
+
+
+def h(m, t):
+    return step_weight(m, t - 0.5, 1.0)
 
 
 def test_h_coefficient_values():
     m = ModelParams(1, 1.0, -1j)
-    assert 1j * effective_kappa(m, 0.0) == 1j * m.kappa
+    assert 1j * m.kappa * h(m, 0.0) == 1j * m.kappa
     # (4 - N alpha)/2 = 3/2; 0.25^{-3/2} = 8, and i(-i) = 1
-    assert 1j * effective_kappa(m, 0.75) == pytest.approx(8.0 + 0.0j, rel=1e-14)
+    assert 1j * m.kappa * h(m, 0.75) == pytest.approx(8.0 + 0.0j, rel=1e-14)
 
 
 def test_h_constant_at_mass_critical_power():
     m = ModelParams(2, 2.0, 0.3 - 0.4j)  # alpha = 4/N
     for t in (0.0, 0.5, 0.99):
-        assert 1j * effective_kappa(m, t) == pytest.approx(1j * m.kappa, rel=1e-14)
+        assert 1j * m.kappa * h(m, t) == pytest.approx(1j * m.kappa, rel=1e-14)
 
 
 def test_h_modulus_monotone_below_mass_critical():
     m = ModelParams(1, 1.0, 0.5 - 0.5j)
     ts = np.linspace(0, 0.95, 40)
-    mods = [abs(1j * effective_kappa(m, t)) for t in ts]
+    mods = [abs(1j * m.kappa * h(m, t)) for t in ts]
     assert all(b > a for a, b in zip(mods, mods[1:]))
     assert mods[0] == pytest.approx(abs(m.kappa))
 
@@ -66,7 +73,7 @@ def test_h_integrability_threshold_by_quadrature():
 
     def tail_partial(mu, eps):
         val, _ = scipy.integrate.quad(
-            lambda t: abs(1j * effective_kappa(m, t)) ** mu, 0.0, 1.0 - eps, limit=200
+            lambda t: abs(1j * m.kappa * h(m, t)) ** mu, 0.0, 1.0 - eps, limit=200
         )
         return val
 
@@ -160,6 +167,32 @@ def test_v_problem_kappa_zero_is_free_flow():
                                               diagnostics_cadence=10**9))
     want = linear_propagate(v0, 0.5)
     assert np.max(np.abs(out.final_state.values - want.values)) < 1e-12
+
+
+@pytest.mark.parametrize("dim,alpha,kappa,z0,err", [
+    # err: the relative error at dt = 1e-3, as measured
+    (1, 1.0, -1j, 0.8 + 0.3j, 8.51e-7),
+    (2, 0.5, -1j, 0.8 + 0.3j, 4.36e-7),
+    (1, 3.0, 0.7 - 1j, 0.4 + 0.15j, 4.20e-9),  # z0 = 0.8 + 0.3i blows up before t = 0.5
+    (2, 1.0, 0.5 - 1j, 0.4 + 0.15j, 8.48e-8),
+])
+def test_uniform_v_data_follow_the_oracle(dim, alpha, kappa, z0, err):
+    # with t0 = 1 the lens map takes the oracle's self-similar family to the
+    # uniform v(t) = z(s(t)), s = t/(1-t): solve_v_problem on a constant field
+    # must follow reduced_trajectory.  The midpoint rule's error is second
+    # order (ratio 100 per decade of dt); an exact step weight (ROADMAP item
+    # 10) would bring both dt to rounding level (measured <= 1.7e-14).
+    m = ModelParams(dim, alpha, kappa)
+    v0 = make_initial(GridSpec(dim, 8.0, 8), PlaneWave(z0, (0,) * dim))
+    z = reduced_trajectory(SelfSimilarParams(1.0, z0, m), 0.5 / (1.0 - 0.5))
+    errs = []
+    for dt in (1e-2, 1e-3):
+        out = solve_v_problem(v0, m, SolverConfig(dt=dt, t_end=0.5))
+        v = out.final_state.values
+        assert out.final_state.time == 0.5 and np.ptp(v) == 0  # still exactly uniform
+        errs.append(abs(v.flat[0] - z) / abs(z))
+    assert 99 <= errs[0] / errs[1] <= 101
+    assert errs[1] <= 2 * err
 
 
 def test_v_problem_domain_guard():

@@ -792,6 +792,25 @@ def test_cli_run_time_config_error_leaves_no_output(tmp_path, capsys, kind, box,
     assert "Traceback" not in err and not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("kind,axis", [("single", ""), ("sweep", "sweep.dt = [0.01, 0.005]\n")])
+def test_cli_cutoff_support_beyond_the_box_is_a_config_error(tmp_path, capsys, kind, axis):
+    # lambda = 0.01 has support radius 200 on a box of half-length 10; neither
+    # lambda nor the box is a sweep axis, so no cell of a sweep could run
+    text = (
+        BASE_CONFIG.format(out=tmp_path / "o")
+        .replace("kind = single", f"kind = {kind}")
+        .replace("grid.box_length = 40.0", "grid.box_length = 20.0")
+        + "probes.localized_mass = true\nprobes.lambdas = [0.01, 1.0]\n"
+        + axis
+    )
+    assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: probes.lambdas: cutoff support radius 200 "
+        "exceeds box half-length 10\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_dt_below_floor_is_a_failed_row(tmp_path, capsys):
     out = tmp_path / "sweep_floor"
     text = (

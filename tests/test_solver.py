@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nls.diagnostics import ProbeSet
+from nls.diagnostics import CutoffFamily, ProbeSet
 from nls.exponents import ModelParams
 from nls.field import (
     FieldState,
@@ -16,6 +16,8 @@ from nls.field import (
 )
 from nls.oracle import nonlinear_flow
 from nls.solver import RunStatus, SolverConfig, run
+
+from conftest import counted_ffts
 
 QUIET = 10**9  # diagnostics cadence that records only endpoints
 
@@ -31,6 +33,15 @@ def plane_wave_exact(grid, amplitude, mode, model, t):
     k = 2 * math.pi * mode / grid.box_length
     x = grid.axis_coordinates()
     return z * np.exp(1j * k * x) * np.exp(-1j * k**2 * t)
+
+
+def test_cutoff_support_is_checked_before_the_first_fft(monkeypatch):
+    st = make_initial(GridSpec(1, 20.0, 64), Gaussian(0.5, 1.0))
+    probes = ProbeSet(cutoffs=CutoffFamily.build(1, (0.01, 1.0)))  # radius 200
+    calls = counted_ffts(monkeypatch)
+    with pytest.raises(ValueError, match="cutoff support radius 200 exceeds box half-length 10"):
+        run(st, ModelParams(1, 1.0, -1j), SolverConfig(dt=1e-2, t_end=0.1), probes=probes)
+    assert calls == []
 
 
 def test_step_with_zero_kappa_equals_linear_propagate():
@@ -132,16 +143,83 @@ def test_mass_conserved_for_real_kappa():
     assert np.max(np.abs(m - m[0])) / m[0] < 1e-10
 
 
-def test_time_reversibility_real_kappa():
-    # conj o S(dt) o conj = S(dt)^{-1} exactly for real kappa
-    g = GridSpec(1, 40.0, 512)
-    model = ModelParams(1, 2.0, 1.0 + 0.0j)
-    st = make_initial(g, Gaussian(1.0, 1.0))
-    cfg = SolverConfig(dt=1e-2, t_end=0.5, diagnostics_cadence=QUIET)
-    fwd = run(st, model, cfg).final_state
-    back = run(fwd.with_values(np.conj(fwd.values), time=0.0), model, cfg).final_state
+@pytest.mark.parametrize("grid,alpha,kappa,dt,bound", [
+    (GridSpec(1, 40.0, 512), 2.0, 1.0 + 0.0j, 1e-2, 1e-10),
+    (GridSpec(1, 20.0, 256), 1.0, -1j, 1e-3, 1e-12),
+    (GridSpec(1, 20.0, 256), 1.0, 0.7 - 1j, 1e-3, 1e-12),
+    (GridSpec(2, 20.0, 64), 1.0, 0.7 - 1j, 1e-3, 1e-12),
+    (GridSpec(3, 20.0, 16), 1.0, 1.0 + 0.0j, 1e-3, 1e-12),
+    (GridSpec(3, 20.0, 16), 1.0, -1j, 1e-3, 1e-12),
+], ids=["1d-real", "1d-imag", "1d-complex", "2d-complex", "3d-real", "3d-imag"])
+def test_time_reversibility(grid, alpha, kappa, dt, bound):
+    # conj(u(-t)) solves the equation with conj(kappa): a run from conj(u(T))
+    # with conj(kappa) returns conj(u0), to rounding (measured 1e-14 to 8e-14
+    # relative after 500 steps).  For real kappa this is conj o S(dt) o conj
+    # = S(dt)^{-1}.
+    st = make_initial(grid, Gaussian(1.0, 1.0))
+    cfg = SolverConfig(dt=dt, t_end=0.5, diagnostics_cadence=QUIET)
+    fwd = run(st, ModelParams(grid.dim, alpha, kappa), cfg).final_state
+    back = run(
+        fwd.with_values(np.conj(fwd.values), time=0.0),
+        ModelParams(grid.dim, alpha, kappa.conjugate()),
+        cfg,
+    ).final_state
     recovered = np.conj(back.values)
-    assert np.max(np.abs(recovered - st.values)) < 1e-10
+    assert np.max(np.abs(recovered - st.values)) < bound * np.max(np.abs(st.values))
+
+
+@pytest.mark.parametrize("dim,alpha,points,status", [
+    (1, 0.5, 512, RunStatus.BLOWUP_DETECTED),
+    (1, 1.0, 512, RunStatus.BLOWUP_DETECTED),
+    (1, 2.0, 512, RunStatus.REACHED_T_END),
+    (2, 1.0, 64, RunStatus.REACHED_T_END),
+    (2, 2.0, 64, RunStatus.REACHED_T_END),
+], ids=["1d-a0.5", "1d-a1", "1d-a2", "2d-a1", "2d-a2"])
+def test_scaling_symmetry_is_bit_exact(dim, alpha, points, status):
+    # u_2(t, x) = 2^(2/alpha) u(4t, 2x) solves the equation too.  On the grid:
+    # box L/2 with the same M, dt/4, t_end/4, amplitude and sup-norm threshold
+    # x 2^(2/alpha), width/2 and dt floor/4.  With 2/alpha an integer every
+    # multiplier, bracket and window floor moves by a power of two, so the run
+    # is the same run bit for bit, blowup and rejected steps included.
+    # Any absolute constant in the run path would break it.
+    a = 2.0 ** (2 / alpha)
+    model = ModelParams(dim, alpha, 0.7 - 1j)
+    probes = ProbeSet(scatter=True)
+
+    def solve(box, amp, width, dt, t_end, threshold, floor):
+        st = make_initial(GridSpec(dim, box, points), Gaussian(amp, width))
+        cfg = SolverConfig(dt=dt, t_end=t_end, blowup_linf_threshold=threshold,
+                           blowup_dt_floor=floor, diagnostics_cadence=10)
+        return run(st, model, cfg, probes=probes)
+
+    out = solve(40.0, 0.5, 1.0, 1e-2, 5.0, 1e6, 1e-12)
+    scaled = solve(20.0, 0.5 * a, 0.5, 1e-2 / 4, 5.0 / 4, 1e6 * a, 1e-12 / 4)
+    assert out.status is scaled.status is status
+    assert (scaled.steps_accepted, scaled.steps_rejected) == (out.steps_accepted, out.steps_rejected)
+    assert np.array_equal(scaled.final_state.values / a, out.final_state.values)
+    assert scaled.final_state.time == out.final_state.time / 4
+    if status is RunStatus.BLOWUP_DETECTED:
+        assert scaled.blowup_time_estimate == out.blowup_time_estimate / 4
+    # each column scales by a power of 2: exactly when it is an integer power
+    # (a square root or the L^(alpha+2) root rounds otherwise).  The scatter
+    # column's X-norm sums three parts that scale differently.
+    factors = dict(
+        t=1 / 4,
+        mass=a * 2 ** (-dim / 2),
+        lp=a * 2 ** (-dim / (alpha + 2)),
+        grad_l2=a * 2 ** (1 - dim / 2),
+        K_t=a * 2 ** (1 - dim / 2),
+        linf=a,
+        R_t=1 / 2,
+        weighted_l2=a * 2 ** (-1 - dim / 2),
+    )
+    assert len(scaled.trace) == len(out.trace)
+    for name, f in factors.items():
+        got, want = getattr(scaled.trace, name), getattr(out.trace, name) * f
+        if math.frexp(f)[0] == 0.5:
+            assert np.array_equal(got, want), name
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-15, err_msg=name)
 
 
 def test_strang_global_order_two_on_gaussian():

@@ -116,12 +116,14 @@ def assert_same_run(got, want, rtol=1e-12):
         assert np.max(np.abs(a.values - b.values)) <= rtol * scale
 
 
-def v_kappa(t):
-    return (-1j + 0.3) * (1.0 - t) ** -0.5
+def v_h(t):
+    """h(t) of the v-equation at N = 1, alpha = 3: (1 - t)^{-(4 - N alpha)/2}."""
+    return (1.0 - t) ** -0.5
 
 
 CASES = {
-    # name: (grid, model, amplitude, cfg kwargs, probes, kappa_of_time)
+    # name: (grid, model, amplitude, cfg kwargs, probes, h); with h, run()
+    # steps with weight h(t + dt/2) dt and the reference freezes kappa h there
     "1d_targets": (
         GridSpec(1, 40.0, 512), ModelParams(1, 1.0, -1j), 0.8,
         dict(dt=7e-3, t_end=1.0, diagnostics_cadence=5),
@@ -155,10 +157,10 @@ CASES = {
         None,
     ),
     "1d_kappa_of_time": (
-        GridSpec(1, 40.0, 256), ModelParams(1, 3.0, -1j), 0.5,
+        GridSpec(1, 40.0, 256), ModelParams(1, 3.0, 0.3 - 1j), 0.5,
         dict(dt=5e-3, t_end=0.5, diagnostics_cadence=10),
         ProbeSet(median_radius=False, weighted_l2=False, store_at_times=(0.21,)),
-        v_kappa,
+        v_h,
     ),
     "1d_real_kappa": (
         GridSpec(1, 40.0, 256), ModelParams(1, 2.0, 1.3 + 0.0j), 1.0,
@@ -171,10 +173,14 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_fused_run_matches_reference_strang(name):
-    grid, model, amp, kw, probes, kappa_of_time = CASES[name]
+    grid, model, amp, kw, probes, h = CASES[name]
     st = make_initial(grid, Gaussian(amp, 1.0))
     cfg = SolverConfig(**kw)
-    got = run(st, model, cfg, probes=probes, kappa_of_time=kappa_of_time)
+    weight = kappa_of_time = None
+    if h is not None:
+        weight = lambda t, dt: h(t + dt / 2) * dt
+        kappa_of_time = lambda t: model.kappa * h(t)
+    got = run(st, model, cfg, probes=probes, step_weight=weight)
     want = reference_run(st, model, cfg, probes=probes, kappa_of_time=kappa_of_time)
     assert got.steps_accepted > 10
     assert_same_run(got, want)
@@ -246,7 +252,7 @@ def test_two_ffts_per_accepted_step(monkeypatch):
     chain = nls.solver._StrangChain(st, scipy.fft.fftn(st.values))
     calls = counted_ffts(monkeypatch)
     for n in range(1, 11):
-        assert chain.advance(model, 1e-2, 1e6)
+        assert chain.advance(model, 1e-2, 1e-2, 1e6)
         assert calls[-2:] == ["ifftn", "fftn"] and len(calls) == 2 * n
     chain.state()
     chain.state()
@@ -281,11 +287,11 @@ def test_step_allocates_one_field_and_one_real_buffer():
     st = make_initial(grid, Gaussian(0.5, 1.0))
     model = ModelParams(3, 1.0, -1j)
     chain = nls.solver._StrangChain(st, scipy.fft.fftn(st.values))
-    assert chain.advance(model, 1e-3, 1e6)  # caches the half-step factors
+    assert chain.advance(model, 1e-3, 1e-3, 1e6)  # caches the half-step factors
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        assert chain.advance(model, 1e-3, 1e6)
+        assert chain.advance(model, 1e-3, 1e-3, 1e6)
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
@@ -301,9 +307,9 @@ class DefaultNormChain:
         self.grid, self.time, self.tau = st.grid, st.time, 0.0
         self.p = scipy.fft.fftn(st.values)
 
-    def advance(self, model, dt, linf_max):
+    def advance(self, model, dt, weight, linf_max):
         u = scipy.fft.ifftn(free_flow(self.p, self.grid, dt / 2 + self.tau))
-        p = scipy.fft.fftn(nonlinear_flow(u, model, dt))
+        p = scipy.fft.fftn(nonlinear_flow(u, model, weight))
         if not np.max(np.abs(scipy.fft.ifftn(free_flow(p, self.grid, dt / 2)))) <= linf_max:
             return False
         self.p, self.tau, self.time = p, dt / 2, self.time + dt
@@ -337,8 +343,8 @@ def test_normalization_fold_is_bit_identical(grid):
         (5e-3, 1e6, "bounded"),
         (5e-3, 1.5 * peak, "rebuilt"),
     ]:
-        built = chain.advance(model, dt, linf_max)
-        assert built == ref.advance(model, dt, linf_max) == (kind != "rejected")
+        built = chain.advance(model, dt, dt, linf_max)
+        assert built == ref.advance(model, dt, dt, linf_max) == (kind != "rejected")
         if kind != "rejected":  # a rejected step keeps the state it had
             assert (chain._state is not None) == (kind == "rebuilt")
         assert np.array_equal(chain.p, ref.p)

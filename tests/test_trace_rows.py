@@ -230,7 +230,7 @@ def test_one_fft_per_row(monkeypatch, scatter):
     rec.record(*chain.row())
     assert calls == []
     for _ in range(4):
-        assert chain.advance(model, 5e-3, 1e6)
+        assert chain.advance(model, 5e-3, 5e-3, 1e6)
         calls.clear()
         rec.record(*chain.row())
         assert calls == ["ifftn"] * (2 if scatter else 1)
@@ -263,7 +263,7 @@ def test_row_makes_one_free_flow_multiply(monkeypatch, scatter):
     multiplies = counted_free_flows(monkeypatch)
     ffts = counted_ffts(monkeypatch)
     for n in range(1, 5):
-        assert chain.advance(model, 1e-2, 1e6)
+        assert chain.advance(model, 1e-2, 1e-2, 1e6)
         multiplies.clear()
         ffts.clear()
         rec.record(*chain.row())
