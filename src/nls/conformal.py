@@ -123,26 +123,25 @@ def equivalence_experiment(
     e^{-i|x|^2/4} u0 up to t*, and maps the result to the u frame.  Path B
     samples the same initial-data formula directly on Path A's u-side grid
     (box L/(1-t*), same node count, no interpolation) and solves the
-    original equation up to s* = t*/(1-t*).  For t* = 0 the report is the
-    trivial zero-discrepancy one.
+    original equation up to s* = t*/(1-t*).
 
     Only a Gaussian is the same function on both boxes (a plane wave's
     wavenumber is tied to its box, a file to its grid): other data are a
-    ValueError, raised before anything runs, and so is a grid too coarse
-    for the chirp of path A's end map (scale 1 - t*).  The discrepancy is
-    None when either path ends short of its time (a blowup).  Neither path
-    records trace rows beyond its first and last: no cadence can be reached.
+    ValueError, raised before anything runs, and so are a t* outside (0, 1)
+    or below dt and a grid too coarse for the chirp of path A's end map
+    (scale 1 - t*).  The discrepancy is None when either path ends short of
+    its time (a blowup).  Neither path records trace rows beyond its first
+    and last: no cadence can be reached.
     """
     if not isinstance(initial, Gaussian):
         raise ValueError(
             "pct-check needs Gaussian initial data, the same function on both "
             f"boxes; got {type(initial).__name__}"
         )
-    if not 0 <= t_star < 1:
-        raise ValueError("t_star must be in [0, 1)")
-    if t_star == 0.0:
-        reached = RunStatus.REACHED_T_END.value
-        return EquivalenceReport(0.0, 0.0, 0.0, grid, grid, cfg.dt, reached, reached)
+    if not 0 < t_star < 1:
+        raise ValueError(f"pct.t_star must be in (0, 1), got {t_star}")
+    if cfg.dt > t_star:
+        raise ValueError(f"pct.t_star = {t_star} is below solver.dt = {cfg.dt}")
     check_chirp_resolution(grid, 1.0 - t_star)  # path A's end map: the strictest chirp
     s_star = t_star / (1.0 - t_star)
     v0 = initial_v_data(make_initial(grid, initial))

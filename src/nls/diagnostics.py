@@ -108,10 +108,10 @@ def median_radius(shells: np.ndarray, grid: GridSpec) -> float:
     bin boundary are split half-and-half between the adjacent bins (the
     trapezoid-consistent convention; on axis-aligned grids every node radius
     is a boundary, and whole-bin assignment would bias R by +h/2).
-    The zero field has none: NaN (an empty R_t in a trace).
+    A field whose half mass rounds to 0 has none: NaN (an empty R_t in a trace).
     """
-    total = float(np.sum(shells))
-    if total <= 0:
+    half = float(np.sum(shells)) / 2.0
+    if not half > 0:
         return math.nan  # the zero field has no median radius
     h = grid.spacing
     scaled = np.sqrt(radial_shells(grid)[0]) / h
@@ -123,12 +123,9 @@ def median_radius(shells: np.ndarray, grid: GridSpec) -> float:
     binned = np.bincount(idx, weights=shells - halfmass, minlength=nb)
     binned += np.bincount(idx - on_boundary, weights=halfmass, minlength=nb)
     cum = np.concatenate([[0.0], np.cumsum(binned)])  # cum[k] = mass below k h
-    half = total / 2.0
-    k = int(np.searchsorted(cum, half))
-    if k == 0:
-        return 0.0
+    k = int(np.searchsorted(cum, half))  # >= 1: cum[k-1] < half <= cum[k]
     lo, hi = cum[k - 1], cum[k]
-    frac = 0.0 if hi == lo else (half - lo) / (hi - lo)
+    frac = (half - lo) / (hi - lo)
     return (k - 1 + frac) * h
 
 
@@ -394,21 +391,24 @@ class ConfinementReport:
 def linear_confinement_check(u0: FieldState, times: Sequence[float]) -> ConfinementReport:
     """Free-flow confinement: int psi_M |u~|^2 <= int psi_M |u0|^2 + 2t/M ||u0|| ||grad u0||.
 
-    psi_M(x) = min(|x|/M, 1) with M = a t and a = 16 ||grad u0||/||u0||.
-    Also reports the mass fraction outside |x| > a t (expected <= 1/4 for
-    large t).  The |x| reading of psi_M is the dimension-generic one; the
-    one-dimensional signed variant is not implemented.  The bound is stated
-    for t >= 0; a negative time, no time, or a radius a t past half the box
-    is a ValueError, raised before any free flow.
+    u~ is u0 freely flowed for t (each t counts from u0), psi_M(x) = min(|x|/M, 1),
+    M = a t and a = 16 ||grad u0||/||u0||.  Also reports the mass fraction
+    outside |x| > a t (expected <= 1/4 for large t).  The |x| reading of psi_M
+    is the dimension-generic one; the one-dimensional signed variant is not
+    implemented.  The bound needs M > 0: no time, a time <= 0, data without
+    gradient (zero or uniform) or a radius a t past half the box is a
+    ValueError, raised before any free flow.
     """
     if len(times) == 0:
         raise ValueError("confinement times must not be empty")
-    if min(times) < 0:
-        raise ValueError(f"confinement times must be >= 0, got {min(times)}")
+    if not min(times) > 0:
+        raise ValueError(f"confinement times must be > 0, got {min(times)}")
     g = u0.grid
     hN = g.spacing**g.dim
     uk = scipy.fft.fftn(u0.values)
     l2, gr = (math.sqrt(v) for v in spectral_sq(uk, g))
+    if not gr > 0:
+        raise ValueError(f"confinement needs a nonzero gradient, got ||grad u0|| = {gr}")
     a = 16.0 * gr / l2
     outside = [t for t in times if a * t > g.box_length / 2]
     if outside:  # the first such t names the radius
@@ -421,18 +421,13 @@ def linear_confinement_check(u0: FieldState, times: Sequence[float]) -> Confinem
     rhs = np.empty(len(times))
     ext = np.empty(len(times))
     for i, t in enumerate(times):
-        shells_t = shells_0
-        if t != u0.time:
-            ut = free_flow_to_space(uk, g, t - u0.time)
-            shells_t = shell_mass(ut, g)
+        ut = free_flow_to_space(uk, g, t)
+        shells_t = shell_mass(ut, g)
         M = a * t
-        if M > 0:
-            psi = np.minimum(r / M, 1.0)
-        else:
-            psi = np.ones_like(r)  # t = 0: limits agree, both sides equal
+        psi = np.minimum(r / M, 1.0)
         lhs[i] = float(psi @ shells_t) * hN
-        rhs[i] = float(psi @ shells_0) * hN + (2.0 * t / M if M > 0 else 0.0) * l2 * gr
-        ext[i] = float(np.sum(shells_t[r > M])) * hN / l2**2 if M > 0 else 1.0
+        rhs[i] = float(psi @ shells_0) * hN + 2.0 * t / M * l2 * gr
+        ext[i] = float(np.sum(shells_t[r > M])) * hN / l2**2
     return ConfinementReport(
         tuple(times), a, lhs, rhs, float(np.max(lhs - rhs)), ext
     )

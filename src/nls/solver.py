@@ -180,7 +180,8 @@ def run(
 
     The nonlinear substep of the step [t, t + dt] runs the flow of
     model.kappa for step_weight(t, dt), and for dt without it (the conformal
-    v-problem's coefficient kappa h(t) only reparametrizes time).
+    v-problem's coefficient kappa h(t) only reparametrizes time).  A dt that
+    rounds away at the run's largest |t| is a ValueError.
     """
     if not state0.is_finite():
         raise ValueError("initial state contains non-finite values")
@@ -189,6 +190,9 @@ def run(
         probes.cutoffs.check_support(state0.grid)
     rec = TraceRecorder(model, probes)
     t_end = state0.time + cfg.t_end
+    t_far = max(abs(state0.time), abs(t_end))
+    if t_far + cfg.dt == t_far:
+        raise ValueError(f"a step of dt = {cfg.dt} cannot move the clock at t = {t_far:g}")
     dt = cfg.dt
     accepted = rejected = 0
     checkpoints = []

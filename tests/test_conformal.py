@@ -203,14 +203,15 @@ def test_v_problem_domain_guard():
         solve_v_problem(v0, m, SolverConfig(dt=1e-2, t_end=1.0))
 
 
-def test_equivalence_trivial_at_t_zero():
+def test_equivalence_refuses_t_star_zero(monkeypatch):
+    # at t* = 0 neither path runs, so there is no discrepancy to report
+    runs = []
+    monkeypatch.setattr(nls.conformal, "run", lambda *a, **k: runs.append(a))
     g = GridSpec(1, 40.0, 1024)
     m = ModelParams(1, 3.0, -1j)
-    rep = equivalence_experiment(
-        Gaussian(0.1, 1.0), g, m, SolverConfig(dt=1e-2, t_end=1.0), 0.0
-    )
-    assert rep.l2_discrepancy == 0.0
-    assert rep.s_star == 0.0
+    with pytest.raises(ValueError, match=r"pct.t_star must be in \(0, 1\), got 0.0"):
+        equivalence_experiment(Gaussian(0.1, 1.0), g, m, SolverConfig(dt=1e-2, t_end=1.0), 0.0)
+    assert runs == []
 
 
 def test_equivalence_free_flow():

@@ -32,6 +32,7 @@ from nls.field import (
     l2_norm,
     linear_propagate,
     make_initial,
+    radial_shells,
     shell_mass,
     spectral_sq,
 )
@@ -189,8 +190,14 @@ def test_median_radius_free_spreading_law():
 
 
 def test_median_radius_zero_field():
+    # a field whose half mass rounds to 0 has no median radius either: one
+    # shell of mass 5e-324 at r = 1.25 (half of it is 0.0), not R = 0
     g = GridSpec(1, 10.0, 64)
-    assert math.isnan(median_radius(shell_mass(np.zeros(g.shape, complex), g), g))
+    r2 = radial_shells(g)[0]
+    tiny = np.where(r2 == 1.25**2, 5e-324, 0.0)
+    assert np.count_nonzero(tiny) == 1
+    for shells in (shell_mass(np.zeros(g.shape, complex), g), tiny):
+        assert math.isnan(median_radius(shells, g))
 
 
 # ---------------------------------------------------------------------------
@@ -387,24 +394,36 @@ def test_rate_fit_needs_enough_rows():
 def test_confinement_free_gaussian():
     g = GridSpec(1, 400.0, 4096)
     u0 = make_initial(g, Gaussian(1.0, math.sqrt(2.0)))
-    rep = linear_confinement_check(u0, (0.0, 1.0, 2.0, 4.0, 8.0))
+    rep = linear_confinement_check(u0, (1.0, 2.0, 4.0, 8.0))
     assert rep.a == pytest.approx(8.0, rel=1e-10)  # 16 ||grad u0||/||u0|| = 8
     assert rep.max_violation <= 1e-8
-    assert abs(rep.lhs[0] - rep.rhs[0]) <= 1e-12  # t = 0: both sides equal
     assert rep.exterior_fraction[-1] <= 0.25
+
+
+def test_confinement_counts_time_from_its_state():
+    # criterion 10's Gaussian as a checkpoint at time 3 would load it: each
+    # time is elapsed from the state, so the report is the time-0 one, bit for bit
+    g = GridSpec(1, 400.0, 4096)
+    u0 = make_initial(g, Gaussian(1.0, math.sqrt(2.0)))
+    times = (1.0, 2.0, 4.0, 8.0)
+    want = linear_confinement_check(u0, times)
+    got = linear_confinement_check(u0.with_values(u0.values, time=3.0), times)
+    assert got.a == want.a and got.max_violation == want.max_violation
+    for name in ("lhs", "rhs", "exterior_fraction"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_confinement_matches_dense_reference():
     # the dense formula: |x| and psi_M on every node, one free propagation per time
     g = GridSpec(2, 60.0, 128)
     u0 = make_initial(g, Gaussian(1.0 + 0.5j, 1.5))
-    times = (0.0, 0.04, 0.08, 0.12)  # a t <= 1.3 against a ~ 10.7: mass outside
+    times = (0.04, 0.08, 0.12)  # a t <= 1.3 against a ~ 10.7: mass outside
     l2, gr = l2_norm(u0), math.sqrt(spectral_sq(scipy.fft.fftn(u0.values), g)[1])
     rep = linear_confinement_check(u0, times)
     assert rep.a == pytest.approx(16.0 * gr / l2, rel=1e-13)
     r, hN = np.sqrt(g.radius_squared()), g.spacing**g.dim
     m2_0 = np.abs(u0.values) ** 2
-    for i, t in enumerate(times[1:], start=1):
+    for i, t in enumerate(times):
         M = rep.a * t
         psi = np.minimum(r / M, 1.0)
         m2_t = np.abs(linear_propagate(u0, t).values) ** 2
@@ -431,6 +450,25 @@ def test_confinement_rejects_a_far_time_before_any_free_flow(monkeypatch):
     with pytest.raises(ValueError, match="a t = 800 exceeds box half-length"):
         linear_confinement_check(u0, (1.0, 2.0, 4.0, 100.0))
     assert calls == ["fftn"]
+
+
+@pytest.mark.parametrize(
+    "data,times,message,ffts",
+    [
+        (Gaussian(0.0, 1.0), (1.0,), r"nonzero gradient, got \|\|grad u0\|\| = 0", 1),
+        (PlaneWave(1.0, (0,)), (1.0,), r"nonzero gradient, got \|\|grad u0\|\| = 0", 1),
+        (Gaussian(1.0, 1.0), (0.0, 1.0), "confinement times must be > 0, got 0.0", 0),
+    ],
+    ids=["zero", "uniform", "t=0"],
+)
+def test_confinement_needs_a_positive_radius(monkeypatch, data, times, message, ffts):
+    # M = a t must be > 0: psi_M = min(|x|/M, 1) and the 2t/M term have no
+    # value at M = 0, so these are refused before any free flow
+    u0 = make_initial(GridSpec(1, 40.0, 256), data)
+    calls = counted_ffts(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        linear_confinement_check(u0, times)
+    assert calls == ["fftn"] * ffts
 
 
 # ---------------------------------------------------------------------------

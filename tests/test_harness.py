@@ -608,6 +608,27 @@ def test_cli_pct_check_checks_the_end_chirp_before_path_a(tmp_path, capsys, monk
     assert steps == [] and not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "line,new,message",
+    [
+        ("pct.t_star = 0.5", "pct.t_star = 0.0", "pct.t_star must be in (0, 1), got 0.0"),
+        ("pct.t_star = 0.5", "pct.t_star = 1.0", "pct.t_star must be in (0, 1), got 1.0"),
+        ("solver.dt = 1e-2\nsolver.t_end = 0.2", "solver.dt = 0.8\nsolver.t_end = 1.0",
+         "pct.t_star = 0.5 is below solver.dt = 0.8"),
+    ],
+    ids=["t*=0", "t*=1", "dt>t*"],
+)
+def test_cli_pct_check_needs_a_t_star_in_reach(tmp_path, capsys, monkeypatch, line, new, message):
+    # t* = 0 has no path to compare, and path A cannot step dt past t*: both
+    # are refused before any run, by the key the file set
+    runs = []
+    monkeypatch.setattr(nls.conformal, "run", lambda *a, **k: runs.append(a))
+    text = PCT_CONFIG.format(out=tmp_path / "o").replace(line, new)
+    assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert runs == [] and not (tmp_path / "o").exists()
+
+
 def test_cli_pct_check_after_a_blowup_reports_no_discrepancy(tmp_path, capsys):
     # alpha = 2 < 4/N, kappa = -i, A = 3: both paths stop long before t*, s*
     out = tmp_path / "o"
@@ -654,7 +675,7 @@ def test_cli_linear_confinement_kind(tmp_path, capsys):
 
 
 def test_negative_confinement_time_is_config_error(tmp_path, capsys):
-    # the bound holds for t >= 0; a negative t must not pass as the t = 0 case
+    # the bound needs M = a t > 0; a negative t must not pass
     text = (
         BASE_CONFIG.format(out=tmp_path / "o")
         .replace("kind = single", "kind = linear-confinement")
@@ -662,7 +683,32 @@ def test_negative_confinement_time_is_config_error(tmp_path, capsys):
     )
     assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 1
     err = capsys.readouterr().err
-    assert err == "configuration error: confinement times must be >= 0, got -8.0\n"
+    assert err == "configuration error: confinement times must be > 0, got -8.0\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "line,new,message",
+    [
+        ("initial.amplitude_re = 0.5", "initial.amplitude_re = 0.0",
+         "confinement needs a nonzero gradient, got ||grad u0|| = 0.0"),
+        ("initial.kind = gaussian", "initial.kind = plane_wave\ninitial.mode_index = 0",
+         "confinement needs a nonzero gradient, got ||grad u0|| = 0.0"),
+        ("initial.width = 1.0", "initial.width = 1.0\nconfinement.times = [0.0, 1.0]",
+         "confinement times must be > 0, got 0.0"),
+    ],
+    ids=["zero", "uniform", "t=0"],
+)
+def test_confinement_without_a_radius_is_config_error(tmp_path, capsys, line, new, message):
+    # M = a t = 0 has no psi_M: zero or uniform data (a = 0) and t = 0 are
+    # refused, not reported as lhs = rhs with all the mass outside
+    text = (
+        BASE_CONFIG.format(out=tmp_path / "o")
+        .replace("kind = single", "kind = linear-confinement")
+        .replace(line, new)
+    )
+    assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -844,6 +890,32 @@ def test_initial_from_file_through_config(tmp_path):
     assert run_experiment(load_config(write_config(tmp_path, text))) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] in ("ReachedTEnd", "BlowupDetected")
+
+
+def test_cli_dt_that_cannot_move_a_sidecar_clock_is_config_error(
+    tmp_path, capsys, monkeypatch
+):
+    # a checkpoint at t = 1e11 and dt = 1e-6: t + dt == t, so the run would
+    # step forever with its clock frozen; it is refused before the first step
+    def no_step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(nls.solver._StrangChain, "advance", no_step)
+    ckpt = tmp_path / "init.nlsf"
+    state = make_initial(GridSpec(1, 20.0, 64), Gaussian(0.5, 1.0))
+    save_checkpoint(ckpt, state.with_values(state.values, time=1e11), ModelParams(1, 1.0, -1j))
+    text = (
+        BASE_CONFIG.format(out=tmp_path / "o")
+        .replace("initial.kind = gaussian", f"initial.kind = file\ninitial.path = {ckpt}")
+        .replace("grid.box_length = 40.0", "grid.box_length = 20.0")
+        .replace("grid.points = 256", "grid.points = 64")
+        .replace("solver.dt = 1e-2\nsolver.t_end = 0.2", "solver.dt = 1e-6\nsolver.t_end = 1.0")
+    )
+    assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: a step of dt = 1e-06 cannot move the clock at t = 1e+11\n"
+    )
+    assert not (tmp_path / "o").exists()
 
 
 def check_sidecar_is_rejected(tmp_path, capsys, edit, message):
