@@ -311,7 +311,15 @@ def free_gaussian(grid: GridSpec, spec: Gaussian, t: float) -> FieldState:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint files
+# checkpoint files and JSON artifacts
+
+
+def write_json(path: Path, obj) -> None:
+    """obj as indent-2 UTF-8 JSON with a trailing newline, numpy arrays as
+    lists; makes path's directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    text = json.dumps(obj, indent=2, default=np.ndarray.tolist)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def save_checkpoint(
@@ -339,9 +347,7 @@ def save_checkpoint(
             "kappa_im": model.kappa.imag,
         },
     }
-    path.with_suffix(path.suffix + ".meta.json").write_text(
-        json.dumps(meta, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(path.with_suffix(path.suffix + ".meta.json"), meta)
 
 
 def load_checkpoint(path: Union[str, Path]):
@@ -350,8 +356,8 @@ def load_checkpoint(path: Union[str, Path]):
     A field file that cannot be read or has a bad header or size is a
     ValueError naming it.  So is a sidecar that cannot be read or is not a
     JSON object, or a field of it that is not a finite number (time, and the
-    model's dim, alpha and kappa parts), or a model ModelParams rejects or
-    whose dim is not an integer.
+    model's dim, alpha and kappa parts), or a model ModelParams rejects
+    (a dim that is not a positive integer among them).
     """
     path = Path(path)
     try:
@@ -402,12 +408,9 @@ def load_checkpoint(path: Union[str, Path]):
                 raise ValueError(f"{meta_path}: {name} must be a finite number, got {value!r}")
         time = float(numbers["time"])
         if "model" in meta:
-            model_dim = numbers["model.dim"]
             try:
-                if model_dim != int(model_dim):  # int() alone would truncate 1.5 to 1
-                    raise ValueError(f"dim must be a positive integer, got {model_dim!r}")
                 model = ModelParams(
-                    dim=int(model_dim),
+                    dim=numbers["model.dim"],
                     alpha=float(numbers["model.alpha"]),
                     kappa=complex(numbers["model.kappa_re"], numbers["model.kappa_im"]),
                 )

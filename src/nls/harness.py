@@ -13,7 +13,6 @@ raises becomes a ``Failed`` row and the other cells still finish.
 from __future__ import annotations
 
 import concurrent.futures
-import json
 import os
 import time as _time
 from pathlib import Path
@@ -25,7 +24,7 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig, ExperimentKind, resolved_config_dict
 from .conformal import equivalence_experiment
 from .diagnostics import linear_confinement_check, rate_fit
-from .field import make_initial, save_checkpoint
+from .field import make_initial, save_checkpoint, write_json
 from .solver import RunOutcome, RunStatus, run
 
 
@@ -81,14 +80,8 @@ def _run_single(cfg: ExperimentConfig, out_dir: Path, point: Optional[dict]) -> 
     }
     if point is not None:
         summary["verdict"] = _sweep_row(point, **_classify_run(cfg, outcome))
-    _write_json(out_dir / "summary.json", summary)
+    write_json(out_dir / "summary.json", summary)
     return summary
-
-
-def _write_json(path: Path, obj) -> None:
-    """obj as indent-2 JSON with a trailing newline; makes path's directory."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
 _ROW_KEYS = (
@@ -229,7 +222,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     if cfg.kind is ExperimentKind.SWEEP:
         rows = execute_sweep(cfg, out_root)
         table = dichotomy_table(rows, cfg.model.dim)
-        _write_json(out_root / "sweep_rows.json", rows)
+        write_json(out_root / "sweep_rows.json", rows)
         (out_root / "dichotomy.txt").write_text(table + "\n", encoding="utf-8")
         print(table)
         return 2 if any(r["classification"] == "Failed" for r in rows) else 0
@@ -237,7 +230,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         report = equivalence_experiment(
             cfg.initial, cfg.grid, cfg.model, cfg.solver, cfg.pct_t_star
         )
-        _write_json(out_root / "pct_report.json", report.as_dict())
+        write_json(out_root / "pct_report.json", report.as_dict())
         head = f"pct-check: t*={report.t_star:g} s*={report.s_star:g} "
         if report.l2_discrepancy is None:  # a path that stopped early has no u(s*)
             print(head + f"path A {report.path_a_status}, path B {report.path_b_status}")
@@ -246,10 +239,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         return 0
     state0 = make_initial(cfg.grid, cfg.initial)  # the last kind: linear-confinement
     rep = linear_confinement_check(state0, cfg.confinement_times)
-    _write_json(
-        out_root / "confinement.json",
-        {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(rep).items()},
-    )
+    write_json(out_root / "confinement.json", vars(rep))
     print(
         f"confinement: max violation {rep.max_violation:.3e}, "
         f"exterior fraction at t={rep.times[-1]:g}: {rep.exterior_fraction[-1]:.4f}"

@@ -1,5 +1,5 @@
-"""Census of the public surface: every public top-level function or class of
-src/nls is reachable from a run path.
+"""Census of src/nls: every top-level function or class, private helpers
+included, is reachable from a run path.
 
 The roots are `nls.cli:main` (the console script), the module-level
 statements of src/nls (`TABLE`, `CRITERIA`, ...; imports are not uses) and
@@ -60,8 +60,8 @@ def referenced_names(paths, strings: bool) -> set:
 
 
 def unreached(paths, roots: set) -> dict:
-    """name -> (file, line) of each public top-level definition in paths that
-    no chain of names leads to from roots or a module-level statement."""
+    """name -> (file, line) of each top-level definition in paths that no
+    chain of names leads to from roots or a module-level statement."""
     defs: dict = {}
     frontier = set(roots)
     for path in paths:
@@ -81,7 +81,7 @@ def unreached(paths, roots: set) -> dict:
         name: (file, node.lineno)
         for name, nodes in defs.items()
         for file, node in nodes
-        if name not in reached and not name.startswith("_")
+        if name not in reached
     }
 
 
@@ -92,7 +92,7 @@ def test_every_public_definition_has_a_caller():
         for name, where in unreached(sorted(SRC.glob("*.py")), roots).items()
         if name not in EXEMPT
     }
-    assert not unused, f"public definitions no run path reaches: {unused}"
+    assert not unused, f"definitions no run path reaches: {unused}"
 
 
 def test_an_island_called_only_by_dead_code_is_unreached(tmp_path):
@@ -106,11 +106,13 @@ def test_an_island_called_only_by_dead_code_is_unreached(tmp_path):
         "def dead():\n    return island()\n"
         "def island():\n    return os.sep\n"
         "def main():\n    return 0\n"
+        "def _orphan():\n    return 2\n"
     )
     assert unreached([mod], set()) == {
-        "dead": ("mod.py", 7), "island": ("mod.py", 9), "main": ("mod.py", 11)
+        "dead": ("mod.py", 7), "island": ("mod.py", 9), "main": ("mod.py", 11),
+        "_orphan": ("mod.py", 13),
     }
-    assert unreached([mod], ENTRY_POINTS | {"dead"}) == {}
+    assert unreached([mod], ENTRY_POINTS | {"dead", "_orphan"}) == {}
 
 
 def test_exemptions_are_still_definitions():

@@ -221,7 +221,7 @@ def test_equivalence_free_flow():
     rep = equivalence_experiment(Gaussian(0.1, 1.0), g, m, cfg, 0.5)
     assert rep.l2_discrepancy <= 1e-8
     assert rep.s_star == pytest.approx(1.0)
-    assert rep.u_grid.box_length == pytest.approx(80.0)
+    assert rep.grids["u"].box_length == pytest.approx(80.0)
 
 
 def test_equivalence_paths_record_only_their_first_and_last_rows(monkeypatch):

@@ -21,7 +21,7 @@ from nls.config import (
     parse_config_text,
     resolved_config_dict,
 )
-from nls.diagnostics import default_lambdas
+from nls.diagnostics import default_lambdas, linear_confinement_check
 from nls.exponents import ModelParams
 from nls.field import Gaussian, GridSpec, PlaneWave, make_initial, save_checkpoint
 from nls.harness import dichotomy_table, execute_sweep, run_experiment
@@ -535,18 +535,19 @@ def test_cli_simulate_and_exit_codes(tmp_path, capsys):
     assert err.startswith("configuration error: probes.scatter") and "Traceback" not in err
 
 
+PCT_FREE_CONFIG = (  # alpha = 3, kappa = 0: both paths reach t*, s*
+    BASE_CONFIG.replace("kind = single", "kind = pct-check")
+    .replace("model.alpha = 1.0", "model.alpha = 3.0")
+    .replace("model.kappa_im = -1.0", "model.kappa_im = 0.0")
+    .replace("grid.points = 256", "grid.points = 2048")
+    .replace("initial.amplitude_re = 0.5", "initial.amplitude_re = 0.1")
+    + "pct.t_star = 0.5\n"
+)
+
+
 def test_cli_pct_check(tmp_path, capsys):
     out = tmp_path / "pct"
-    text = (
-        BASE_CONFIG.format(out=out)
-        .replace("kind = single", "kind = pct-check")
-        .replace("model.alpha = 1.0", "model.alpha = 3.0")
-        .replace("model.kappa_im = -1.0", "model.kappa_im = 0.0")
-        .replace("grid.points = 256", "grid.points = 2048")
-        .replace("initial.amplitude_re = 0.5", "initial.amplitude_re = 0.1")
-        + "pct.t_star = 0.5\n"
-    )
-    p = write_config(tmp_path, text)
+    p = write_config(tmp_path, PCT_FREE_CONFIG.format(out=out))
     assert main(["simulate", "--config", str(p)]) == 0
     report = json.loads((out / "pct_report.json").read_text())
     assert report["l2_discrepancy"] <= 1e-8
@@ -629,17 +630,18 @@ def test_cli_pct_check_needs_a_t_star_in_reach(tmp_path, capsys, monkeypatch, li
     assert runs == [] and not (tmp_path / "o").exists()
 
 
+PCT_BLOWUP_CONFIG = (  # alpha = 2 < 4/N, kappa = -i, A = 3: both paths stop long before t*, s*
+    PCT_CONFIG.replace("grid.box_length = 40.0", "grid.box_length = 20.0")
+    .replace("solver.dt = 1e-2", "solver.dt = 1e-3")
+    .replace("solver.t_end = 0.2", "solver.t_end = 1.0")
+    .replace("initial.amplitude_re = 0.5", "initial.amplitude_re = 3.0")
+    + "solver.blowup_dt_floor = 1e-9\n"
+)
+
+
 def test_cli_pct_check_after_a_blowup_reports_no_discrepancy(tmp_path, capsys):
-    # alpha = 2 < 4/N, kappa = -i, A = 3: both paths stop long before t*, s*
     out = tmp_path / "o"
-    text = (
-        PCT_CONFIG.format(out=out)
-        .replace("grid.box_length = 40.0", "grid.box_length = 20.0")
-        .replace("solver.dt = 1e-2", "solver.dt = 1e-3")
-        .replace("solver.t_end = 0.2", "solver.t_end = 1.0")
-        .replace("initial.amplitude_re = 0.5", "initial.amplitude_re = 3.0")
-        + "solver.blowup_dt_floor = 1e-9\n"
-    )
+    text = PCT_BLOWUP_CONFIG.format(out=out)
     assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 2
     assert capsys.readouterr().out == (
         "pct-check: t*=0.5 s*=1 path A BlowupDetected, path B BlowupDetected\n"
@@ -656,22 +658,89 @@ def test_cli_accept_filter_quick(capsys):
     assert "[PASS]  1" in out
 
 
+CONFINEMENT_CONFIG = (  # criterion 10's Gaussian
+    BASE_CONFIG.replace("kind = single", "kind = linear-confinement")
+    .replace("grid.box_length = 40.0", "grid.box_length = 400.0")
+    .replace("grid.points = 256", "grid.points = 4096")
+    .replace("initial.amplitude_re = 0.5", "initial.amplitude_re = 1.0")
+    .replace("initial.width = 1.0", "initial.width = 1.4142135623730951")
+    + "confinement.times = [1.0, 2.0, 4.0, 8.0]\n"
+)
+
+
 def test_cli_linear_confinement_kind(tmp_path, capsys):
     out = tmp_path / "conf"
-    text = (
-        BASE_CONFIG.format(out=out)
-        .replace("kind = single", "kind = linear-confinement")
-        .replace("grid.box_length = 40.0", "grid.box_length = 400.0")
-        .replace("grid.points = 256", "grid.points = 4096")
-        .replace("initial.amplitude_re = 0.5", "initial.amplitude_re = 1.0")
-        .replace("initial.width = 1.0", "initial.width = 1.4142135623730951")
-        + "confinement.times = [1.0, 2.0, 4.0, 8.0]\n"
-    )
-    p = write_config(tmp_path, text)
+    p = write_config(tmp_path, CONFINEMENT_CONFIG.format(out=out))
     assert main(["simulate", "--config", str(p)]) == 0
     rep = json.loads((out / "confinement.json").read_text())
     assert rep["max_violation"] <= 1e-8
     assert rep["exterior_fraction"][-1] <= 0.25
+
+
+def test_json_artifact_layouts(tmp_path, capsys):
+    # each file's text, key order and trailing newline included: indent-2
+    # JSON of the literal below, arrays as lists
+    def check(path, expected):
+        assert path.read_text(encoding="utf-8") == json.dumps(expected, indent=2) + "\n"
+
+    def simulate(config, out):
+        path = write_config(tmp_path, config.format(out=out))
+        return main(["simulate", "--config", str(path)])
+
+    out = tmp_path / "reached"
+    assert simulate(PCT_FREE_CONFIG, out) == 0
+    disc = json.loads((out / "pct_report.json").read_text())["l2_discrepancy"]
+    assert disc <= 1e-8
+    check(out / "pct_report.json", {
+        "t_star": 0.5,
+        "s_star": 1.0,
+        "l2_discrepancy": disc,
+        "grids": {
+            "v": {"dim": 1, "box_length": 40.0, "points": 2048},
+            "u": {"dim": 1, "box_length": 80.0, "points": 2048},
+        },
+        "dt": 0.01,
+        "path_a_status": "ReachedTEnd",
+        "path_b_status": "ReachedTEnd",
+    })
+
+    out = tmp_path / "stopped"
+    assert simulate(PCT_BLOWUP_CONFIG, out) == 2
+    check(out / "pct_report.json", {
+        "t_star": 0.5,
+        "s_star": 1.0,
+        "l2_discrepancy": None,
+        "grids": {
+            "v": {"dim": 1, "box_length": 20.0, "points": 256},
+            "u": {"dim": 1, "box_length": 40.0, "points": 256},
+        },
+        "dt": 0.001,
+        "path_a_status": "BlowupDetected",
+        "path_b_status": "BlowupDetected",
+    })
+
+    out = tmp_path / "confinement"
+    assert simulate(CONFINEMENT_CONFIG, out) == 0
+    state = make_initial(GridSpec(1, 400.0, 4096), Gaussian(1.0, 1.4142135623730951))
+    rep = linear_confinement_check(state, (1.0, 2.0, 4.0, 8.0))
+    check(out / "confinement.json", {
+        "times": [1.0, 2.0, 4.0, 8.0],
+        "a": rep.a,
+        "lhs": rep.lhs.tolist(),
+        "rhs": rep.rhs.tolist(),
+        "max_violation": rep.max_violation,
+        "exterior_fraction": rep.exterior_fraction.tolist(),
+    })
+
+    state = make_initial(GridSpec(1, 40.0, 256), Gaussian(0.5, 1.0))
+    ckpt = tmp_path / "u.nlsf"
+    model = ModelParams(1, 2.0, complex(0.0, -1.0))  # -1j's real part is -0.0
+    save_checkpoint(ckpt, state.with_values(state.values, time=0.25), model)
+    check(tmp_path / "u.nlsf.meta.json", {
+        "time": 0.25,
+        "grid": {"dim": 1, "box_length": 40.0, "points": 256},
+        "model": {"dim": 1, "alpha": 2.0, "kappa_re": 0.0, "kappa_im": -1.0},
+    })
 
 
 def test_negative_confinement_time_is_config_error(tmp_path, capsys):
