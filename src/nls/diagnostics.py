@@ -135,7 +135,7 @@ def _x_norm(dk: np.ndarray, grid: GridSpec) -> float:
     The L2 and gradient parts come from dk by Parseval; only the |x| part
     needs d itself (one inverse FFT, overwriting dk).
     """
-    l2_sq, grad_sq = spectral_sq(dk, grid)
+    l2_sq, grad_sq, _ = spectral_sq(dk, grid)
     d = scipy.fft.ifftn(dk, overwrite_x=True)
     return math.sqrt(l2_sq + grad_sq + weighted_sq(shell_mass(d, grid), grid))
 
@@ -161,6 +161,7 @@ class DiagnosticTrace:
     R_t: np.ndarray  # median radius (nan when not probed or at zero mass)
     weighted_l2: np.ndarray
     scatter_residual: np.ndarray  # nan when not probed
+    tail_frac: np.ndarray  # top-octave share of mass^2; resolved while < 1e-8
     loc_mass: np.ndarray = dc_field(default_factory=lambda: np.empty((0, 0)))
     lambdas: tuple = ()
 
@@ -247,7 +248,7 @@ class TraceRecorder:
         """
         p = self.probes
         g = state.grid
-        grad = math.sqrt(spectral_sq(uk, g)[1])
+        l2_sq, grad_sq, top = spectral_sq(uk, g)
         scatter = math.nan
         if p.scatter:
             wk = free_flow(uk, g, -state.time, out=uk)  # F[w], w = e^{-it Lap} u
@@ -265,11 +266,12 @@ class TraceRecorder:
             t=state.time,
             mass=math.sqrt(float(np.sum(shells)) * g.spacing**g.dim),
             lp=float(np.sum(absu) * g.spacing**g.dim) ** (1.0 / q),
-            grad_l2=grad,
+            grad_l2=math.sqrt(grad_sq),
             linf=linf,
             R_t=median_radius(shells, g) if p.median_radius else math.nan,
             weighted_l2=math.sqrt(weighted_sq(shells, g)) if p.weighted_l2 else math.nan,
             scatter_residual=scatter,
+            tail_frac=top / l2_sq if l2_sq > 0 else 0.0,
             loc_mass=(
                 np.empty(0) if p.cutoffs is None else _localized_mass(shells, g, p.cutoffs)
             ),
@@ -328,17 +330,19 @@ def differential_inequality_ledger(
     """Slack of f_lambda' >= -2 nu lambda K_t - Im(kappa) lambda^(N a/2) f^(a+1).
 
     The inequality holds for true solutions; a normalized slack dipping well
-    below zero flags a solver (or resolution) bug.
+    below zero flags a solver (or resolution) bug.  cutoffs must hold the
+    lambdas the trace was recorded with, to the 6 digits a CSV keeps.
     """
     if len(trace) < 3:
         raise ValueError("need at least 3 trace rows")
     if model.kappa.imag >= 0:
         raise ValueError("ledger applies to Im(kappa) < 0")
-    if trace.loc_mass.shape[1] != len(cutoffs.lambdas):
+    lam = np.asarray(cutoffs.lambdas)
+    recorded = np.asarray(trace.lambdas)  # 6 significant digits when read from CSV
+    if recorded.shape != lam.shape or not np.allclose(recorded, lam, rtol=1e-5, atol=0):
         raise ValueError("trace was recorded without this cutoff family")
     al = model.alpha
     t, f = trace.t, trace.loc_mass  # rows x lambdas
-    lam = np.asarray(cutoffs.lambdas)
     fprime = (f[2:] - f[:-2]) / (t[2:] - t[:-2])[:, None]
     # f' >= gain - leak, both terms >= 0 (Im kappa < 0): scale sums magnitudes
     leak = 2.0 * cutoffs.nu * lam * trace.K_t[1:-1, None]
@@ -406,7 +410,7 @@ def linear_confinement_check(u0: FieldState, times: Sequence[float]) -> Confinem
     g = u0.grid
     hN = g.spacing**g.dim
     uk = scipy.fft.fftn(u0.values)
-    l2, gr = (math.sqrt(v) for v in spectral_sq(uk, g))
+    l2, gr = (math.sqrt(v) for v in spectral_sq(uk, g)[:2])
     if not gr > 0:
         raise ValueError(f"confinement needs a nonzero gradient, got ||grad u0|| = {gr}")
     a = 16.0 * gr / l2

@@ -158,11 +158,25 @@ def weighted_sq(shells: np.ndarray, grid: GridSpec) -> float:
     return float(radial_shells(grid)[0] @ shells) * grid.spacing**grid.dim
 
 
+@lru_cache(maxsize=4)
+def _top_octave(grid: GridSpec) -> np.ndarray:
+    """Read-only mask of the top-octave modes (some axis |m_d| >= M/4), FFT order."""
+    m = grid.points
+    top1d = np.abs(np.fft.fftfreq(m, d=1.0 / m)) >= m // 4  # integer mode numbers
+    mask = np.zeros(grid.shape, dtype=bool)
+    for axis in np.meshgrid(*[top1d] * grid.dim, indexing="ij", sparse=True):
+        mask |= axis
+    mask.flags.writeable = False
+    return mask
+
+
 def spectral_sq(uk: np.ndarray, grid: GridSpec) -> tuple:
-    """(||u||^2, ||grad u||^2) from uk = F[u], by Parseval.
+    """(||u||^2, ||grad u||^2, top-octave energy) from uk = F[u], by Parseval.
 
     The gradient part sums k_d^2 against the per-axis marginals of |uk|^2,
-    so the power spectrum is formed once and no N-D k array is needed.
+    so the power spectrum is formed once and no N-D k array is needed.  The
+    top-octave energy is summed over _top_octave(grid) directly, not as the
+    total less the rest, so a tail far below the total keeps its digits.
     """
     power = np.square(uk.real)
     power += np.square(uk.imag)
@@ -173,8 +187,9 @@ def spectral_sq(uk: np.ndarray, grid: GridSpec) -> tuple:
     for d in range(grid.dim):
         marginal = power.sum(axis=tuple(a for a in range(grid.dim) if a != d))
         grad += float(kd2 @ marginal)
+    top = float(np.sum(power, where=_top_octave(grid)))
     scale = grid.spacing**grid.dim / grid.points**grid.dim
-    return float(np.sum(marginal)) * scale, grad * scale
+    return float(np.sum(marginal)) * scale, grad * scale, top * scale
 
 
 @dataclass(frozen=True)
@@ -210,27 +225,6 @@ def linear_propagate(state: FieldState, dt: float) -> FieldState:
     """
     uk = scipy.fft.fftn(state.values)
     return state.with_values(free_flow_to_space(uk, state.grid, dt), time=state.time + dt)
-
-
-def spectral_tail_fraction(state: FieldState) -> float:
-    """Energy fraction in the top octave of modes (any axis |k_d| >= k_max/2).
-
-    The resolution criterion for production runs: a well-resolved field keeps
-    this below 1e-8.  Used instead of a dealiasing rule, which cannot be
-    exact for non-polynomial nonlinearities.
-    """
-    g = state.grid
-    uk = scipy.fft.fftn(state.values)
-    power = uk.real**2 + uk.imag**2
-    m = g.points
-    idx = np.fft.fftfreq(m, d=1.0 / m)  # integer mode numbers
-    top1d = np.abs(idx) >= m // 4  # top octave: |m_d| in [M/4, M/2]
-    mask = np.zeros(g.shape, dtype=bool)
-    for d in range(g.dim):
-        shape = (1,) * d + (-1,) + (1,) * (g.dim - 1 - d)
-        mask |= top1d.reshape(shape)
-    total = float(np.sum(power))
-    return float(np.sum(power[mask])) / total if total > 0 else 0.0
 
 
 def l2_norm(state: FieldState) -> float:

@@ -21,21 +21,7 @@ SRC = ROOT / "src" / "nls"
 PERFBENCH = ROOT / "perfbench"
 ENTRY_POINTS = {"main"}  # nls.cli:main
 
-# ROADMAP item 2 gives spectral_tail_fraction its run path (the resolution
-# certificate); until then only the README and a test read it
-EXEMPT = {"spectral_tail_fraction"}
-
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-
-
-def public_definitions() -> dict:
-    """name -> (file, line) of every public top-level def or class in src/nls."""
-    out = {}
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
-                out[node.name] = (path.name, node.lineno)
-    return out
 
 
 def names_in(tree, strings: bool) -> set:
@@ -87,11 +73,7 @@ def unreached(paths, roots: set) -> dict:
 
 def test_every_public_definition_has_a_caller():
     roots = ENTRY_POINTS | referenced_names(sorted(PERFBENCH.glob("*.py")), strings=True)
-    unused = {
-        name: where
-        for name, where in unreached(sorted(SRC.glob("*.py")), roots).items()
-        if name not in EXEMPT
-    }
+    unused = unreached(sorted(SRC.glob("*.py")), roots)
     assert not unused, f"definitions no run path reaches: {unused}"
 
 
@@ -113,7 +95,3 @@ def test_an_island_called_only_by_dead_code_is_unreached(tmp_path):
         "_orphan": ("mod.py", 13),
     }
     assert unreached([mod], ENTRY_POINTS | {"dead", "_orphan"}) == {}
-
-
-def test_exemptions_are_still_definitions():
-    assert EXEMPT <= set(public_definitions())

@@ -248,7 +248,7 @@ def test_mass_balance_needs_three_rows():
         t=tr.t[:2], mass=tr.mass[:2], lp=tr.lp[:2],
         grad_l2=tr.grad_l2[:2], K_t=tr.K_t[:2], linf=tr.linf[:2],
         R_t=tr.R_t[:2], weighted_l2=tr.weighted_l2[:2],
-        scatter_residual=tr.scatter_residual[:2],
+        scatter_residual=tr.scatter_residual[:2], tail_frac=tr.tail_frac[:2],
     )
     with pytest.raises(ValueError):
         mass_balance_check(short, model)
@@ -276,7 +276,7 @@ def synthetic_uniform_trace(model, grid, fam, times):
         t=np.asarray(times), mass=np.asarray(mass), lp=np.asarray(lp),
         grad_l2=z, K_t=z, linf=np.full(n, np.nan), R_t=np.full(n, np.nan),
         weighted_l2=np.full(n, np.nan), scatter_residual=np.full(n, np.nan),
-        lambdas=fam.lambdas, loc_mass=np.array(rows_f),
+        tail_frac=z, lambdas=fam.lambdas, loc_mass=np.array(rows_f),
     )
 
 
@@ -341,6 +341,25 @@ def test_ledger_requires_amplifying_sign():
         differential_inequality_ledger(tr, model, fam)
 
 
+def test_ledger_refuses_another_cutoff_family():
+    # loc_mass holds f at the recorded lambdas only: the same count of other
+    # lambdas would read those columns as if they were f at the new scales
+    g = GridSpec(1, 40.0, 256)
+    model = ModelParams(1, 1.0, -1j)
+    fam = CutoffFamily.build(1, default_lambdas(40.0, 1.0))
+    out = run_simple(model, Gaussian(0.5, 1.0), g, 1e-2, 0.3, cadence=3,
+                     probes=ProbeSet(cutoffs=fam))
+    own = differential_inequality_ledger(out.trace, model, fam)
+    # the CSV header keeps 6 significant digits of each lambda
+    back = DiagnosticTrace.from_csv(out.trace.to_csv())
+    assert back.lambdas != fam.lambdas
+    assert differential_inequality_ledger(back, model, fam) == own
+    for lambdas in ([100 * v for v in fam.lambdas], fam.lambdas[:-1],
+                    fam.lambdas[:-1] + (fam.lambdas[-1] * (1 + 1e-4),)):
+        with pytest.raises(ValueError, match="trace was recorded without this cutoff family"):
+            differential_inequality_ledger(out.trace, model, CutoffFamily.build(1, lambdas))
+
+
 # ---------------------------------------------------------------------------
 # rate fit
 
@@ -354,6 +373,7 @@ def synthetic_power_trace(power, n=200, t0=1e-2, t1=100.0, noise=0.0, seed=0):
     return DiagnosticTrace(
         t=t, mass=np.ones(n), lp=np.ones(n), grad_l2=K, K_t=K,
         linf=z, R_t=z, weighted_l2=z, scatter_residual=np.full(n, np.nan),
+        tail_frac=z,
     )
 
 
@@ -529,7 +549,7 @@ def test_trace_csv_columns_read_by_name():
     order = list(reversed(range(len(table[0]))))
     permuted = "\n".join(
         ",".join([r[j] for j in order[:4]] + [name] + [r[j] for j in order[4:]])
-        for r, name in zip(table, ["tail_frac"] + ["0.0"] * len(table))
+        for r, name in zip(table, ["energy"] + ["0.0"] * len(table))
     )
     back = DiagnosticTrace.from_csv(permuted)
     for name in ("t", "mass", "lp", "grad_l2", "K_t", "linf", "R_t",
@@ -557,9 +577,10 @@ def test_trace_csv_absent_fields_empty():
     model = ModelParams(1, 1.0, -1j)
     probes = ProbeSet(median_radius=False, weighted_l2=False)
     out = run_simple(model, Gaussian(0.5, 1.0), g, 1e-2, 0.1, probes=probes)
-    line = out.trace.to_csv().splitlines()[1]
+    header, line = (ln.split(",") for ln in out.trace.to_csv().splitlines()[:2])
+    row = dict(zip(header, line))
     # R_t and weighted_l2 columns are empty, scatter too
-    assert line.endswith(",,,")
+    assert [row[n] for n in ("R_t", "weighted_l2", "scatter_residual")] == ["", "", ""]
 
 
 def test_median_radius_2d_gaussian():

@@ -1220,7 +1220,7 @@ def make_trace(times, K, scatter=None):
         t=np.asarray(times, float), mass=np.ones(n), lp=np.ones(n),
         grad_l2=K, K_t=np.maximum.accumulate(K), linf=np.ones(n),
         R_t=np.full(n, np.nan), weighted_l2=np.full(n, np.nan),
-        scatter_residual=sc,
+        scatter_residual=sc, tail_frac=np.zeros(n),
     )
 
 

@@ -328,13 +328,11 @@ def test_solver_config_validation():
 
 def test_spectral_tail_resolution_criterion():
     # production-style run stays resolved: top-octave energy < 1e-8
-    from nls.field import spectral_tail_fraction
-
     g = GridSpec(1, 40.0, 1024)
     model = ModelParams(1, 1.0, -1j)
     st = make_initial(g, Gaussian(0.5, 1.0))
     out = run(st, model, SolverConfig(dt=1e-3, t_end=2.0, diagnostics_cadence=QUIET))
-    assert spectral_tail_fraction(out.final_state) < 1e-8
+    assert out.trace.tail_frac[-1] < 1e-8
 
 
 def test_run_2d_kappa_zero_matches_linear_flow():

@@ -214,6 +214,37 @@ def test_row_norms_are_bit_equal_to_lp_norm_and_max(grid, alpha):
         assert linf == float(np.max(np.abs(s.values)))
 
 
+def dense_tail_share(uk, grid):
+    """Top-octave share of |uk|^2 through a dense mask: some axis |m_d| >= M/4."""
+    power = uk.real**2 + uk.imag**2
+    top1d = np.abs(np.fft.fftfreq(grid.points, d=1.0 / grid.points)) >= grid.points // 4
+    mask = np.zeros(grid.shape, dtype=bool)
+    for d in range(grid.dim):
+        mask |= top1d.reshape((1,) * d + (-1,) + (1,) * (grid.dim - 1 - d))
+    return float(np.sum(power[mask])) / float(np.sum(power))
+
+
+@pytest.mark.parametrize("grid", [c[0] for c in CASES], ids=["1d", "2d", "3d"])
+def test_tail_frac_is_the_dense_mask_share(grid):
+    # against a copy of the spectrum the row is handed: at tails near 1e-29
+    # the chain's spectrum and a fresh FFT of the state differ in every digit
+    model = ModelParams(grid.dim, 1.0, -1j)
+    shares = []
+    for width in (1.5, grid.spacing):  # resolved, then one spacing wide
+        st = make_initial(grid, Gaussian(1.0, width))
+        chain = _StrangChain(st, scipy.fft.fftn(st.values))
+        assert chain.advance(model, 1e-3, 1e-3, 1e6)
+        state, uk = chain.row()
+        want = dense_tail_share(uk.copy(), grid)
+        rec = TraceRecorder(model, ProbeSet(scatter=True))
+        rec.record(state, uk)
+        shares.append(rec.rows[-1]["tail_frac"])
+        assert shares[-1] == pytest.approx(want, rel=1e-13, abs=0)
+    assert shares[0] < 1e-8 and shares[1] > 1e-3
+    rec.record(FieldState(grid, np.zeros(grid.shape, complex)), np.zeros(grid.shape, complex))
+    assert rec.rows[-1]["tail_frac"] == 0.0
+
+
 @pytest.mark.parametrize("scatter", [False, True])
 def test_one_fft_per_row(monkeypatch, scatter):
     # a row as run() records it: the chain's spectrum (no FFT) and the state
