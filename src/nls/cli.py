@@ -22,18 +22,6 @@ EXIT_CONFIG = 1
 EXIT_RUN = 2
 EXIT_ACCEPT = 3
 
-GNUPLOT_SCRIPT = """\
-# gnuplot script for trace.csv; run: gnuplot -persist plot_trace.gp
-set datafile separator ','
-set key autotitle columnhead outside
-set logscale y
-set xlabel 't'
-plot 'trace.csv' using 1:2 with lines, \\
-     '' using 1:4 with lines, \\
-     '' using 1:5 with lines, \\
-     '' using 1:6 with lines
-"""
-
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -162,12 +150,14 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"--gnuplot plots a single run's trace; kind = {cfg.kind.value} writes none"
             )
+        from .diagnostics import DiagnosticTrace
         from .harness import run_experiment
 
-        code = run_experiment(cfg)
+        ok = run_experiment(cfg)
         if args.gnuplot:
-            (Path(cfg.output_dir) / "plot_trace.gp").write_text(GNUPLOT_SCRIPT, encoding="utf-8")
-        return code
+            gp = Path(cfg.output_dir) / "plot_trace.gp"
+            gp.write_text(DiagnosticTrace.gnuplot_script(), encoding="utf-8")
+        return EXIT_OK if ok else EXIT_RUN
     except ValueError as exc:  # ConfigError and InfeasibleExponentError included
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -10,7 +10,7 @@ lambda^(-N/2) exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -162,8 +162,8 @@ class DiagnosticTrace:
     weighted_l2: np.ndarray
     scatter_residual: np.ndarray  # nan when not probed
     tail_frac: np.ndarray  # top-octave share of mass^2; resolved while < 1e-8
-    loc_mass: np.ndarray = dc_field(default_factory=lambda: np.empty((0, 0)))
-    lambdas: tuple = ()
+    loc_mass: np.ndarray  # rows x lambdas
+    lambdas: tuple
 
     @classmethod
     def columns(cls) -> list:
@@ -191,26 +191,33 @@ class DiagnosticTrace:
 
     @classmethod
     def from_csv(cls, text: str) -> "DiagnosticTrace":
-        """Parse to_csv output; columns are found by header name, in any order."""
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        header = lines[0].split(",")
-        where = {name: j for j, name in enumerate(header)}
-        missing = [name for name in cls.columns() if name not in where]
-        if missing:
-            raise ValueError(f"trace CSV lacks columns {missing}")
-        loc_cols = [j for j, name in enumerate(header) if name.startswith("loc_mass_")]
-        rows = [ln.split(",") for ln in lines[1:]]
-
-        def col(j):
-            return np.array(
-                [float(r[j]) if r[j] != "" else math.nan for r in rows]
-            )
-
-        loc = np.array([col(j) for j in loc_cols]).T.reshape(len(rows), len(loc_cols))
+        """Parse to_csv output; a header in any other layout is a ValueError."""
+        names = cls.columns()
+        head, *lines = text.splitlines()
+        fixed, *lambdas = head.split(",loc_mass_λ=")
+        if fixed != ",".join(names) or any("," in v for v in lambdas):
+            raise ValueError(f"trace CSV header {head!r} is not the layout to_csv writes")
+        rows = [[float(v) if v != "" else math.nan for v in ln.split(",")] for ln in lines]
+        values = np.array(rows).reshape(len(rows), len(names) + len(lambdas))
         return cls(
-            **{name: col(where[name]) for name in cls.columns()},
-            loc_mass=loc,
-            lambdas=tuple(float(header[j].split("=", 1)[1]) for j in loc_cols),
+            *values[:, : len(names)].T,
+            loc_mass=values[:, len(names):],
+            lambdas=tuple(float(v) for v in lambdas),
+        )
+
+    @classmethod
+    def gnuplot_script(cls) -> str:
+        """gnuplot script for trace.csv: mass, grad_l2, K_t and linf against t, log y."""
+        col = {name: j + 1 for j, name in enumerate(cls.columns())}  # gnuplot counts from 1
+        plots = [f"using {col['t']}:{col[y]} with lines"
+                 for y in ("mass", "grad_l2", "K_t", "linf")]
+        return (
+            "# gnuplot script for trace.csv; run: gnuplot -persist plot_trace.gp\n"
+            "set datafile separator ','\n"
+            "set key autotitle columnhead outside\n"
+            "set logscale y\n"
+            "set xlabel 't'\n"
+            "plot 'trace.csv' " + ", \\\n     '' ".join(plots) + "\n"
         )
 
 
@@ -228,6 +235,8 @@ class ProbeSet:
     def __post_init__(self):
         if self.store_states_every < 0:
             raise ValueError(f"checkpoint cadence must be >= 0, got {self.store_states_every}")
+        if not all(math.isfinite(t) for t in self.store_at_times):
+            raise ValueError(f"store_at_times must be finite, got {self.store_at_times}")
 
 
 class TraceRecorder:

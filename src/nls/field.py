@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Union
@@ -321,7 +321,7 @@ def save_checkpoint(
     state: FieldState,
     model: ModelParams,
 ) -> None:
-    """Write the binary field file plus its .meta.json sidecar."""
+    """Write the binary field file, whose header holds the grid, plus its .meta.json sidecar."""
     path = Path(path)
     g = state.grid
     header = _HEADER.pack(
@@ -333,7 +333,6 @@ def save_checkpoint(
         np.ascontiguousarray(state.values, dtype="<c16").tofile(f)
     meta = {
         "time": state.time,
-        "grid": asdict(g),
         "model": {
             "dim": model.dim,
             "alpha": model.alpha,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
+import re
 import time as _time
 from pathlib import Path
 from typing import Optional
@@ -24,7 +25,7 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig, ExperimentKind, resolved_config_dict
 from .conformal import equivalence_experiment
 from .diagnostics import linear_confinement_check, rate_fit
-from .field import make_initial, save_checkpoint, write_json
+from .field import FromFile, make_initial, save_checkpoint, write_json
 from .solver import RunOutcome, RunStatus, run
 
 
@@ -44,14 +45,38 @@ def worker_count() -> int:
     return min(8, cpus)
 
 
+def _checkpoint_index(name: str) -> Optional[int]:
+    """i when name is checkpoint_{i:04d}.nlsf or its .meta.json sidecar, else None."""
+    m = re.fullmatch(r"checkpoint_([0-9]{4,})\.nlsf(\.meta\.json)?", name)
+    return int(m[1]) if m and m[1] == f"{int(m[1]):04d}" else None
+
+
 def execute_single(cfg: ExperimentConfig, out_dir: Path) -> RunOutcome:
-    """One solver run with the configured probes; writes its artifacts to out_dir."""
+    """One solver run with the configured probes; writes its artifacts to out_dir.
+
+    The n states it stores replace those of an earlier run there: the files
+    checkpoint_NNNN.nlsf and their sidecars with NNNN >= n are removed.  An
+    initial file that is one of the files the run writes or removes is a
+    ConfigError raised before anything runs.
+    """
+    if isinstance(cfg.initial, FromFile):
+        src = Path(cfg.initial.path).resolve()
+        if src.parent == out_dir.resolve() and (
+            src.name in ("trace.csv", "summary.json") or _checkpoint_index(src.name) is not None
+        ):
+            raise ConfigError(
+                f"initial.path {cfg.initial.path!r} is a file the run writes in {out_dir}"
+            )
     state0 = make_initial(cfg.grid, cfg.initial)
     outcome = run(state0, cfg.model, cfg.solver, probes=cfg.probes)
     out_dir.mkdir(parents=True, exist_ok=True)
     outcome.trace.write_csv(out_dir / "trace.csv")
     for i, st in enumerate(outcome.checkpoints):
         save_checkpoint(out_dir / f"checkpoint_{i:04d}.nlsf", st, cfg.model)
+    for path in out_dir.iterdir():  # the stale states of an earlier run
+        i = _checkpoint_index(path.name)
+        if i is not None and i >= len(outcome.checkpoints):
+            path.unlink()
     return outcome
 
 
@@ -203,12 +228,14 @@ def execute_sweep(cfg: ExperimentConfig, out_root: Path) -> list:
         return [_cell_row(cfg, p, fut) for p, fut in zip(points, futures)]
 
 
-def run_experiment(cfg: ExperimentConfig) -> int:
-    """Dispatch on experiment kind; returns a process exit code (0 ok, 2 fail).
+def run_experiment(cfg: ExperimentConfig) -> bool:
+    """Dispatch on experiment kind; returns whether the experiment succeeded.
 
-    An output_dir that is, or lies under, an existing non-directory is a
-    ConfigError raised before anything runs.
+    An empty output_dir, or one that is, or lies under, an existing
+    non-directory, is a ConfigError raised before anything runs.
     """
+    if not cfg.output_dir:  # Path("") is the working directory
+        raise ConfigError("output_dir must not be empty")
     out_root = Path(cfg.output_dir)  # created only once there is a result to write
     for d in (out_root, *out_root.parents):
         if d.exists() and not d.is_dir():
@@ -218,14 +245,14 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         print(f"status: {summary['status']}  final t = {summary['final_time']:.6g}")
         if summary["blowup_time_estimate"] is not None:
             print(f"blowup time estimate: {summary['blowup_time_estimate']:.10g}")
-        return 0
+        return True
     if cfg.kind is ExperimentKind.SWEEP:
         rows = execute_sweep(cfg, out_root)
         table = dichotomy_table(rows, cfg.model.dim)
         write_json(out_root / "sweep_rows.json", rows)
         (out_root / "dichotomy.txt").write_text(table + "\n", encoding="utf-8")
         print(table)
-        return 2 if any(r["classification"] == "Failed" for r in rows) else 0
+        return all(r["classification"] != "Failed" for r in rows)
     if cfg.kind is ExperimentKind.PCT_CHECK:
         report = equivalence_experiment(
             cfg.initial, cfg.grid, cfg.model, cfg.solver, cfg.pct_t_star
@@ -234,9 +261,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         head = f"pct-check: t*={report.t_star:g} s*={report.s_star:g} "
         if report.l2_discrepancy is None:  # a path that stopped early has no u(s*)
             print(head + f"path A {report.path_a_status}, path B {report.path_b_status}")
-            return 2
+            return False
         print(head + f"rel L2 discrepancy {report.l2_discrepancy:.3e}")
-        return 0
+        return True
     state0 = make_initial(cfg.grid, cfg.initial)  # the last kind: linear-confinement
     rep = linear_confinement_check(state0, cfg.confinement_times)
     write_json(out_root / "confinement.json", vars(rep))
@@ -244,4 +271,4 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         f"confinement: max violation {rep.max_violation:.3e}, "
         f"exterior fraction at t={rep.times[-1]:g}: {rep.exterior_fraction[-1]:.4f}"
     )
-    return 0
+    return True

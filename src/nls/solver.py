@@ -181,7 +181,10 @@ def run(
     The nonlinear substep of the step [t, t + dt] runs the flow of
     model.kappa for step_weight(t, dt), and for dt without it (the conformal
     v-problem's coefficient kappa h(t) only reparametrizes time).  A dt that
-    rounds away at the run's largest |t| is a ValueError.
+    rounds away at the run's largest |t| is a ValueError, and so is a
+    store_at_times target outside [start, start + cfg.t_end] by more than
+    the run's same-time tolerance eps; a target within eps of the start is
+    the start.
     """
     if not state0.is_finite():
         raise ValueError("initial state contains non-finite values")
@@ -193,12 +196,17 @@ def run(
     t_far = max(abs(state0.time), abs(t_end))
     if t_far + cfg.dt == t_far:
         raise ValueError(f"a step of dt = {cfg.dt} cannot move the clock at t = {t_far:g}")
+    eps = 1e-12 * max(1.0, abs(t_end))  # times closer than eps are one time
+    outside = [t for t in probes.store_at_times if not state0.time - eps <= t <= t_end + eps]
+    if outside:
+        raise ValueError(
+            f"store_at_times {outside} lie outside the run [{state0.time:g}, {t_end:g}]"
+        )
     dt = cfg.dt
     accepted = rejected = 0
     checkpoints = []
     chain = _StrangChain(state0, scipy.fft.fftn(state0.values))
     rec.record(*chain.row())
-    eps = 1e-12 * max(1.0, abs(t_end))  # times closer than eps are one time
     targets = sorted({t for t in probes.store_at_times if t > state0.time + eps})
     every = probes.store_states_every
     if every or probes.store_at_times:

@@ -249,6 +249,7 @@ def test_mass_balance_needs_three_rows():
         grad_l2=tr.grad_l2[:2], K_t=tr.K_t[:2], linf=tr.linf[:2],
         R_t=tr.R_t[:2], weighted_l2=tr.weighted_l2[:2],
         scatter_residual=tr.scatter_residual[:2], tail_frac=tr.tail_frac[:2],
+        loc_mass=tr.loc_mass[:2], lambdas=tr.lambdas,
     )
     with pytest.raises(ValueError):
         mass_balance_check(short, model)
@@ -373,7 +374,7 @@ def synthetic_power_trace(power, n=200, t0=1e-2, t1=100.0, noise=0.0, seed=0):
     return DiagnosticTrace(
         t=t, mass=np.ones(n), lp=np.ones(n), grad_l2=K, K_t=K,
         linf=z, R_t=z, weighted_l2=z, scatter_residual=np.full(n, np.nan),
-        tail_frac=z,
+        tail_frac=z, loc_mass=np.empty((n, 0)), lambdas=(),
     )
 
 
@@ -537,7 +538,10 @@ def test_trace_csv_roundtrip():
     assert np.array_equal(back.loc_mass, out.trace.loc_mass)
 
 
-def test_trace_csv_columns_read_by_name():
+def test_trace_csv_reads_only_the_written_layout():
+    # from_csv reads exactly what to_csv writes; a permuted header, an unknown
+    # column (first, between the scalars, or among the loc_mass columns) and
+    # a missing one are each refused with the header quoted
     g = GridSpec(1, 40.0, 256)
     model = ModelParams(1, 1.0, -1j)
     fam = CutoffFamily.build(1, (0.5, 1.0, 2.0))
@@ -545,21 +549,33 @@ def test_trace_csv_columns_read_by_name():
                      probes=ProbeSet(cutoffs=fam, scatter=True))
     text = out.trace.to_csv()
     table = [ln.split(",") for ln in text.splitlines()]
-    # reversed columns, plus one the reader does not know, in the middle
-    order = list(reversed(range(len(table[0]))))
-    permuted = "\n".join(
-        ",".join([r[j] for j in order[:4]] + [name] + [r[j] for j in order[4:]])
-        for r, name in zip(table, ["energy"] + ["0.0"] * len(table))
-    )
-    back = DiagnosticTrace.from_csv(permuted)
-    for name in ("t", "mass", "lp", "grad_l2", "K_t", "linf", "R_t",
-                 "weighted_l2", "scatter_residual"):
-        assert np.array_equal(getattr(back, name), getattr(out.trace, name),
-                              equal_nan=True), name
-    assert back.lambdas == (2.0, 1.0, 0.5)
-    assert np.array_equal(back.loc_mass, out.trace.loc_mass[:, ::-1])
-    with pytest.raises(ValueError, match="lacks columns"):
-        DiagnosticTrace.from_csv(text.replace("grad_l2", "grad"))
+    width = len(table[0])
+
+    def reorder(order, extra=None):
+        rows = [[r[j] for j in order] for r in table]
+        if extra is not None:
+            at, name = extra
+            for r, v in zip(rows, [name] + ["0.0"] * len(rows)):
+                r.insert(at, v)
+        return "\n".join(",".join(r) for r in rows) + "\n"
+
+    assert reorder(range(width)) == text
+    n = len(DiagnosticTrace.columns())
+    swapped = list(range(width))
+    swapped[2], swapped[3] = 3, 2
+    bad = [
+        reorder(reversed(range(width))),
+        reorder(swapped),
+        reorder(range(width), (0, "energy")),
+        reorder(range(width), (4, "energy")),
+        reorder(range(width), (n + 1, "energy")),
+        reorder(range(width), (width, "energy")),
+        text.replace("grad_l2", "grad"),
+    ]
+    for csv in bad:
+        head = csv.splitlines()[0]
+        with pytest.raises(ValueError, match=re.escape(repr(head))):
+            DiagnosticTrace.from_csv(csv)
 
 
 def test_readme_trace_header_matches_to_csv():

@@ -231,21 +231,21 @@ def test_sweep_config_validation(tmp_path):
 def test_single_run_artifacts_and_determinism(tmp_path):
     out = tmp_path / "runA"
     p = write_config(tmp_path, BASE_CONFIG.format(out=out))
-    assert run_experiment(load_config(p)) == 0
+    assert run_experiment(load_config(p)) is True
     trace1 = (out / "trace.csv").read_bytes()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "ReachedTEnd"
     assert summary["config"]["solver"]["blowup_linf_threshold"] == 1e6  # defaults echoed
     assert summary["code_version"]
     # rerun reproduces the trace byte for byte
-    assert run_experiment(load_config(p)) == 0
+    assert run_experiment(load_config(p)) is True
     assert (out / "trace.csv").read_bytes() == trace1
 
 
 def test_checkpoints_written(tmp_path):
     out = tmp_path / "runC"
     text = BASE_CONFIG.format(out=out) + "probes.checkpoint_every = 10\n"
-    assert run_experiment(load_config(write_config(tmp_path, text))) == 0
+    assert run_experiment(load_config(write_config(tmp_path, text))) is True
     files = sorted(out.glob("checkpoint_*.nlsf"))
     assert len(files) >= 2
     assert all(f.with_suffix(f.suffix + ".meta.json").exists() for f in files)
@@ -351,7 +351,7 @@ def test_sweep_failed_cell_keeps_the_others(tmp_path, capsys):
         BASE_CONFIG.format(out=out).replace("kind = single", "kind = sweep")
         + "sweep.points = [64, 100]\n"
     )
-    assert run_experiment(load_config(write_config(tmp_path, text))) == 2
+    assert run_experiment(load_config(write_config(tmp_path, text))) is False
     rows = json.loads((out / "sweep_rows.json").read_text())
     assert [r["point"] for r in rows] == [{"points": 64}, {"points": 100}]
     good, bad = rows
@@ -392,7 +392,7 @@ def test_verdict_and_failed_rows_share_one_key_sequence(tmp_path, capsys):
         BASE_CONFIG.format(out=out).replace("kind = single", "kind = sweep")
         + "sweep.points = [64, 100]\n"
     )
-    assert run_experiment(load_config(write_config(tmp_path, text))) == 2
+    assert run_experiment(load_config(write_config(tmp_path, text))) is False
     good, bad = json.loads((out / "sweep_rows.json").read_text())
     keys = [
         "alpha", "kappa_im", "status", "fitted_slope", "theoretical_exponent",
@@ -738,7 +738,6 @@ def test_json_artifact_layouts(tmp_path, capsys):
     save_checkpoint(ckpt, state.with_values(state.values, time=0.25), model)
     check(tmp_path / "u.nlsf.meta.json", {
         "time": 0.25,
-        "grid": {"dim": 1, "box_length": 40.0, "points": 256},
         "model": {"dim": 1, "alpha": 2.0, "kappa_re": 0.0, "kappa_im": -1.0},
     })
 
@@ -826,6 +825,17 @@ def test_gnuplot_script_emitted(tmp_path):
     assert main(["simulate", "--config", str(p), "--gnuplot"]) == 0
     script = (out / "plot_trace.gp").read_text()
     assert "trace.csv" in script and "plot" in script
+
+
+def test_gnuplot_script_plots_columns_by_header_position(tmp_path):
+    # gnuplot counts columns from 1; each `using x:y` names trace.csv's header
+    out = tmp_path / "gp"
+    p = write_config(tmp_path, BASE_CONFIG.format(out=out))
+    assert main(["simulate", "--config", str(p), "--gnuplot"]) == 0
+    header = (out / "trace.csv").read_text().splitlines()[0].split(",")
+    pairs = re.findall(r"using (\d+):(\d+)", (out / "plot_trace.gp").read_text())
+    plotted = [(header[int(x) - 1], header[int(y) - 1]) for x, y in pairs]
+    assert plotted == [("t", name) for name in ("mass", "grad_l2", "K_t", "linf")]
 
 
 @pytest.mark.parametrize("command", ["sweep", "pct-check"])
@@ -932,7 +942,7 @@ def test_sweep_dt_below_floor_is_a_failed_row(tmp_path, capsys):
         BASE_CONFIG.format(out=out).replace("kind = single", "kind = sweep")
         + "sweep.dt = [0.01, 1e-13]\n"
     )
-    assert run_experiment(load_config(write_config(tmp_path, text))) == 2
+    assert run_experiment(load_config(write_config(tmp_path, text))) is False
     good, bad = json.loads((out / "sweep_rows.json").read_text())
     assert good["status"] == "ReachedTEnd"
     assert bad["classification"] == "Failed" and bad["status"] is None
@@ -956,9 +966,89 @@ def test_initial_from_file_through_config(tmp_path):
         "initial.kind = gaussian",
         f"initial.kind = file\ninitial.path = {ckpt}",
     )
-    assert run_experiment(load_config(write_config(tmp_path, text))) == 0
+    assert run_experiment(load_config(write_config(tmp_path, text))) is True
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] in ("ReachedTEnd", "BlowupDetected")
+
+
+def simulate_checkpoints(tmp_path, out, every, initial="initial.kind = gaussian", kind="single"):
+    """nls simulate on BASE_CONFIG cut to t_end 0.1 (10 steps), storing every
+    `every` steps; returns the exit code."""
+    text = (
+        BASE_CONFIG.format(out=out)
+        .replace("kind = single", f"kind = {kind}")
+        .replace("solver.t_end = 0.2", "solver.t_end = 0.1")
+        .replace("initial.kind = gaussian", initial)
+        + f"probes.checkpoint_every = {every}\n"
+        + ("sweep.alpha = [1.0]\n" if kind == "sweep" else "")
+    )
+    return main(["simulate", "--config", str(write_config(tmp_path, text))])
+
+
+def test_rerun_removes_stale_checkpoints(tmp_path, capsys):
+    # every 2 of 10 steps stores 0000-0005; every 5 stores 0000-0002, and
+    # the first run's 0003-0005 and their sidecars go; other names stay
+    out = tmp_path / "o"
+    assert simulate_checkpoints(tmp_path, out, 2) == 0
+    assert sorted(p.name for p in out.glob("checkpoint_*.nlsf")) == [
+        f"checkpoint_{i:04d}.nlsf" for i in range(6)
+    ]
+    keep = ["checkpoint_00005.nlsf", "checkpoint_0005.nlsf.bak", "checkpoint_0004.txt", "notes.txt"]
+    for name in keep:
+        (out / name).write_text("x")
+    assert simulate_checkpoints(tmp_path, out, 5) == 0
+    written = [f"checkpoint_{i:04d}.nlsf{ext}" for i in range(3) for ext in ("", ".meta.json")]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        written + keep + ["summary.json", "trace.csv"]
+    )
+    times = [json.loads((out / f"checkpoint_{i:04d}.nlsf.meta.json").read_text())["time"]
+             for i in range(3)]
+    assert times == pytest.approx([0.0, 0.05, 0.1], abs=1e-12)
+    capsys.readouterr()
+
+
+def test_run_refuses_an_input_it_would_overwrite(tmp_path, capsys):
+    # the input is checkpoint_0002 of the run directory: a rerun there would
+    # overwrite it (t = 0.06 -> 0.08); it is refused before any step or write
+    out = tmp_path / "o"
+    assert simulate_checkpoints(tmp_path, out, 3) == 0
+    capsys.readouterr()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    meta = json.loads((out / "checkpoint_0002.nlsf.meta.json").read_text())
+    assert meta["time"] == pytest.approx(0.06)
+    # the same file reached through another spelling of the directory
+    for path in (out / "checkpoint_0002.nlsf", out / ".." / "o" / "checkpoint_0002.nlsf"):
+        initial = f"initial.kind = file\ninitial.path = {path}"
+        assert simulate_checkpoints(tmp_path, out, 4, initial) == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: initial.path {str(path)!r} is a file the run writes in {out}\n"
+        )
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_sweep_cell_refuses_an_input_it_would_overwrite(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    cell = out / "run_0000"
+    assert simulate_checkpoints(tmp_path, cell, 5) == 0
+    before = {p.name: p.read_bytes() for p in cell.iterdir()}
+    initial = f"initial.kind = file\ninitial.path = {cell / 'checkpoint_0001.nlsf'}"
+    assert simulate_checkpoints(tmp_path, out, 5, initial, kind="sweep") == 2
+    (row,) = json.loads((out / "sweep_rows.json").read_text())
+    assert row["classification"] == "Failed"
+    assert row["error"].startswith("ConfigError: initial.path ")
+    assert row["error"].endswith(f"is a file the run writes in {cell}")
+    assert {p.name: p.read_bytes() for p in cell.iterdir()} == before
+    capsys.readouterr()
+
+
+def test_empty_output_dir_is_config_error(tmp_path, capsys, monkeypatch):
+    # `output_dir =` reads as "", which as a Path is the working directory
+    monkeypatch.chdir(tmp_path)
+    text = BASE_CONFIG.format(out="") + "probes.checkpoint_every = 10\n"
+    p = write_config(tmp_path, text)
+    assert main(["simulate", "--config", str(p), "--gnuplot"]) == 1
+    assert capsys.readouterr().err == "configuration error: output_dir must not be empty\n"
+    assert [q.name for q in tmp_path.iterdir()] == [p.name]
 
 
 def test_cli_dt_that_cannot_move_a_sidecar_clock_is_config_error(
@@ -1221,6 +1311,7 @@ def make_trace(times, K, scatter=None):
         grad_l2=K, K_t=np.maximum.accumulate(K), linf=np.ones(n),
         R_t=np.full(n, np.nan), weighted_l2=np.full(n, np.nan),
         scatter_residual=sc, tail_frac=np.zeros(n),
+        loc_mass=np.empty((n, 0)), lambdas=(),
     )
 
 

@@ -309,6 +309,26 @@ def test_a_target_within_eps_of_the_start_is_the_start():
     assert len(out.trace) == 11
 
 
+@pytest.mark.parametrize("targets", [(0.05, 0.5), (-1.0, 0.05), (0.1 + 1e-11,)])
+def test_store_at_times_outside_the_run_is_refused(targets):
+    # t_end 0.1: a target the run never reaches raises before any step
+    # instead of being dropped; within eps = 1e-12 of either end it is kept
+    g = GridSpec(1, 40.0, 256)
+    st = make_initial(g, Gaussian(0.5, 1.0))
+    cfg = SolverConfig(dt=1e-2, t_end=0.1)
+    with pytest.raises(ValueError, match=r"store_at_times \[.*\] lie outside the run \[0, 0.1\]"):
+        run(st, ModelParams(1, 1.0, -1j), cfg, probes=ProbeSet(store_at_times=targets))
+    out = run(st, ModelParams(1, 1.0, -1j), cfg,
+              probes=ProbeSet(store_at_times=(-5e-13, 0.05, 0.1 + 5e-13)))
+    assert [s.time for s in out.checkpoints] == pytest.approx([0.0, 0.05, 0.1], abs=1e-15)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_probe_set_refuses_non_finite_targets(bad):
+    with pytest.raises(ValueError, match="store_at_times must be finite"):
+        ProbeSet(store_at_times=(0.05, bad))
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(dt=0.0, t_end=1.0)
